@@ -18,6 +18,7 @@ from .special import (
     QuadratureError,
     mittag_leffler_neg,
     mittag_leffler_neg_with_error,
+    mittag_leffler_neg_array,
     symbol_series,
     symbol_integral,
     symbol_cut,
@@ -58,6 +59,7 @@ __all__ = [
     "QuadratureError",
     "mittag_leffler_neg",
     "mittag_leffler_neg_with_error",
+    "mittag_leffler_neg_array",
     "symbol_series",
     "symbol_integral",
     "symbol_cut",

@@ -19,6 +19,7 @@ from .special import (
     FractionalOrder,
     QuadratureError,
     _quad,
+    mittag_leffler_neg_array,
     mittag_leffler_neg_with_error,
     symbol_cut,
 )
@@ -78,13 +79,9 @@ def delta_series(order: FractionalOrder, mu: float, n_max: int,
     grid = TimeGrid(dt=1.0, n_steps=n_max)
     problem = ModeProblem.from_grid(order, mu, 1.0, grid)
     u = step_mode(problem, grid, weights=weights)
-    delta = np.empty(n_max)
-    ml_err = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        exact, err = mittag_leffler_neg_with_error(order, mu * float(n) ** order.nu)
-        delta[n - 1] = u[n] - exact
-        ml_err[n - 1] = err
-    return delta, ml_err
+    ns = np.arange(1, n_max + 1, dtype=float)
+    exact, ml_err = mittag_leffler_neg_array(order, mu * ns ** order.nu)
+    return u[1:] - exact, ml_err
 
 
 def delta_contour(order: FractionalOrder, mu: float, n: int,

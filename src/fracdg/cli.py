@@ -9,8 +9,8 @@ header row and a metadata comment carrying the package version and a
 hash of the resolved configuration; identical configurations produce
 byte-identical files.
 
-Exit status: 0 when every built-in check passes, 2 when a check fails,
-1 on usage or configuration errors.
+Exit status: 0 when every built-in check passes, 2 when a check fails or
+a quadrature does not converge, 1 on usage or configuration errors.
 """
 
 import argparse
@@ -39,6 +39,7 @@ from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2
 from .laplace import contour_nodes, window_chain
 from .special import (
     FractionalOrder,
+    QuadratureError,
     symbol_asym_origin,
     symbol_integral,
     symbol_series,
@@ -129,7 +130,9 @@ class RunConfig:
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
     def digest(self) -> str:
-        text = ";".join(f"{k}={v!r}" for k, v in self.items())
+        # Numerical configuration only: where the files go does not
+        # change what is in them.
+        text = ";".join(f"{k}={v!r}" for k, v in self.items() if k != "out_dir")
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -239,14 +242,11 @@ def _transform_reference(config: RunConfig, order: FractionalOrder, flat_x, dt):
     return evaluate
 
 
-def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x):
+def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
+    """Reference values at every time level, shape (len(times), len(flat_x))."""
     system = EigenSystem1D(config.mode_cap)
     data = InitialData.quarter_pi(config.mode_cap)
-
-    def evaluate(t: float) -> np.ndarray:
-        return exact_field(order, system, data, t, flat_x, tol=config.field_tol)
-
-    return evaluate
+    return exact_field(order, system, data, times, flat_x, tol=config.field_tol)
 
 
 def run_convergence(config: RunConfig):
@@ -268,15 +268,18 @@ def run_convergence(config: RunConfig):
         half = n_steps // 2
         solution = step_galerkin(order, mats.mass, mats.stiff,
                                  TimeGrid(dt, half), u0)
-        if config.reference == "modal":
-            evaluate = _modal_reference(config, order, flat_x)
-        else:
-            evaluate = _transform_reference(config, order, flat_x, dt)
         times = dt * np.arange(1, half + 1)
+        # The modal reference is evaluated for all levels in one call.  The
+        # transform reference stays level by level: holding every level's
+        # values would add (levels x points) doubles to its peak memory.
+        if config.reference == "modal":
+            refs = _modal_reference(config, order, flat_x, times)
+        else:
+            refs = map(_transform_reference(config, order, flat_x, dt), times)
         errors = np.empty(half)
-        for i, t in enumerate(times):
-            ref = evaluate(t).reshape(pts.shape)
-            errors[i] = l2_error_from_values(solution[i + 1], mesh, ref)
+        for i, ref in enumerate(refs):
+            errors[i] = l2_error_from_values(solution[i + 1], mesh,
+                                             ref.reshape(pts.shape))
         samples[n_steps] = (times, errors)
     table = weighted_error_table(samples, config.alphas, t_top=_WINDOW_TOP)
     return table, samples
@@ -587,6 +590,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

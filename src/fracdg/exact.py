@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import FractionalOrder, mittag_leffler_neg
+from .special import FractionalOrder, mittag_leffler_neg, mittag_leffler_neg_array
 
 __all__ = [
     "EigenSystem1D",
@@ -45,12 +45,6 @@ class EigenSystem1D:
 
     def eigenfunction(self, m: int, x) -> np.ndarray:
         return np.sin(0.5 * m * math.pi * (np.asarray(x, dtype=float) + 1.0))
-
-    def eigenfunction_table(self, x) -> np.ndarray:
-        """Matrix phi_m(x_i), shape (mode_count, len(x))."""
-        x = np.asarray(x, dtype=float)
-        m = np.arange(1, self.mode_count + 1, dtype=float)
-        return np.sin(0.5 * math.pi * np.outer(m, x + 1.0))
 
 
 @dataclass(frozen=True)
@@ -87,18 +81,6 @@ def exact_mode(order: FractionalOrder, lam: float, u0m: float, t: float) -> floa
     return u0m * mittag_leffler_neg(order, lam * t ** order.nu)
 
 
-def mode_values(order: FractionalOrder, system: EigenSystem1D,
-                data: InitialData, t: float) -> np.ndarray:
-    """Coefficients u0m * E_nu(-lam_m t^nu) for every stored mode."""
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    lam = system.eigenvalues()[: len(data.coefficients)]
-    decay = np.array(
-        [mittag_leffler_neg(order, li * t ** order.nu) for li in lam]
-    )
-    return data.coefficients * decay
-
-
 def _truncation_cutoff(system, data, t, nu, tol):
     # Smallest M with sum_{m>M} u0m^2 min(1, 2/(lam_m t^nu))^2 < tol^2.
     # The decay-aware factor keeps M modest for t bounded away from 0;
@@ -111,24 +93,35 @@ def _truncation_cutoff(system, data, t, nu, tol):
 
 
 def exact_field(order: FractionalOrder, system: EigenSystem1D,
-                data: InitialData, t: float, x_points,
+                data: InitialData, t, x_points,
                 tol: float = 1e-8) -> np.ndarray:
     """u(x, t) by the truncated eigenfunction expansion.
 
-    Truncation keeps the L2 tail below tol; t must be positive since the
-    series of discontinuous data converges too slowly at t = 0.
+    t is a time or an array of times; the result has shape
+    t.shape + (len(x_points),).  Truncation keeps the L2 tail below tol
+    at each time, and modes with a zero coefficient are skipped.  Every
+    time must be positive since the series of discontinuous data
+    converges too slowly at t = 0.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    cut = max(1, _truncation_cutoff(system, data, t, order.nu, tol))
-    lam = system.eigenvalues()[:cut]
-    coeff = data.coefficients[:cut]
-    decay = np.array(
-        [mittag_leffler_neg(order, li * t ** order.nu) for li in lam]
-    )
-    sub = EigenSystem1D(mode_count=cut, kappa=system.kappa)
-    table = sub.eigenfunction_table(x_points)
-    return (coeff * decay) @ table
+    times = np.asarray(t, dtype=float)
+    if not np.all(times > 0.0):
+        raise ValueError(f"t must be > 0, got {np.min(times)}")
+    nu = order.nu
+    flat_t = [float(ti) for ti in times.ravel()]
+    cuts = np.array([max(1, _truncation_cutoff(system, data, ti, nu, tol))
+                     for ti in flat_t])
+    live = np.flatnonzero(data.coefficients[:cuts.max(initial=1)])
+    kept = live[None, :] < cuts[:, None]
+    s = system.eigenvalues()[live] * np.array([ti ** nu for ti in flat_t])[:, None]
+    weights = np.zeros(s.shape)
+    weights[kept] = mittag_leffler_neg_array(order, s[kept])[0]
+    weights *= data.coefficients[live]
+    # One sine table phi_m(x) over the kept modes, built in place.
+    x = np.asarray(x_points, dtype=float)
+    table = np.outer(live + 1.0, x + 1.0)
+    table *= 0.5 * math.pi
+    np.sin(table, out=table)
+    return (weights @ table).reshape(times.shape + x.shape)
 
 
 def constant_data_transform(order: FractionalOrder, x, z) -> np.ndarray:

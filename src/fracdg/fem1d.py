@@ -7,8 +7,8 @@ mass and stiffness matrices; projection and error evaluation use fixed
 Gauss rules per element.
 """
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,6 +100,16 @@ def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:
     return FemMatrices(mass=mass, stiff=stiff)
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int):
+    # Reference nodes and weights on [-1, 1], shared by every call; read-only
+    # so that no caller can alter the cached copy.
+    ref, wref = np.polynomial.legendre.leggauss(order)
+    ref.flags.writeable = False
+    wref.flags.writeable = False
+    return ref, wref
+
+
 def gauss_points(mesh: Mesh1D, order: int = 4):
     """Gauss-Legendre points and weights on every element.
 
@@ -108,7 +118,7 @@ def gauss_points(mesh: Mesh1D, order: int = 4):
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    ref, wref = np.polynomial.legendre.leggauss(order)
+    ref, wref = _legendre_rule(order)
     a = mesh.nodes[:-1, None]
     h = mesh.spacings[:, None]
     local = 0.5 * (ref[None, :] + 1.0)

@@ -1,8 +1,9 @@
-"""Scalar special functions for the convolution-quadrature scheme.
+"""Special functions for the convolution-quadrature scheme.
 
 Everything here is double precision and deliberately boring: gamma with pole
 rejection, zeta at small negative arguments through the functional equation,
-the one-parameter Mittag-Leffler function E_nu(-s) on the negative real axis,
+the one-parameter Mittag-Leffler function E_nu(-s) on the negative real axis
+(per point, and over arrays with the same branches and error estimates),
 and the generating symbol of the piecewise-constant DG weights
 
     psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu),
@@ -17,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 
@@ -34,6 +36,7 @@ __all__ = [
     "zeta_neg",
     "mittag_leffler_neg",
     "mittag_leffler_neg_with_error",
+    "mittag_leffler_neg_array",
     "symbol_series",
     "symbol_integral",
     "symbol_cut",
@@ -52,7 +55,13 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message, achieved):
         super().__init__(f"{message} (achieved estimate {achieved:.3e})")
+        self.message = message
         self.achieved = achieved
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, so the error survives
+        # the trip back from a worker process (``phi --jobs``).
+        return type(self), (self.message, self.achieved)
 
 
 def gamma(x: float) -> float:
@@ -236,6 +245,103 @@ def mittag_leffler_neg_with_error(order: FractionalOrder, s: float):
 def mittag_leffler_neg(order: FractionalOrder, s: float) -> float:
     """E_nu(-s) for s >= 0, absolute accuracy about 1e-12 or better."""
     return mittag_leffler_neg_with_error(order, s)[0]
+
+
+def _ml_taylor_array(nu, s):
+    # _ml_taylor on every point at once.  The arrays hold only the points
+    # still summing; a point leaves at the term where the scalar loop breaks.
+    val, err = np.empty(s.size), np.empty(s.size)
+    idx = np.arange(s.size)
+    logs = np.log(s)
+    acc = np.ones(s.size)
+    mx = np.ones(s.size)
+    at = np.full(s.size, math.inf)
+    for k in range(1, 400):
+        if not idx.size:
+            break
+        t = np.exp(k * logs - math.lgamma(1.0 + nu * k))
+        if k % 2:
+            t = -t
+        acc += t
+        prev, at = at, np.abs(t)
+        np.maximum(mx, at, out=mx)
+        done = (at < 1e-17 * np.abs(acc)) & (at < prev)
+        if done.any():
+            out = idx[done]
+            val[out] = acc[done]
+            err[out] = _EPS * (mx[done] + np.abs(acc[done])) + at[done]
+            keep = ~done
+            idx, logs, acc, mx, at = idx[keep], logs[keep], acc[keep], mx[keep], at[keep]
+    val[idx] = acc
+    err[idx] = _EPS * (mx + np.abs(acc)) + at
+    return val, err
+
+
+def _ml_asym_array(nu, s):
+    # _ml_asym on every point at once, with the same smallest-term stop.
+    val, err = np.empty(s.size), np.empty(s.size)
+    idx = np.arange(s.size)
+    logs = np.log(s)
+    acc = np.zeros(s.size)
+    prev = np.full(s.size, math.inf)
+    for k in range(1, 400):
+        if not idx.size:
+            break
+        mag = np.exp(math.lgamma(nu * k) - k * logs) / math.pi
+        t = mag * math.sin(math.pi * nu * k)
+        if k % 2 == 0:
+            t = -t
+        grown = mag > prev
+        if grown.any():
+            out = idx[grown]
+            val[out] = acc[grown]
+            err[out] = prev[grown]
+            keep = ~grown
+            idx, logs, acc, mag, t = idx[keep], logs[keep], acc[keep], mag[keep], t[keep]
+        acc += t
+        prev = mag
+        done = mag < 1e-18
+        if done.any():
+            out = idx[done]
+            val[out] = acc[done]
+            err[out] = mag[done]
+            keep = ~done
+            idx, logs, acc, prev = idx[keep], logs[keep], acc[keep], prev[keep]
+    val[idx] = acc
+    err[idx] = math.inf
+    return val, err
+
+
+def mittag_leffler_neg_array(order: FractionalOrder, s):
+    """E_nu(-s) and absolute-error estimates over an array of s >= 0.
+
+    Point by point this follows mittag_leffler_neg_with_error: Taylor
+    series for s <= 1, asymptotic series beyond, and the spectral
+    quadrature only where the asymptotic estimate exceeds 1e-13.  Both
+    series run over the whole array, one term at a time.  Returns
+    (values, errors), each with the shape of s.
+    """
+    s = np.asarray(s, dtype=float)
+    if not np.all(s >= 0.0):
+        raise ValueError(f"s={s[~(s >= 0.0)].flat[0]} must be nonnegative")
+    flat = s.ravel()
+    nu = order.nu
+    if nu == 1.0:
+        val = np.exp(-flat)
+        err = _EPS * val
+    else:
+        val, err = np.empty(flat.size), np.empty(flat.size)
+        small = (flat > 0.0) & (flat <= 1.0)
+        val[small], err[small] = _ml_taylor_array(nu, flat[small])
+        large = np.flatnonzero(flat > 1.0)
+        v, e = _ml_asym_array(nu, flat[large])
+        for i in np.flatnonzero(~(e <= 1e-13)):
+            v[i], e[i] = _ml_spectral_quad(nu, float(flat[large[i]]))
+        val[large], err[large] = v, e
+    zero = flat == 0.0
+    val[zero] = 1.0
+    err[zero] = 0.0
+    return val.reshape(s.shape), err.reshape(s.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ The history sum is a direct O(N^2) convolution, evaluated with a fixed
 summation order so repeated runs are bit-identical.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -4,6 +4,7 @@ import pytest
 
 import fracdg.cli as cli
 from fracdg.cli import RunConfig, load_config_file, main
+from fracdg.special import QuadratureError
 
 META_RE = re.compile(r"^# fracdg v0\.1\.0 config=[0-9a-f]{12}$")
 
@@ -46,6 +47,11 @@ def test_digest_is_stable_and_sensitive():
     assert a.digest() == b.digest()
     assert re.fullmatch(r"[0-9a-f]{12}", a.digest())
     assert RunConfig(nu=0.5).digest() != a.digest()
+
+
+def test_digest_ignores_output_directory():
+    assert RunConfig(out_dir="a").digest() == RunConfig(out_dir="b").digest()
+    assert RunConfig(quick=True).digest() != RunConfig().digest()
 
 
 # -- config file -------------------------------------------------------------
@@ -125,6 +131,17 @@ def test_config_errors_exit_1(capsys, tmp_path):
     assert main(["phi", "--config", str(path)]) == 1
 
 
+def test_quadrature_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def stalled(order):
+        raise QuadratureError("stalled", 1e-3)
+
+    monkeypatch.setattr(cli, "phi_sweep", stalled)
+    assert main(["phi", "--quick", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: stalled" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_delta_rejects_bad_arguments(capsys):
     assert main(["delta", "--mu", "-1.0", "--n", "5"]) == 1
     assert main(["delta", "--mu", "1.0", "--n", "0"]) == 1
@@ -193,6 +210,17 @@ def test_quick_converge_writes_deterministic_files(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert (table_path.read_bytes(), curves[0].read_bytes()) == before
+
+
+def test_same_study_in_two_directories_is_byte_identical(tmp_path, capsys):
+    files = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(["converge", "--quick", "--out", str(out)]) == 0
+        files.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    capsys.readouterr()
+    assert len(files[0]) == 5
+    assert files[0] == files[1]
 
 
 def test_converge_baseline_gate_fails_cleanly(tmp_path, monkeypatch, capsys):

@@ -71,6 +71,29 @@ def test_exact_field_requires_positive_time():
         exact_field(FractionalOrder(0.5), system, data, 0.0, np.array([0.0]))
 
 
+def test_exact_field_over_times_matches_single_times():
+    order = FractionalOrder(0.6)
+    system = EigenSystem1D(3000)
+    data = InitialData.quarter_pi(3000)
+    x = np.linspace(-0.99, 0.99, 23)
+    times = np.array([1e-3, 0.01, 0.05, 0.2, 0.5, 2.0])
+    batch = exact_field(order, system, data, times, x)
+    assert batch.shape == (len(times), len(x))
+    single = np.stack([exact_field(order, system, data, t, x) for t in times])
+    assert np.max(np.abs(batch - single)) <= 1e-14
+    grid = exact_field(order, system, data, times.reshape(2, 3), x)
+    assert np.array_equal(grid.reshape(batch.shape), batch)
+
+
+def test_exact_field_rejects_any_nonpositive_time():
+    system = EigenSystem1D(10)
+    data = InitialData.quarter_pi(10)
+    for times in ([0.1, 0.0], [0.1, -0.2, 0.3]):
+        with pytest.raises(ValueError):
+            exact_field(FractionalOrder(0.5), system, data, np.array(times),
+                        np.array([0.0]))
+
+
 def test_exact_field_matches_brute_force():
     order = FractionalOrder(0.75)
     system = EigenSystem1D(8000)

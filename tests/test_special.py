@@ -1,15 +1,19 @@
 import cmath
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdg import special
 from fracdg.special import (
     FractionalOrder,
     QuadratureError,
     gamma,
     mittag_leffler_neg,
+    mittag_leffler_neg_array,
     mittag_leffler_neg_with_error,
     symbol_asym_left,
     symbol_asym_origin,
@@ -99,6 +103,53 @@ def test_mittag_leffler_range_and_decay_bound(nu, s):
 def test_mittag_leffler_monotone(nu, s1, ds):
     order = FractionalOrder(nu)
     assert mittag_leffler_neg(order, s1 + ds) <= mittag_leffler_neg(order, s1) + 1e-14
+
+
+# s = 0, s = 1 and its two neighbours (the Taylor/asymptotic switch), and
+# a log grid across all three branches.
+ML_GRID = np.concatenate([
+    [0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)],
+    np.logspace(-6.0, 8.0, 281),
+])
+
+
+@pytest.mark.parametrize("nu", sorted({*np.round(np.linspace(0.05, 1.0, 20), 2), 0.5, 1.0}))
+def test_mittag_leffler_array_matches_scalar(nu, monkeypatch):
+    order = FractionalOrder(float(nu))
+    want = [mittag_leffler_neg_with_error(order, float(s)) for s in ML_GRID]
+    quad_calls = []
+    real_quad = special._ml_spectral_quad
+
+    def counting_quad(nu, s):
+        quad_calls.append(s)
+        return real_quad(nu, s)
+
+    monkeypatch.setattr(special, "_ml_spectral_quad", counting_quad)
+    values, errors = mittag_leffler_neg_array(order, ML_GRID)
+    for s, (v, e), got_v, got_e in zip(ML_GRID, want, values, errors):
+        assert abs(got_v - v) <= 1e-13, s
+        assert abs(got_e - e) <= 1e-12 * e, s
+    if 0.5 < nu < 1.0:
+        # the asymptotic series is too coarse just above s = 1 here
+        assert quad_calls
+
+
+def test_mittag_leffler_array_keeps_shape():
+    order = FractionalOrder(0.7)
+    value, err = mittag_leffler_neg_array(order, 2.5)
+    assert value.shape == err.shape == ()
+    assert value == pytest.approx(mittag_leffler_neg(order, 2.5), abs=1e-13)
+    grid = np.array([[0.0, 0.3, 1.0], [4.0, 50.0, 1e6]])
+    values, errors = mittag_leffler_neg_array(order, grid)
+    assert values.shape == errors.shape == grid.shape
+    flat, _ = mittag_leffler_neg_array(order, grid.ravel())
+    assert np.array_equal(values.ravel(), flat)
+    assert mittag_leffler_neg_array(order, np.empty((0, 3)))[0].shape == (0, 3)
+
+
+def test_mittag_leffler_array_rejects_negative():
+    with pytest.raises(ValueError):
+        mittag_leffler_neg_array(FractionalOrder(0.5), [1.0, -1e-3])
 
 
 def test_symbol_series_reference_values():
@@ -220,3 +271,10 @@ def test_quadrature_error_type():
     err = QuadratureError("stalled", 1e-3)
     assert isinstance(err, RuntimeError)
     assert err.achieved == 1e-3
+
+
+def test_quadrature_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(QuadratureError("stalled", 1e-3)))
+    assert isinstance(err, QuadratureError)
+    assert err.achieved == 1e-3
+    assert str(err) == str(QuadratureError("stalled", 1e-3))

@@ -9,8 +9,11 @@ error-kernel certification harness.
 
 import os
 
-# Single-threaded BLAS keeps reduction order fixed, so repeated runs of the
-# CSV-emitting workflows are byte-identical.  An explicit setting wins.
+# The time stepping and the error norms call no BLAS; only the reference
+# products (contour sums, modal sine tables) do.  Single-threaded BLAS keeps
+# their reduction order fixed, so repeated runs of the CSV-emitting
+# workflows are byte-identical.  An explicit setting wins, and the setting
+# has no effect if numpy was imported first.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .special import (

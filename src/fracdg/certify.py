@@ -23,7 +23,7 @@ from .special import (
     mittag_leffler_neg_with_error,
     symbol_cut,
 )
-from .stepping import DgWeights, ModeProblem, TimeGrid, dg_weights, step_mode
+from .stepping import DgWeights, ModeProblem, TimeGrid, step_mode, step_spectral
 
 __all__ = [
     "DeltaScan",
@@ -136,34 +136,30 @@ class DeltaScan:
 
 
 def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> DeltaScan:
-    """Tabulate delta and its bound ratio over (mu_grid) x (1..n_max)."""
+    """Tabulate delta and its bound ratio over (mu_grid) x (1..n_max).
+
+    One spectral run with dt = 1 and the mu values as eigenvalues gives
+    every trajectory; its columns equal delta_series bit for bit.
+    """
     if mu_grid is None:
         mu_grid = default_mu_grid()
     mu_grid = np.asarray(mu_grid, dtype=float)
     if len(mu_grid) == 0 or np.any(mu_grid <= 0.0):
         raise ValueError("mu_grid must be nonempty and positive")
-    weights = dg_weights(order, n_max)
+    u = step_spectral(order, mu_grid, np.ones(len(mu_grid)),
+                      TimeGrid(dt=1.0, n_steps=n_max))
     ns = np.arange(1, n_max + 1, dtype=float)
-    rows = np.empty((len(mu_grid) * n_max, 6))
-    max_ratio = -math.inf
-    argmax = (math.nan, 0)
-    for i, mu in enumerate(mu_grid):
-        delta, ml_err = delta_series(order, mu, n_max, weights=weights)
-        rho = mu * ns ** order.nu
-        bound = np.minimum(rho ** 2, 1.0 / rho) / ns
-        ratio = np.abs(delta) / bound
-        block = rows[i * n_max:(i + 1) * n_max]
-        block[:, 0] = mu
-        block[:, 1] = ns
-        block[:, 2] = rho
-        block[:, 3] = delta
-        block[:, 4] = ml_err
-        block[:, 5] = ratio
-        k = int(np.argmax(ratio))
-        if ratio[k] > max_ratio:
-            max_ratio = float(ratio[k])
-            argmax = (float(mu), k + 1)
-    return DeltaScan(order=order, rows=rows, max_ratio=max_ratio, argmax=argmax)
+    rho = mu_grid[:, None] * ns ** order.nu
+    exact, ml_err = mittag_leffler_neg_array(order, rho)
+    delta = u[1:].T - exact
+    bound = np.minimum(rho ** 2, 1.0 / rho) / ns
+    ratio = np.abs(delta) / bound
+    rows = np.stack([np.repeat(mu_grid, n_max), np.tile(ns, len(mu_grid)),
+                     rho.ravel(), delta.ravel(), ml_err.ravel(), ratio.ravel()],
+                    axis=1)
+    k = int(np.argmax(ratio))  # first occurrence, mu-major as in rows
+    return DeltaScan(order=order, rows=rows, max_ratio=float(ratio.flat[k]),
+                     argmax=(float(mu_grid[k // n_max]), k % n_max + 1))
 
 
 def bound_check(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> float:
@@ -193,29 +189,36 @@ class PhiSweep:
     skipped: int
 
 
+def _first_max(w, keep, mu, ns):
+    # Largest w where keep holds, first occurrence on ties (NaN never
+    # wins); (-inf, (nan, 0)) when nothing qualifies.
+    w = np.where(keep & ~np.isnan(w), w, -math.inf)
+    k = int(np.argmax(w))
+    if w.flat[k] == -math.inf:
+        return -math.inf, (math.nan, 0)
+    return w.flat[k], (mu.flat[k], int(ns.flat[k]))
+
+
 def phi_sweep(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> PhiSweep:
     """Compute (Phi_1, Phi_2) from a fresh grid scan."""
     scan = delta_scan(order, mu_grid, n_max)
-    mu, ns, rho, delta, ml_err = (scan.rows[:, k] for k in range(5))
+    grid = scan.rows.reshape(-1, n_max, 6)  # (mu, n, column)
+    mu, ns, rho, delta, ml_err = (grid[..., k] for k in range(5))
     nu = order.nu
-    phi1 = phi2 = -math.inf
-    phi1_arg = phi2_arg = (math.nan, 0)
-    skipped = 0
-    for k in range(len(delta)):
-        if rho[k] <= 1.0:
-            if abs(delta[k]) <= 10.0 * ml_err[k]:
-                skipped += 1
-                continue
-            w = ns[k] ** (1.0 - 2.0 * nu) * delta[k] / mu[k] ** 2
-            if w > phi1:
-                phi1, phi1_arg = w, (mu[k], int(ns[k]))
-        if rho[k] >= 1.0:
-            w = ns[k] ** (1.0 + nu) * mu[k] * delta[k]
-            if w > phi2:
-                phi2, phi2_arg = w, (mu[k], int(ns[k]))
+    # Powers are taken once per grid value with scalar pow and broadcast:
+    # numpy's vectorised pow can differ from scalar pow in the last bit.
+    mu_sq = np.array([m ** 2 for m in mu[:, 0]])[:, None]
+    n_pow1 = np.array([n ** (1.0 - 2.0 * nu) for n in ns[0]])
+    n_pow2 = np.array([n ** (1.0 + nu) for n in ns[0]])
+    guarded = (rho <= 1.0) & (np.abs(delta) <= 10.0 * ml_err)
+    phi1, phi1_arg = _first_max(n_pow1 * delta / mu_sq,
+                                (rho <= 1.0) & ~guarded, mu, ns)
+    phi2, phi2_arg = _first_max(n_pow2 * mu * delta,
+                                (rho >= 1.0) & ~guarded, mu, ns)
     return PhiSweep(order=order, phi1=phi1, phi2=phi2,
                     phi1_arg=phi1_arg, phi2_arg=phi2_arg,
-                    min_delta=float(np.min(delta)), skipped=skipped)
+                    min_delta=float(np.min(delta)),
+                    skipped=int(np.count_nonzero(guarded)))
 
 
 def lemma_integral_zero(order: FractionalOrder) -> float:

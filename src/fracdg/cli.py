@@ -54,6 +54,8 @@ _DEFAULT_ALPHAS = (0.6, 0.7, 0.8125)
 # Small preset for the error-curve figures: 20 steps, 80 subintervals.
 _QUICK_N = (20, 40, 80, 160)
 _QUICK_M = 80
+# Time levels per error-norm call.
+_LEVEL_CHUNK = 16
 
 # Regression baseline for the default configuration (per alpha: weighted
 # errors over the default N chain, then observed rates).  Raw errors are
@@ -269,17 +271,19 @@ def run_convergence(config: RunConfig):
         solution = step_galerkin(order, mats.mass, mats.stiff,
                                  TimeGrid(dt, half), u0)
         times = dt * np.arange(1, half + 1)
-        # The modal reference is evaluated for all levels in one call.  The
-        # transform reference stays level by level: holding every level's
-        # values would add (levels x points) doubles to its peak memory.
+        # The modal reference is evaluated for all levels in one call, the
+        # transform reference level by level.  The error norm takes
+        # _LEVEL_CHUNK stacked levels per call, so its temporaries stay small.
         if config.reference == "modal":
-            refs = _modal_reference(config, order, flat_x, times)
+            refs = iter(_modal_reference(config, order, flat_x, times))
         else:
             refs = map(_transform_reference(config, order, flat_x, dt), times)
         errors = np.empty(half)
-        for i, ref in enumerate(refs):
-            errors[i] = l2_error_from_values(solution[i + 1], mesh,
-                                             ref.reshape(pts.shape))
+        for lo in range(0, half, _LEVEL_CHUNK):
+            hi = min(lo + _LEVEL_CHUNK, half)
+            ref = np.stack([next(refs) for _ in range(lo, hi)])
+            errors[lo:hi] = l2_error_from_values(
+                solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
         samples[n_steps] = (times, errors)
     table = weighted_error_table(samples, config.alphas, t_top=_WINDOW_TOP)
     return table, samples

@@ -128,12 +128,14 @@ def gauss_points(mesh: Mesh1D, order: int = 4):
 
 
 def _padded(coeffs, mesh) -> np.ndarray:
+    # Interior coefficients (last axis) with the two boundary zeros added.
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (mesh.n_intervals - 1,):
+    if c.shape[-1:] != (mesh.n_intervals - 1,):
         raise ValueError(
             f"expected {mesh.n_intervals - 1} interior coefficients, got {c.shape}"
         )
-    return np.concatenate([[0.0], c, [0.0]])
+    pad = np.zeros(c.shape[:-1] + (1,))
+    return np.concatenate([pad, c, pad], axis=-1)
 
 
 def l2_project(f, mesh: Mesh1D, order: int = 3) -> np.ndarray:
@@ -153,19 +155,29 @@ def l2_project(f, mesh: Mesh1D, order: int = 3) -> np.ndarray:
 
 
 def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray,
-                         order: int = 4) -> float:
+                         order: int = 4):
     """L2 norm of (P1 field - reference) given reference values.
 
     ref_values must match the layout of gauss_points(mesh, order)[0].
+    Stacked levels are accepted: with coeffs of shape (L, M-1) and
+    ref_values of shape (L, M, order) the result is an array of L norms,
+    each summed exactly as a call for that level alone would sum it.
     """
     points, weights, local = gauss_points(mesh, order)
-    if ref_values.shape != points.shape:
+    vals = _padded(coeffs, mesh)
+    if ref_values.shape != vals.shape[:-1] + points.shape:
         raise ValueError(
             f"ref_values shape {ref_values.shape} != quadrature {points.shape}"
+            f" for coefficients of shape {np.shape(coeffs)}"
         )
-    vals = _padded(coeffs, mesh)
-    uh = vals[:-1, None] * (1.0 - local) + vals[1:, None] * local
-    return float(np.sqrt(np.sum(weights * (uh - ref_values) ** 2)))
+    # weights * (uh - ref)^2, formed in place to hold two level stacks only.
+    sq = vals[..., :-1, None] * (1.0 - local)
+    sq += vals[..., 1:, None] * local
+    sq -= ref_values
+    sq *= sq
+    sq *= weights
+    err = np.sqrt(np.sum(sq, axis=(-2, -1)))
+    return float(err) if err.ndim == 0 else err
 
 
 def l2_error(coeffs, mesh: Mesh1D, reference, order: int = 4) -> float:

@@ -5,10 +5,13 @@ recurrence
 
     (1 + beta_0 mu) U^n = U^{n-1} - mu * sum_{j=1}^{n-1} beta_{n-j} U^j,
 
-its vectorized form over an eigenmode expansion, and the Galerkin matrix
-form (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu sum beta_{n-j} K U^j.
-The history sum is a direct O(N^2) convolution, evaluated with a fixed
-summation order so repeated runs are bit-identical.
+its vectorized form over an eigenmode expansion (the scalar form is one
+column of it), and the Galerkin matrix form
+(M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu sum beta_{n-j} K U^j.
+All three share one history contraction.  The history sum is a direct
+O(N^2) convolution whose terms are added one at a time in ascending j,
+without BLAS, so trajectories are bit-identical from run to run and do
+not depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass
@@ -122,30 +125,60 @@ def dg_weights(order: FractionalOrder, n: int) -> DgWeights:
     return DgWeights(order=order, beta=beta)
 
 
+def _history(beta: np.ndarray):
+    """Contraction (rows, n) -> sum_{j=1}^{n-1} beta_{n-j} rows[j] over 2-d rows.
+
+    The weights are reversed once into a contiguous array, so step n reads
+    rev[N-n:N-1] against rows[1:n] with unit strides.  einsum adds the
+    terms row by row for ascending j, the order of the plain loop.  On a
+    single column it would switch to a blocked SIMD reduction instead;
+    that case keeps the negative-stride product, which numpy evaluates
+    outside BLAS as one running sum in the same order.
+    """
+    rev = np.ascontiguousarray(beta[::-1])
+    top = len(beta)
+
+    def contract(rows, n):
+        if rows.shape[1] == 1:
+            return beta[n - 1:0:-1] @ rows[1:n]
+        return np.einsum("i,ij->j", rev[top - n:top - 1], rows[1:n])
+
+    return contract
+
+
+def _march(beta: np.ndarray, mu: np.ndarray, u0: np.ndarray,
+           n_steps: int) -> np.ndarray:
+    # The scalar recurrence for every column of mu at once.
+    history = _history(beta[:n_steps])
+    u = np.zeros((n_steps + 1, len(mu)))
+    u[0] = u0
+    denom = 1.0 + beta[0] * mu
+    for n in range(1, n_steps + 1):
+        hist = history(u, n) if n > 1 else 0.0
+        u[n] = (u[n - 1] - mu * hist) / denom
+    return u
+
+
 def step_mode(problem: ModeProblem, grid: TimeGrid,
               weights: DgWeights | None = None) -> np.ndarray:
-    """Trajectory U^0..U^N of the scalar recurrence (U^0 = u0m)."""
+    """Trajectory U^0..U^N of the scalar recurrence (U^0 = u0m).
+
+    This is one column of step_spectral, with mu taken from the problem.
+    """
     if weights is None:
         weights = dg_weights(problem.order, grid.n_steps)
     beta = weights.beta
     if len(beta) < grid.n_steps:
         raise ValueError(f"need {grid.n_steps} weights, got {len(beta)}")
-    mu = problem.mu
-    u = np.zeros(grid.n_steps + 1)
-    u[0] = problem.u0m
-    denom = 1.0 + beta[0] * mu
-    for n in range(1, grid.n_steps + 1):
-        hist = beta[n - 1:0:-1] @ u[1:n] if n > 1 else 0.0
-        u[n] = (u[n - 1] - mu * hist) / denom
-    return u
+    return _march(beta, np.array([problem.mu]), problem.u0m, grid.n_steps)[:, 0]
 
 
 def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
                   grid: TimeGrid) -> np.ndarray:
     """Modal trajectories, shape (n_steps+1, n_modes); row 0 is u0_coeffs.
 
-    Equivalent to step_mode applied per column, with the history matrix-
-    vector product shared across modes.
+    Column k equals step_mode for eigenvalue k bit for bit; the history
+    contraction is shared across modes.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     u0 = np.asarray(u0_coeffs, dtype=float)
@@ -154,14 +187,7 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
     if np.any(lam < 0.0):
         raise ValueError("eigenvalues must be >= 0")
     beta = dg_weights(order, grid.n_steps).beta
-    mu = lam * grid.dt ** order.nu
-    u = np.zeros((grid.n_steps + 1, len(lam)))
-    u[0] = u0
-    denom = 1.0 + beta[0] * mu
-    for n in range(1, grid.n_steps + 1):
-        hist = beta[n - 1:0:-1] @ u[1:n] if n > 1 else 0.0
-        u[n] = (u[n - 1] - mu * hist) / denom
-    return u
+    return _march(beta, lam * grid.dt ** order.nu, u0, grid.n_steps)
 
 
 def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
@@ -169,7 +195,7 @@ def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
     """Coefficient trajectories, shape (n_steps+1, ndof); row 0 is u0_vec.
 
     Factors M + beta_0 dt^nu K once; each step costs one banded solve
-    plus one dense history product over the stored K U^j vectors.
+    plus one history contraction over the stored K U^j vectors.
     """
     u0 = np.asarray(u0_vec, dtype=float)
     mass = sp.csc_matrix(mass)
@@ -183,13 +209,14 @@ def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
         solver = splu(mass + (beta[0] * dtn) * stiff)
     except RuntimeError as exc:
         raise ValueError(f"singular stepping system: {exc}") from exc
+    history = _history(beta)
     u = np.zeros((grid.n_steps + 1, ndof))
     ku = np.zeros((grid.n_steps + 1, ndof))  # rows K @ U^j, filled as we go
     u[0] = u0
     for n in range(1, grid.n_steps + 1):
         rhs = mass @ u[n - 1]
         if n > 1:
-            rhs -= dtn * (beta[n - 1:0:-1] @ ku[1:n])
+            rhs -= dtn * history(ku, n)
         u[n] = solver.solve(rhs)
         ku[n] = stiff @ u[n]
     return u

@@ -56,6 +56,21 @@ def test_delta_series_consistent_with_single_values():
             delta_direct(order, 2.0, n), abs=1e-15)
 
 
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
+def test_delta_scan_rows_equal_series_bitwise(nu):
+    order = FractionalOrder(nu)
+    mus = default_mu_grid()
+    scan = delta_scan(order, n_max=200)
+    blocks = scan.rows.reshape(mus.size, 200, 6)
+    ns = np.arange(1, 201, dtype=float)
+    for mu, block in zip(mus, blocks):
+        delta, ml_err = delta_series(order, mu, 200)
+        assert np.all(block[:, 0] == mu)
+        assert np.array_equal(block[:, 1], ns)
+        assert np.array_equal(block[:, 3], delta)
+        assert np.array_equal(block[:, 4], ml_err)
+
+
 def test_delta_zero_eigenvalue_is_exact():
     assert delta_direct(FractionalOrder(0.5), 0.0, 7) == 0.0
 
@@ -115,6 +130,45 @@ def test_phi_sweep_moderate():
     assert mu1 * n1 ** 0.6 <= 1.0 + 1e-12
     mu2, n2 = sweep.phi2_arg
     assert mu2 * n2 ** 0.6 >= 1.0 - 1e-12
+
+
+def looped_phi(scan, nu):
+    # point-by-point restatement of the weighted suprema
+    phi1 = phi2 = -math.inf
+    arg1 = arg2 = (math.nan, 0)
+    skipped = 0
+    for mu, n, rho, delta, ml_err, _ in scan.rows:
+        if rho <= 1.0:
+            if abs(delta) <= 10.0 * ml_err:
+                skipped += 1
+                continue
+            w = n ** (1.0 - 2.0 * nu) * delta / mu ** 2
+            if w > phi1:
+                phi1, arg1 = w, (mu, int(n))
+        if rho >= 1.0:
+            w = n ** (1.0 + nu) * mu * delta
+            if w > phi2:
+                phi2, arg2 = w, (mu, int(n))
+    return phi1, phi2, arg1, arg2, skipped
+
+
+@pytest.mark.parametrize("nu, mu_grid, n_max", [
+    (0.1, None, 200),               # the standard grid
+    (0.5, 2.0 ** np.arange(-30, 4, 3), 50),  # the guard skips 150 points
+    (0.6, 2.0 ** np.arange(-8, 9), 60),
+    (0.6, [4.0], 5),                # rho > 1 only: no Phi_1 point
+])
+def test_phi_sweep_equals_point_loop(nu, mu_grid, n_max):
+    order = FractionalOrder(nu)
+    sweep = phi_sweep(order, mu_grid=mu_grid, n_max=n_max)
+    phi1, phi2, arg1, arg2, skipped = looped_phi(
+        delta_scan(order, mu_grid, n_max), nu)
+    assert (sweep.phi1, sweep.phi2, sweep.skipped) == (phi1, phi2, skipped)
+    assert sweep.phi2_arg == arg2
+    if phi1 == -math.inf:
+        assert math.isnan(sweep.phi1_arg[0]) and sweep.phi1_arg[1] == 0
+    else:
+        assert sweep.phi1_arg == arg1
 
 
 def test_lemma_integral_zero_inside_range():

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -219,6 +222,28 @@ def test_same_study_in_two_directories_is_byte_identical(tmp_path, capsys):
         assert main(["converge", "--quick", "--out", str(out)]) == 0
         files.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     capsys.readouterr()
+    assert len(files[0]) == 5
+    assert files[0] == files[1]
+
+
+def test_files_do_not_depend_on_import_order(tmp_path):
+    # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
+    # Importing numpy first with two BLAS threads must not change a byte.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    run = ("import sys\n{first}from fracdg.cli import main\n"
+           "sys.exit(main(['converge', '--quick', '--out', sys.argv[1]]))")
+    files = []
+    for name, first, extra in (("plain", "", {}),
+                               ("numpy_first", "import numpy\n",
+                                {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-c", run.format(first=first), str(out)],
+                       env={**env, **extra}, check=True, capture_output=True,
+                       timeout=300)
+        files.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     assert len(files[0]) == 5
     assert files[0] == files[1]
 

@@ -139,6 +139,20 @@ def test_error_routes_agree():
     assert direct == from_values
 
 
+def test_stacked_levels_equal_single_calls_bitwise():
+    mesh = graded_mesh(40, 3.0)
+    pts = gauss_points(mesh)[0]
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal((7, mesh.n_intervals - 1))
+    refs = rng.standard_normal((7,) + pts.shape)
+    stacked = l2_error_from_values(coeffs, mesh, refs)
+    assert stacked.shape == (7,)
+    for c, r, e in zip(coeffs, refs, stacked):
+        assert l2_error_from_values(c, mesh, r) == e
+    with pytest.raises(ValueError):
+        l2_error_from_values(coeffs, mesh, refs[:6])
+
+
 @given(m=st.sampled_from([8, 16, 32]), gamma=st.floats(1.0, 5.0))
 @settings(max_examples=30, deadline=None)
 def test_mass_matrix_total_weight(m, gamma):

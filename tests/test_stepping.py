@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,51 @@ def test_galerkin_matches_dense_restatement():
     fast = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
     slow = dense_galerkin(order, mats.mass, mats.stiff, grid, u0)
     assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_spectral_columns_equal_scalar_runs_bitwise():
+    # the kernel scan's 39-point mu grid with dt = 1, so lam = mu
+    grid = TimeGrid(1.0, 200)
+    mus = 2.0 ** np.arange(-18, 21, dtype=float)
+    for nu in (0.3, 0.75):
+        order = FractionalOrder(nu)
+        traj = step_spectral(order, mus, np.ones(mus.size), grid)
+        for k, mu in enumerate(mus):
+            u = step_mode(ModeProblem(order, mu, 1.0, mu), grid)
+            assert np.array_equal(traj[:, k], u)
+
+
+def ordered_galerkin(order, mass, stiff, grid, u0):
+    # the history summed one term at a time for ascending j, with the
+    # same sparse factorization as step_galerkin
+    beta = dg_weights(order, grid.n_steps).beta
+    dtn = grid.dt ** order.nu
+    solver = splu(sp.csc_matrix(mass + (beta[0] * dtn) * stiff))
+    u = np.zeros((grid.n_steps + 1, len(u0)))
+    ku = np.zeros_like(u)
+    u[0] = u0
+    for n in range(1, grid.n_steps + 1):
+        rhs = mass @ u[n - 1]
+        if n > 1:
+            acc = np.zeros(len(u0))
+            for j in range(1, n):
+                acc += beta[n - j] * ku[j]
+            rhs -= dtn * acc
+        u[n] = solver.solve(rhs)
+        ku[n] = stiff @ u[n]
+    return u
+
+
+@pytest.mark.parametrize("m", [2, 40])  # one DOF and 39 DOF
+def test_galerkin_history_order_is_pinned(m):
+    order = FractionalOrder(0.3)
+    mesh = graded_mesh(m, 3.0)
+    mats = assemble(4.0 / math.pi ** 2, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
+    grid = TimeGrid(1.0 / 320, 160)
+    fast = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    slow = ordered_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    assert np.array_equal(fast, slow)
 
 
 def test_galerkin_rejects_singular_system():

@@ -248,6 +248,32 @@ def test_files_do_not_depend_on_import_order(tmp_path):
     assert files[0] == files[1]
 
 
+def test_csv_workflows_do_not_load_quadpack(tmp_path):
+    # scipy.integrate loads on the first quadpack call, and the CSV
+    # workflows make none.  A fresh interpreter, so that no other test's
+    # imports count; each step reports its exit status and whether
+    # scipy.integrate is loaded after it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    run = (
+        "import sys\n"
+        "import fracdg.cli as cli\n"
+        "def report(step, rc):\n"
+        "    print(step, rc, 'scipy.integrate' in sys.modules, file=sys.stderr)\n"
+        "report('import', 0)\n"
+        "out = sys.argv[1]\n"
+        "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
+        "report('modal', cli.main(['converge', '--quick', '--reference', 'modal',"
+        " '--out', out]))\n"
+        "report('contour', cli.main(['delta', '--mu', '1', '--n', '50',"
+        " '--oracle', 'contour']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stderr.splitlines() == ["import 0 False", "phi 0 False",
+                                        "modal 0 False", "contour 0 True"]
+
+
 def test_converge_baseline_gate_fails_cleanly(tmp_path, monkeypatch, capsys):
     bogus = ((1.0, 1.0, 1.0, 1.0, 1.0), (0.2, 0.2, 0.2, 0.2))
     monkeypatch.setitem(cli._BASELINE, 0.6, bogus)

@@ -113,25 +113,39 @@ ML_GRID = np.concatenate([
 ])
 
 
+def spy(monkeypatch, name):
+    # Replace special.<name> by a wrapper that records the s it was given.
+    seen = set()
+    real = getattr(special, name)
+
+    def recording(nu, s):
+        seen.update(np.atleast_1d(s).tolist())
+        return real(nu, s)
+
+    monkeypatch.setattr(special, name, recording)
+    return seen
+
+
 @pytest.mark.parametrize("nu", sorted({*np.round(np.linspace(0.05, 1.0, 20), 2), 0.5, 1.0}))
 def test_mittag_leffler_array_matches_scalar(nu, monkeypatch):
     order = FractionalOrder(float(nu))
+    quad = spy(monkeypatch, "_ml_spectral_quad")
+    fixed = spy(monkeypatch, "_ml_spectral_fixed")
     want = [mittag_leffler_neg_with_error(order, float(s)) for s in ML_GRID]
-    quad_calls = []
-    real_quad = special._ml_spectral_quad
-
-    def counting_quad(nu, s):
-        quad_calls.append(s)
-        return real_quad(nu, s)
-
-    monkeypatch.setattr(special, "_ml_spectral_quad", counting_quad)
     values, errors = mittag_leffler_neg_array(order, ML_GRID)
     for s, (v, e), got_v, got_e in zip(ML_GRID, want, values, errors):
         assert abs(got_v - v) <= 1e-13, s
-        assert abs(got_e - e) <= 1e-12 * e, s
+        if s in quad:
+            # quadpack per point against the fixed rule: both estimates
+            # must cover the gap
+            assert got_e <= 1e-13, s
+            assert abs(got_v - v) <= got_e + e, s
+        else:
+            assert abs(got_e - e) <= 1e-12 * e, s
+    assert fixed == quad
     if 0.5 < nu < 1.0:
         # the asymptotic series is too coarse just above s = 1 here
-        assert quad_calls
+        assert quad and fixed
 
 
 def test_mittag_leffler_array_keeps_shape():
@@ -150,6 +164,48 @@ def test_mittag_leffler_array_keeps_shape():
 def test_mittag_leffler_array_rejects_negative():
     with pytest.raises(ValueError):
         mittag_leffler_neg_array(FractionalOrder(0.5), [1.0, -1e-3])
+
+
+def ml_talbot(mpmath, nu, s):
+    # E_nu(-s) at 40 digits as the inverse Laplace transform of
+    # z^{nu-1}/(z^nu + 1) at t = s^{1/nu}, on Talbot's contour: a route
+    # independent of the spectral integral.  The Taylor series would need
+    # about s^{1/nu}/ln 10 extra digits, several hundred at nu = 0.02.
+    with mpmath.workdps(40):
+        nu, s = mpmath.mpf(nu), mpmath.mpf(s)
+        return float(mpmath.invertlaplace(lambda z: z ** (nu - 1) / (z ** nu + 1),
+                                          s ** (1 / nu), method="talbot"))
+
+
+@pytest.mark.parametrize("nu", [0.02, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+def test_mittag_leffler_fixed_rule_matches_multiprecision(nu, monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    order = FractionalOrder(nu)
+    fixed = spy(monkeypatch, "_ml_spectral_fixed")
+    mittag_leffler_neg_array(order, np.geomspace(1.0 + 1e-6, 1e3, 400))
+    points = np.array(sorted(fixed))
+    sample = points[np.linspace(0, points.size - 1, 6).round().astype(int)]
+    values, errors = mittag_leffler_neg_array(order, sample)
+    for s, v, e in zip(sample, values, errors):
+        assert abs(v - ml_talbot(mpmath, nu, s)) <= max(e, 4 * special._EPS), s
+        if nu <= 0.99:
+            # the Lorentzian peak at nu = 0.999 is too sharp for the
+            # fixed splits; the estimate says so
+            assert e <= 1e-13, s
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.75])
+def test_mittag_leffler_array_point_does_not_depend_on_batch(nu, monkeypatch):
+    order = FractionalOrder(nu)
+    rng = np.random.default_rng(11)
+    s = np.concatenate([rng.uniform(1.0, 8.0, 9000), 10.0 ** rng.uniform(-3.0, 4.0, 1000)])
+    rng.shuffle(s)
+    fixed = spy(monkeypatch, "_ml_spectral_fixed")
+    values, errors = mittag_leffler_neg_array(order, s)
+    assert len(fixed) > 2000   # many 64-point blocks of the fixed rule
+    for i in rng.choice(s.size, 60, replace=False):
+        value, error = mittag_leffler_neg_array(order, s[i:i + 1])
+        assert value[0] == values[i] and error[0] == errors[i], s[i]
 
 
 def test_symbol_series_reference_values():

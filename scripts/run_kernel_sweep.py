@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Kernel suprema sweep over the order grid 0.1..0.9.
 
-Writes out/phi_sweep.csv; pass --jobs to parallelize, --quick for a
-single order.
+Writes out/phi_sweep.csv; pass --nu F (or a config file setting nu) for
+one order, --quick for nu = 0.75 alone.
 """
 
 import sys

@@ -2,9 +2,10 @@
 
 Subpackages cover the generating-symbol and Mittag-Leffler special
 functions, hyperbolic-contour Laplace inversion, the time-stepping
-recurrence (scalar, spectral, and Galerkin forms), exact solutions of
-the 1D model problem, P1 finite elements on graded meshes, and the
-error-kernel certification harness.
+recurrence (spectral and Galerkin forms; the scalar recurrence is a
+one-column spectral run), exact solutions of the 1D model problem, P1
+finite elements on graded meshes, and the error-kernel certification
+harness.
 """
 
 import os
@@ -26,16 +27,8 @@ from .special import (
     symbol_integral,
     symbol_cut,
 )
-from .laplace import ContourSpec, invert, invert_refined, reference_mode, window_chain
-from .stepping import (
-    DgWeights,
-    TimeGrid,
-    ModeProblem,
-    dg_weights,
-    step_mode,
-    step_spectral,
-    step_galerkin,
-)
+from .laplace import ContourSpec, invert, inverter, reference_mode, window_chain
+from .stepping import TimeGrid, dg_weights, step_spectral, step_galerkin
 from .exact import (
     KAPPA,
     EigenSystem1D,
@@ -68,14 +61,11 @@ __all__ = [
     "symbol_cut",
     "ContourSpec",
     "invert",
-    "invert_refined",
+    "inverter",
     "reference_mode",
     "window_chain",
-    "DgWeights",
     "TimeGrid",
-    "ModeProblem",
     "dg_weights",
-    "step_mode",
     "step_spectral",
     "step_galerkin",
     "KAPPA",

@@ -23,7 +23,7 @@ from .special import (
     mittag_leffler_neg_with_error,
     symbol_cut,
 )
-from .stepping import DgWeights, ModeProblem, TimeGrid, step_mode, step_spectral
+from .stepping import TimeGrid, step_spectral
 
 __all__ = [
     "DeltaScan",
@@ -48,8 +48,7 @@ def default_mu_grid() -> np.ndarray:
     return 2.0 ** np.arange(-18, 21, dtype=float)
 
 
-def delta_direct(order: FractionalOrder, mu: float, n: int,
-                 weights: DgWeights | None = None) -> float:
+def delta_direct(order: FractionalOrder, mu: float, n: int) -> float:
     """Error kernel via the recurrence: U^n with dt=1, lam=mu, u0=1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -57,15 +56,12 @@ def delta_direct(order: FractionalOrder, mu: float, n: int,
         raise ValueError(f"mu must be >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
-    grid = TimeGrid(dt=1.0, n_steps=n)
-    problem = ModeProblem.from_grid(order, mu, 1.0, grid)
-    u = step_mode(problem, grid, weights=weights)
+    u = step_spectral(order, [mu], [1.0], TimeGrid(1.0, n))[:, 0]
     exact, _ = mittag_leffler_neg_with_error(order, mu * float(n) ** order.nu)
     return float(u[n]) - exact
 
 
-def delta_series(order: FractionalOrder, mu: float, n_max: int,
-                 weights: DgWeights | None = None):
+def delta_series(order: FractionalOrder, mu: float, n_max: int):
     """delta(1..n_max, mu) from one recurrence run.
 
     Returns (delta, ml_err): the kernel values and the error estimates of
@@ -76,9 +72,7 @@ def delta_series(order: FractionalOrder, mu: float, n_max: int,
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if mu <= 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    grid = TimeGrid(dt=1.0, n_steps=n_max)
-    problem = ModeProblem.from_grid(order, mu, 1.0, grid)
-    u = step_mode(problem, grid, weights=weights)
+    u = step_spectral(order, [mu], [1.0], TimeGrid(1.0, n_max))[:, 0]
     ns = np.arange(1, n_max + 1, dtype=float)
     exact, ml_err = mittag_leffler_neg_array(order, mu * ns ** order.nu)
     return u[1:] - exact, ml_err

@@ -36,7 +36,7 @@ from .certify import (
 )
 from .exact import KAPPA, EigenSystem1D, InitialData, constant_data_transform, exact_field
 from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
-from .laplace import contour_nodes, window_chain
+from .laplace import inverter, window_chain
 from .special import (
     FractionalOrder,
     QuadratureError,
@@ -197,7 +197,11 @@ def load_config_file(path: str) -> dict:
 
 
 def resolve_config(args) -> RunConfig:
-    """Defaults, then the config file, then explicit flags."""
+    """Defaults, then the config file, then explicit flags.
+
+    Sets ``args.given`` to the RunConfig fields the file or a flag chose,
+    so a subcommand can tell a chosen value from a default.
+    """
     updates = {}
     if getattr(args, "config", None):
         updates.update(load_config_file(args.config))
@@ -207,6 +211,7 @@ def resolve_config(args) -> RunConfig:
         if value is not None:
             updates[field] = parse(value) if isinstance(value, str) else value
     config = RunConfig(**updates)
+    args.given = frozenset(updates)
     if config.quick and args.command == "converge":
         if "n_list" not in updates:
             config = replace(config, n_list=_QUICK_N)
@@ -220,28 +225,9 @@ def resolve_config(args) -> RunConfig:
 
 
 def _transform_reference(config: RunConfig, order: FractionalOrder, flat_x, dt):
-    """Per-window contour tables; returns a times -> values evaluator.
-
-    Each window stores V[k, q] = u_hat(x_q, z_k) dz_k, so one field
-    sample is a single complex matrix-vector product.
-    """
-    tables = []
-    for spec in window_chain(dt, _WINDOW_TOP, tol=config.contour_tol):
-        z, dz = contour_nodes(spec)
-        table = np.empty((z.size, flat_x.size), dtype=complex)
-        for k in range(z.size):
-            table[k] = constant_data_transform(order, flat_x, z[k]) * dz[k]
-        tables.append((spec.t_max, spec.step, z, table))
-
-    def evaluate(t: float) -> np.ndarray:
-        for t_max, step, z, table in tables:
-            if t <= t_max * (1.0 + 1e-12):
-                weights = np.exp(z * t)
-                weights[0] *= 0.5
-                return (step / math.pi) * (weights @ table).imag
-        raise ValueError(f"t={t} beyond the reference window")
-
-    return evaluate
+    """Contour inversion of the field's transform over [dt, 1/2]; t -> values."""
+    return inverter(lambda z: constant_data_transform(order, flat_x, z),
+                    window_chain(dt, _WINDOW_TOP, tol=config.contour_tol))
 
 
 def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
@@ -401,7 +387,7 @@ def _phi_row(nu: float):
 
 
 def cmd_phi(args, config: RunConfig) -> int:
-    if args.nu is not None:
+    if "nu" in args.given:
         grid = (config.nu,)
     elif config.quick:
         grid = (0.75,)

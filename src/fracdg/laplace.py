@@ -11,13 +11,14 @@ correct digits by roughly two until round-off is reached.
 
 Transforms must be analytic off the cut (-inf, 0] and map conjugate
 points to conjugate values, so the trapezoid sum collapses to the upper
-half of the contour and the result is exactly real.
+half of the contour and the result is exactly real.  Every inversion
+goes through ``inverter``, one vectorised trapezoid sum over a chain of
+windows (the contour follows Weideman & Trefethen, Math. Comp. 76 (2007)
+1341).
 """
 
-import cmath
 import math
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ __all__ = [
     "ContourSpec",
     "contour_nodes",
     "invert",
-    "invert_refined",
+    "inverter",
     "reference_mode",
     "window_chain",
 ]
@@ -127,58 +128,45 @@ def contour_nodes(spec: ContourSpec):
     return z, dz
 
 
+def inverter(F, specs):
+    """Inverse transform of F over a chain of tuned contours; returns t -> f(t).
+
+    F is called once per node with a complex argument and returns a scalar
+    or an array.  Each window stores the table T_k = F(z_k) z'(x_k), so one
+    evaluation is a single complex product over the nodes.  t uses the
+    first window that holds it, to a relative slack of 1e-12 at the edges.
+    """
+    tables = []
+    for spec in specs:
+        z, dz = contour_nodes(spec)
+        first = F(complex(z[0])) * dz[0]
+        table = np.empty(z.shape + np.shape(first), dtype=complex)
+        table[0] = first
+        for k in range(1, z.size):
+            table[k] = F(complex(z[k])) * dz[k]
+        tables.append((spec, z, table))
+
+    def evaluate(t: float):
+        for spec, z, table in tables:
+            if spec.t_min * (1.0 - 1e-12) <= t <= spec.t_max * (1.0 + 1e-12):
+                weights = np.exp(z * t)
+                weights[0] *= 0.5
+                return (spec.step / math.pi) * (weights @ table).imag
+        raise ValueError(
+            f"t={t} outside the contour windows "
+            f"[{tables[0][0].t_min}, {tables[-1][0].t_max}]"
+        )
+
+    return evaluate
+
+
 def invert(F, t: float, spec: ContourSpec) -> float:
     """Evaluate the inverse transform of F at time t on the tuned contour.
 
-    F is called once per node with a complex argument.  t must lie inside
-    the window the contour was tuned for.
+    A one-window call of ``inverter``; t must lie inside the window the
+    contour was tuned for.
     """
-    if not spec.t_min <= t <= spec.t_max:
-        raise ValueError(
-            f"t={t} outside contour window [{spec.t_min}, {spec.t_max}]"
-        )
-    z, dz = contour_nodes(spec)
-    # Fixed ascending-magnitude order: the wings carry the smallest terms.
-    acc = 0.0
-    for k in range(spec.half_count, 0, -1):
-        acc += (cmath.exp(z[k] * t) * F(complex(z[k])) * dz[k]).imag
-    acc += 0.5 * (cmath.exp(z[0] * t) * F(complex(z[0])) * dz[0]).imag
-    return spec.step / math.pi * acc
-
-
-def invert_refined(F, t: float, spec: ContourSpec, tol: float = 1e-12,
-                   max_doublings: int = 3):
-    """Invert with node doubling until self-consistent to ``tol``.
-
-    Returns (value, achieved) where achieved is the last self-difference.
-    Warns if refinement stagnates above tol (round-off floor reached):
-    the returned estimate is then the honest accuracy.
-    """
-    value = invert(F, t, spec)
-    prev_diff = math.inf
-    for _ in range(max_doublings):
-        spec = replace(spec, node_count=4 * spec.half_count + 1,
-                       step=0.5 * spec.step)
-        refined = invert(F, t, spec)
-        diff = abs(refined - value)
-        value = refined
-        if diff <= tol:
-            return value, diff
-        if diff >= 0.5 * prev_diff:
-            warnings.warn(
-                f"contour refinement stagnated at {diff:.3e} (tol {tol:.1e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return value, diff
-        prev_diff = diff
-    warnings.warn(
-        f"contour refinement stopped at {prev_diff:.3e} after "
-        f"{max_doublings} doublings (tol {tol:.1e})",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return value, prev_diff
+    return float(inverter(F, [spec])(t))
 
 
 def reference_mode(order: FractionalOrder, lam: float, u0m: float, t: float,

@@ -5,10 +5,11 @@ recurrence
 
     (1 + beta_0 mu) U^n = U^{n-1} - mu * sum_{j=1}^{n-1} beta_{n-j} U^j,
 
-its vectorized form over an eigenmode expansion (the scalar form is one
-column of it), and the Galerkin matrix form
+which step_spectral runs for every mode of an eigenmode expansion at
+once (the scalar recurrence is a one-column call), and the Galerkin
+matrix form
 (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu sum beta_{n-j} K U^j.
-All three share one history contraction.  The history sum is a direct
+Both share one history contraction.  The history sum is a direct
 O(N^2) convolution whose terms are added one at a time in ascending j,
 without BLAS, so trajectories are bit-identical from run to run and do
 not depend on the BLAS thread count.
@@ -23,11 +24,8 @@ from scipy.sparse.linalg import splu
 from .special import FractionalOrder
 
 __all__ = [
-    "DgWeights",
     "TimeGrid",
-    "ModeProblem",
     "dg_weights",
-    "step_mode",
     "step_spectral",
     "step_galerkin",
 ]
@@ -50,42 +48,6 @@ class TimeGrid:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class ModeProblem:
-    """Single decoupled mode: operator eigenvalue lam, initial value u0m.
-
-    mu = lam * dt^nu is the only combination the recurrence sees.
-    """
-
-    order: FractionalOrder
-    lam: float
-    u0m: float
-    mu: float
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.mu < 0.0 or (self.mu == 0.0) != (self.lam == 0.0):
-            raise ValueError(f"inconsistent mu={self.mu} for lam={self.lam}")
-
-    @classmethod
-    def from_grid(cls, order, lam, u0m, grid: TimeGrid):
-        return cls(order=order, lam=lam, u0m=u0m,
-                   mu=lam * grid.dt ** order.nu)
-
-
-@dataclass(frozen=True)
-class DgWeights:
-    """Convolution weights beta_0..beta_{N-1} for one fractional order."""
-
-    order: FractionalOrder
-    beta: np.ndarray
-
-    def __post_init__(self):
-        if self.beta.ndim != 1 or len(self.beta) < 1:
-            raise ValueError("beta must be a nonempty 1-d array")
-
-
 def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
     # (1+x)^nu - 2 + (1-x)^nu at x = 1/j, summed as the even binomial
     # series 2*sum_k C(nu,2k) x^{2k}; five terms leave a relative error
@@ -99,7 +61,7 @@ def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
     return 2.0 * acc
 
 
-def dg_weights(order: FractionalOrder, n: int) -> DgWeights:
+def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
     """Weights beta_0..beta_{n-1}; beta_j = ((j+1)^nu - 2 j^nu + (j-1)^nu)/Gamma(1+nu).
 
     The second difference of j^nu is formed directly for small j and by
@@ -111,10 +73,8 @@ def dg_weights(order: FractionalOrder, n: int) -> DgWeights:
     nu = order.nu
     beta = np.zeros(n)
     beta[0] = 1.0 / order.gamma_1p
-    if n == 1:
-        return DgWeights(order=order, beta=beta)
-    if nu == 1.0:
-        return DgWeights(order=order, beta=beta)  # exact second difference of j
+    if n == 1 or nu == 1.0:
+        return beta  # nu = 1: exact second difference of j
     cut = min(n - 1, 64)
     j_small = np.arange(1, cut + 1, dtype=float)
     beta[1:cut + 1] = (j_small + 1.0) ** nu - 2.0 * j_small ** nu + (j_small - 1.0) ** nu
@@ -122,7 +82,7 @@ def dg_weights(order: FractionalOrder, n: int) -> DgWeights:
         j_large = np.arange(65, n, dtype=float)
         beta[65:] = j_large ** nu * _beta_series(nu, j_large)
     beta[1:] /= order.gamma_1p
-    return DgWeights(order=order, beta=beta)
+    return beta
 
 
 def _history(beta: np.ndarray):
@@ -159,26 +119,13 @@ def _march(beta: np.ndarray, mu: np.ndarray, u0: np.ndarray,
     return u
 
 
-def step_mode(problem: ModeProblem, grid: TimeGrid,
-              weights: DgWeights | None = None) -> np.ndarray:
-    """Trajectory U^0..U^N of the scalar recurrence (U^0 = u0m).
-
-    This is one column of step_spectral, with mu taken from the problem.
-    """
-    if weights is None:
-        weights = dg_weights(problem.order, grid.n_steps)
-    beta = weights.beta
-    if len(beta) < grid.n_steps:
-        raise ValueError(f"need {grid.n_steps} weights, got {len(beta)}")
-    return _march(beta, np.array([problem.mu]), problem.u0m, grid.n_steps)[:, 0]
-
-
 def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
                   grid: TimeGrid) -> np.ndarray:
     """Modal trajectories, shape (n_steps+1, n_modes); row 0 is u0_coeffs.
 
-    Column k equals step_mode for eigenvalue k bit for bit; the history
-    contraction is shared across modes.
+    The history contraction is shared across modes.  A one-column call,
+    step_spectral(order, [mu], [1.0], TimeGrid(1.0, n))[:, 0], is the
+    scalar recurrence for mu.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     u0 = np.asarray(u0_coeffs, dtype=float)
@@ -186,7 +133,7 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
         raise ValueError("eigenvalues and u0_coeffs must be 1-d of equal length")
     if np.any(lam < 0.0):
         raise ValueError("eigenvalues must be >= 0")
-    beta = dg_weights(order, grid.n_steps).beta
+    beta = dg_weights(order, grid.n_steps)
     return _march(beta, lam * grid.dt ** order.nu, u0, grid.n_steps)
 
 
@@ -203,7 +150,7 @@ def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
     ndof = len(u0)
     if mass.shape != (ndof, ndof) or stiff.shape != (ndof, ndof):
         raise ValueError("matrix shapes do not match u0_vec")
-    beta = dg_weights(order, grid.n_steps).beta
+    beta = dg_weights(order, grid.n_steps)
     dtn = grid.dt ** order.nu
     try:
         solver = splu(mass + (beta[0] * dtn) * stiff)

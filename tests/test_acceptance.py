@@ -30,13 +30,7 @@ from fracdg.special import (
     symbol_integral,
     symbol_series,
 )
-from fracdg.stepping import (
-    ModeProblem,
-    TimeGrid,
-    step_galerkin,
-    step_mode,
-    step_spectral,
-)
+from fracdg.stepping import TimeGrid, step_galerkin, step_spectral
 from fracdg.fem1d import assemble, graded_mesh
 
 # Reference study at nu = 0.75, M = 1000, N doubling 80 -> 1280: weighted
@@ -164,10 +158,9 @@ def test_stability_spectral_paths(nu):
     grid = TimeGrid(dt=1.0, n_steps=200)
     lambdas = 2.0 ** np.arange(-10, 11, dtype=float)
 
-    # scalar route, every mu separately
+    # scalar route, every mu separately (one-column spectral runs)
     for lam in lambdas:
-        problem = ModeProblem.from_grid(order, float(lam), 1.0, grid)
-        u = step_mode(problem, grid)
+        u = step_spectral(order, [lam], [1.0], grid)[:, 0]
         assert np.all(np.abs(u) <= abs(u[0]))
 
     # vectorized route, l2 norm across modes

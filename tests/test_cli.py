@@ -320,6 +320,19 @@ def test_phi_parallel_matches_serial(tmp_path, capsys):
     assert (out / "phi_sweep.csv").read_bytes() == serial
 
 
+def test_phi_order_from_config_file_equals_flag(tmp_path, capsys):
+    # the order grid follows the resolved configuration, wherever nu came from
+    path = tmp_path / "run.cfg"
+    path.write_text("nu = 0.5\n")
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["phi", "--config", str(path), "--out", str(by_file)]) == 0
+    assert main(["phi", "--nu", "0.5", "--out", str(by_flag)]) == 0
+    capsys.readouterr()
+    text = (by_file / "phi_sweep.csv").read_bytes()
+    assert text == (by_flag / "phi_sweep.csv").read_bytes()
+    assert len(text.splitlines()) == 3  # metadata, header, one order
+
+
 def test_lemmas_quick(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["lemmas", "--out", str(out)])

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from fracdg.laplace import (
     ContourSpec,
     contour_nodes,
     invert,
-    invert_refined,
+    inverter,
     reference_mode,
     window_chain,
 )
@@ -128,13 +127,19 @@ def test_window_chain_accuracy_uniform():
     assert worst <= 1e-12
 
 
-def test_invert_refined_reaches_tolerance(unit_spec):
-    value, achieved = invert_refined(lambda z: 1.0 / (z + 2.0), 1.0, unit_spec)
-    assert achieved <= 1e-12
-    assert value == pytest.approx(EXP_M2, rel=1e-11)
-
-
-def test_invert_refined_warns_when_stuck(unit_spec):
-    with pytest.warns(RuntimeWarning):
-        invert_refined(lambda z: z ** -0.3, 1.9999, unit_spec,
-                       tol=1e-30, max_doublings=2)
+def test_inverter_vector_transform_over_window_chain():
+    # one table per window, shared by all three components
+    rates = np.array([0.5, 3.0, 20.0])
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    evaluate = inverter(lambda z: 1.0 / (z + rates), chain)
+    times = [chain[0].t_min]
+    for spec in chain:
+        # interior points, then the edge shared with the next window
+        times += list(np.geomspace(spec.t_min, spec.t_max, 5)[1:])
+    for t in times:
+        got = evaluate(t)
+        assert got.shape == (3,)
+        assert np.max(np.abs(got - np.exp(-rates * t))) <= 1e-12
+    for t in (0.6, 1.0 / 2560.0):
+        with pytest.raises(ValueError):
+            evaluate(t)

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from fracdg.fem1d import assemble, graded_mesh, l2_project
 from fracdg.special import FractionalOrder
-from fracdg.stepping import (
-    ModeProblem,
-    TimeGrid,
-    dg_weights,
-    step_galerkin,
-    step_mode,
-    step_spectral,
-)
+from fracdg.stepping import TimeGrid, dg_weights, step_galerkin, step_spectral
 
 BETA0_HALF = 1.1283791670955126         # 1/Gamma(3/2)
 TELESCOPED_10_HALF = 0.17416208620401286  # sum of beta_1..beta_10 at nu = 0.5
 U1_HALF_MU1 = 0.46984109573138115        # one step, nu = 0.5, mu = 1
+
+
+def one_mode(order, mu, u0, grid):
+    # the scalar recurrence: a one-column spectral run
+    return step_spectral(order, [mu], [u0], grid)[:, 0]
 
 
 def stable_partial_sum(order, j):
@@ -33,26 +31,26 @@ def stable_partial_sum(order, j):
 def test_weights_head_values():
     order = FractionalOrder(0.5)
     w = dg_weights(order, 11)  # beta_0..beta_10
-    assert w.beta[0] == pytest.approx(BETA0_HALF, rel=1e-15)
-    assert np.sum(w.beta) == pytest.approx(TELESCOPED_10_HALF, rel=1e-13)
+    assert w[0] == pytest.approx(BETA0_HALF, rel=1e-15)
+    assert np.sum(w) == pytest.approx(TELESCOPED_10_HALF, rel=1e-13)
 
 
 def test_weights_classical_vanish():
     w = dg_weights(FractionalOrder(1.0), 200)
-    assert w.beta[0] == 1.0
-    assert np.all(w.beta[1:] == 0.0)
+    assert w[0] == 1.0
+    assert np.all(w[1:] == 0.0)
 
 
 def test_weights_sign_pattern():
     for nu in (0.1, 0.45, 0.8, 0.99):
         w = dg_weights(FractionalOrder(nu), 500)
-        assert w.beta[0] > 0.0
-        assert np.all(w.beta[1:] <= 0.0)
+        assert w[0] > 0.0
+        assert np.all(w[1:] <= 0.0)
 
 
 def test_weights_magnitude_decreasing():
     w = dg_weights(FractionalOrder(0.6), 1000)
-    mags = -w.beta[1:]
+    mags = -w[1:]
     assert np.all(np.diff(mags) <= 1e-18)
 
 
@@ -64,7 +62,7 @@ def test_weights_series_branch_continuity():
         g = math.gamma(1.0 + nu)
         for j in (63, 64, 65, 66, 70):
             direct = ((j + 1) ** nu - 2.0 * j ** nu + (j - 1) ** nu) / g
-            assert w.beta[j] == pytest.approx(direct, rel=5e-11, abs=1e-18)
+            assert w[j] == pytest.approx(direct, rel=5e-11, abs=1e-18)
 
 
 @given(nu=st.floats(0.05, 1.0), j=st.integers(1, 100_000))
@@ -72,7 +70,7 @@ def test_weights_series_branch_continuity():
 def test_weights_telescoping(nu, j):
     order = FractionalOrder(nu)
     w = dg_weights(order, j + 1)  # beta_0..beta_j
-    total = float(np.sum(w.beta))
+    total = float(np.sum(w))
     assert total == pytest.approx(stable_partial_sum(order, j), abs=1e-12)
 
 
@@ -85,19 +83,9 @@ def test_time_grid_validation():
     assert np.allclose(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
-def test_mode_problem_validation():
-    order = FractionalOrder(0.5)
-    ModeProblem.from_grid(order, 2.0, 1.0, TimeGrid(0.1, 3))
-    with pytest.raises(ValueError):
-        ModeProblem(order, -1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        ModeProblem(order, 0.0, 1.0, 0.5)  # mu must vanish with lambda
-
-
 def test_single_step_reference():
     order = FractionalOrder(0.5)
-    problem = ModeProblem(order, 1.0, 1.0, 1.0)
-    u = step_mode(problem, TimeGrid(1.0, 1))
+    u = one_mode(order, 1.0, 1.0, TimeGrid(1.0, 1))
     assert u[0] == 1.0
     assert u[1] == pytest.approx(U1_HALF_MU1, rel=1e-14)
 
@@ -105,8 +93,7 @@ def test_single_step_reference():
 def test_classical_trajectory_closed_form():
     order = FractionalOrder(1.0)
     for mu in (0.25, 1.0, 4.0):
-        problem = ModeProblem(order, mu, 1.0, mu)
-        u = step_mode(problem, TimeGrid(1.0, 40))
+        u = one_mode(order, mu, 1.0, TimeGrid(1.0, 40))
         want = (1.0 + mu) ** -np.arange(41)
         assert np.max(np.abs(u - want)) <= 1e-14
 
@@ -120,8 +107,7 @@ def test_mode_trajectory_decays(nu, log_mu):
     # noise around zero
     order = FractionalOrder(nu)
     mu = 2.0 ** log_mu
-    problem = ModeProblem(order, mu, 1.0, mu)
-    u = step_mode(problem, TimeGrid(1.0, 60))
+    u = one_mode(order, mu, 1.0, TimeGrid(1.0, 60))
     floor = 1e-13 * u[0]
     assert np.all(u >= -floor)
     assert np.all(np.diff(u) <= floor)
@@ -138,15 +124,13 @@ def test_spectral_matches_scalar_path():
         if lam == 0.0:
             assert np.all(traj[:, k] == c)
             continue
-        problem = ModeProblem.from_grid(order, lam, c, grid)
-        u = step_mode(problem, grid)
+        u = one_mode(order, lam, c, grid)
         assert np.max(np.abs(traj[:, k] - u)) <= 1e-13 * abs(c)
 
 
 def dense_galerkin(order, mass, stiff, grid, u0):
     # plain-matrix restatement of the stepping recurrence
-    weights = dg_weights(order, grid.n_steps)
-    beta = weights.beta
+    beta = dg_weights(order, grid.n_steps)
     dtn = grid.dt ** order.nu
     m = mass.toarray()
     k = stiff.toarray()
@@ -180,14 +164,14 @@ def test_spectral_columns_equal_scalar_runs_bitwise():
         order = FractionalOrder(nu)
         traj = step_spectral(order, mus, np.ones(mus.size), grid)
         for k, mu in enumerate(mus):
-            u = step_mode(ModeProblem(order, mu, 1.0, mu), grid)
+            u = one_mode(order, mu, 1.0, grid)
             assert np.array_equal(traj[:, k], u)
 
 
 def ordered_galerkin(order, mass, stiff, grid, u0):
     # the history summed one term at a time for ascending j, with the
     # same sparse factorization as step_galerkin
-    beta = dg_weights(order, grid.n_steps).beta
+    beta = dg_weights(order, grid.n_steps)
     dtn = grid.dt ** order.nu
     solver = splu(sp.csc_matrix(mass + (beta[0] * dtn) * stiff))
     u = np.zeros((grid.n_steps + 1, len(u0)))

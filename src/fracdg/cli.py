@@ -131,10 +131,13 @@ class RunConfig:
     def items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
-    def digest(self) -> str:
+    def digest(self, **derived) -> str:
         # Numerical configuration only: where the files go does not
-        # change what is in them.
-        text = ";".join(f"{k}={v!r}" for k, v in self.items() if k != "out_dir")
+        # change what is in them.  ``derived`` adds what a subcommand
+        # resolves from more than the fields (phi's order grid depends on
+        # whether nu was chosen), so different files get different stamps.
+        items = [(k, v) for k, v in self.items() if k != "out_dir"]
+        text = ";".join(f"{k}={v!r}" for k, v in items + sorted(derived.items()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -224,10 +227,10 @@ def resolve_config(args) -> RunConfig:
 # convergence engine
 
 
-def _transform_reference(config: RunConfig, order: FractionalOrder, flat_x, dt):
-    """Contour inversion of the field's transform over [dt, 1/2]; t -> values."""
+def _transform_reference(config: RunConfig, order: FractionalOrder, flat_x, t_min):
+    """Contour inversion of the field's transform over [t_min, 1/2]; t -> values."""
     return inverter(lambda z: constant_data_transform(order, flat_x, z),
-                    window_chain(dt, _WINDOW_TOP, tol=config.contour_tol))
+                    window_chain(t_min, _WINDOW_TOP, tol=config.contour_tol))
 
 
 def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
@@ -240,8 +243,12 @@ def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
 def run_convergence(config: RunConfig):
     """Run the N chain and weight the error curves.
 
-    Returns (table, samples) where samples maps N to its (t, error)
-    arrays over the window (0, 1/2].
+    Returns (table, samples) where samples maps N, in ascending order, to
+    its (t, error) arrays over the window (0, 1/2].  The runs go finest
+    first.  The transform reference is built once, after the finest
+    stepping, on one window chain from 1/max(N) to 1/2: its windows hold
+    every coarser run's levels and are tuned to the same contour_tol.
+    The modal reference is evaluated per N, all levels in one call.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
@@ -251,26 +258,30 @@ def run_convergence(config: RunConfig):
     flat_x = pts.ravel()
 
     samples = {}
-    for n_steps in config.n_list:
+    reference = None
+    for n_steps in reversed(config.n_list):
         dt = 1.0 / n_steps
         half = n_steps // 2
         solution = step_galerkin(order, mats.mass, mats.stiff,
                                  TimeGrid(dt, half), u0)
         times = dt * np.arange(1, half + 1)
-        # The modal reference is evaluated for all levels in one call, the
-        # transform reference level by level.  The error norm takes
-        # _LEVEL_CHUNK stacked levels per call, so its temporaries stay small.
         if config.reference == "modal":
-            refs = iter(_modal_reference(config, order, flat_x, times))
-        else:
-            refs = map(_transform_reference(config, order, flat_x, dt), times)
+            refs = _modal_reference(config, order, flat_x, times)
+        elif reference is None:
+            reference = _transform_reference(config, order, flat_x, dt)
+        # The error norm, and the transform reference, take _LEVEL_CHUNK
+        # levels per call, so their temporaries stay small.
         errors = np.empty(half)
         for lo in range(0, half, _LEVEL_CHUNK):
             hi = min(lo + _LEVEL_CHUNK, half)
-            ref = np.stack([next(refs) for _ in range(lo, hi)])
+            if config.reference == "modal":
+                ref = refs[lo:hi]
+            else:
+                ref = reference(times[lo:hi])
             errors[lo:hi] = l2_error_from_values(
                 solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
         samples[n_steps] = (times, errors)
+    samples = dict(sorted(samples.items()))
     table = weighted_error_table(samples, config.alphas, t_top=_WINDOW_TOP)
     return table, samples
 
@@ -285,9 +296,9 @@ def _format_cell(value) -> str:
     return "%.12e" % value
 
 
-def _write_csv(path: str, config: RunConfig, header, rows):
+def _write_csv(path: str, config: RunConfig, header, rows, **derived):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# fracdg v{__version__} config={config.digest()}\n")
+        fh.write(f"# fracdg v{__version__} config={config.digest(**derived)}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(v) for v in row) + "\n")
@@ -401,7 +412,8 @@ def cmd_phi(args, config: RunConfig) -> int:
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "phi_sweep.csv")
-    _write_csv(path, config, ["nu", "phi1", "phi2", "min_delta", "skipped"], rows)
+    _write_csv(path, config, ["nu", "phi1", "phi2", "min_delta", "skipped"], rows,
+               grid=grid)
     for nu, phi1, phi2, min_delta, skipped in rows:
         print(f"nu={nu:.2f}: phi1={phi1:.6f} phi2={phi2:.6f} "
               f"min_delta={min_delta:.2e} skipped={skipped}")

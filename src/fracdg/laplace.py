@@ -132,10 +132,18 @@ def inverter(F, specs):
     """Inverse transform of F over a chain of tuned contours; returns t -> f(t).
 
     F is called once per node with a complex argument and returns a scalar
-    or an array.  Each window stores the table T_k = F(z_k) z'(x_k), so one
-    evaluation is a single complex product over the nodes.  t uses the
-    first window that holds it, to a relative slack of 1e-12 at the edges.
+    or an array of shape S.  Each window stores the table
+    T_k = F(z_k) z'(x_k).  The evaluator takes a time or an array of
+    times and returns shape ``t.shape + S``.  Each time uses the first
+    window that holds it, to a relative slack of 1e-12 at the edges, and
+    the times one window holds cost one product: w = exp(outer(t, z))
+    times the table.  The table carries the factor step/pi and the k = 0
+    half weight, and only Im(w @ T) is needed, so it is kept as the real
+    stack [Re T; Im T] and w enters as [Im w, Re w]: half the work of the
+    complex product.  A time outside every window raises ValueError.
     """
+    if not specs:
+        raise ValueError("inverter needs at least one contour window")
     tables = []
     for spec in specs:
         z, dz = contour_nodes(spec)
@@ -144,18 +152,31 @@ def inverter(F, specs):
         table[0] = first
         for k in range(1, z.size):
             table[k] = F(complex(z[k])) * dz[k]
-        tables.append((spec, z, table))
+        table *= spec.step / math.pi
+        table[0] *= 0.5
+        stacked = np.concatenate([table.real, table.imag])
+        tables.append((spec, z, stacked.reshape(2 * z.size, -1)))
+    value_shape = np.shape(first)
 
-    def evaluate(t: float):
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        out = np.empty((flat.size, math.prod(value_shape)))
+        todo = np.ones(flat.shape, dtype=bool)
         for spec, z, table in tables:
-            if spec.t_min * (1.0 - 1e-12) <= t <= spec.t_max * (1.0 + 1e-12):
-                weights = np.exp(z * t)
-                weights[0] *= 0.5
-                return (spec.step / math.pi) * (weights @ table).imag
-        raise ValueError(
-            f"t={t} outside the contour windows "
-            f"[{tables[0][0].t_min}, {tables[-1][0].t_max}]"
-        )
+            held = (todo & (spec.t_min * (1.0 - 1e-12) <= flat)
+                    & (flat <= spec.t_max * (1.0 + 1e-12)))
+            if not held.any():
+                continue
+            weights = np.exp(flat[held, None] * z)
+            out[held] = np.concatenate([weights.imag, weights.real], axis=1) @ table
+            todo &= ~held
+        if todo.any():
+            raise ValueError(
+                f"t={flat[todo][0]} outside the contour windows "
+                f"[{tables[0][0].t_min}, {tables[-1][0].t_max}]"
+            )
+        return out.reshape(t.shape + value_shape)
 
     return evaluate
 

@@ -3,10 +3,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fracdg.cli as cli
-from fracdg.cli import RunConfig, load_config_file, main
+from fracdg.cli import RunConfig, load_config_file, main, run_convergence
+from fracdg.exact import constant_data_transform
+from fracdg.laplace import inverter, window_chain
 from fracdg.special import QuadratureError
 
 META_RE = re.compile(r"^# fracdg v0\.1\.0 config=[0-9a-f]{12}$")
@@ -226,6 +229,36 @@ def test_same_study_in_two_directories_is_byte_identical(tmp_path, capsys):
     assert files[0] == files[1]
 
 
+def test_converge_shares_one_transform_reference(monkeypatch):
+    # One window chain per study, from the finest step to 1/2; at every
+    # level of every N it agrees with a chain built for that N alone.
+    chains, built = [], []
+    chain, reference = cli.window_chain, cli._transform_reference
+
+    def counted_chain(*args, **kwargs):
+        chains.append(args)
+        return chain(*args, **kwargs)
+
+    def kept_reference(config, order, flat_x, t_min):
+        evaluate = reference(config, order, flat_x, t_min)
+        built.append((order, flat_x, evaluate))
+        return evaluate
+
+    monkeypatch.setattr(cli, "window_chain", counted_chain)
+    monkeypatch.setattr(cli, "_transform_reference", kept_reference)
+    config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M)
+    _, samples = run_convergence(config)
+    assert list(samples) == list(config.n_list)
+    assert len(chains) == len(built) == 1
+    assert chains[0][0] == 1.0 / max(config.n_list)
+    order, flat_x, shared = built[0]
+    for n_steps, (times, _) in samples.items():
+        own = inverter(lambda z: constant_data_transform(order, flat_x, z),
+                       window_chain(1.0 / n_steps, 0.5, tol=config.contour_tol))
+        gap = max(np.max(np.abs(shared(t) - own(t))) for t in times)
+        assert gap <= config.contour_tol, (n_steps, gap)
+
+
 def test_files_do_not_depend_on_import_order(tmp_path):
     # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
     # Importing numpy first with two BLAS threads must not change a byte.
@@ -331,6 +364,19 @@ def test_phi_order_from_config_file_equals_flag(tmp_path, capsys):
     text = (by_file / "phi_sweep.csv").read_bytes()
     assert text == (by_flag / "phi_sweep.csv").read_bytes()
     assert len(text.splitlines()) == 3  # metadata, header, one order
+
+
+def test_phi_digest_covers_the_order_grid(tmp_path, capsys):
+    # nu = 0.75 is the default, but choosing it shrinks the grid to one order
+    grid, one = tmp_path / "grid", tmp_path / "one"
+    assert main(["phi", "--out", str(grid)]) == 0
+    assert main(["phi", "--nu", "0.75", "--out", str(one)]) == 0
+    capsys.readouterr()
+    grid_lines = (grid / "phi_sweep.csv").read_text().splitlines()
+    one_lines = (one / "phi_sweep.csv").read_text().splitlines()
+    assert (len(grid_lines), len(one_lines)) == (11, 3)
+    assert META_RE.match(grid_lines[0]) and META_RE.match(one_lines[0])
+    assert grid_lines[0] != one_lines[0]
 
 
 def test_lemmas_quick(tmp_path, capsys):

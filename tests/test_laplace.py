@@ -143,3 +143,68 @@ def test_inverter_vector_transform_over_window_chain():
     for t in (0.6, 1.0 / 2560.0):
         with pytest.raises(ValueError):
             evaluate(t)
+
+
+RATES = np.array([0.5, 3.0, 20.0])
+
+
+def _vector(z):
+    return 1.0 / (z + RATES)
+
+
+def _scalar(z):
+    zn = z ** 0.75
+    return zn / (z * (zn + 2.0))
+
+
+def test_inverter_result_shape_is_time_shape_plus_value_shape():
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    vector, scalar = inverter(_vector, chain), inverter(_scalar, chain)
+    times = np.linspace(0.01, 0.5, 10).reshape(2, 5)
+    assert vector(times).shape == (2, 5, 3)
+    assert scalar(times).shape == (2, 5)
+    assert vector(0.1).shape == (3,)
+    assert scalar(0.1).shape == ()
+    assert vector(np.empty(0)).shape == (0, 3)
+
+
+def test_inverter_takes_the_first_window_that_holds_each_time():
+    # A coarse tolerance makes neighbouring windows disagree visibly, so a
+    # value shows which window its time went to.
+    chain = window_chain(1.0 / 1280.0, 0.5, tol=1e-4)
+    evaluate = inverter(_vector, chain)
+    first, second = inverter(_vector, chain[:1]), inverter(_vector, chain[1:2])
+    edge = chain[0].t_max
+    assert chain[1].t_min == edge
+    # the edge itself and a time within the 1e-12 slack stay in window one
+    below = np.array([edge * (1.0 - 1e-9), edge, edge * (1.0 + 5e-13)])
+    above = np.array([edge * (1.0 + 1e-9), 1.5 * edge])
+    got = evaluate(np.concatenate([above[:1], below, above[1:]]))
+    assert np.max(np.abs(got[1:4] - first(below))) <= 1e-14
+    assert np.max(np.abs(got[[0, 4]] - second(above))) <= 1e-14
+    assert np.min(np.abs(first(edge) - second(edge))) > 1e-9
+
+
+def test_inverter_rejects_any_time_outside_the_chain():
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    evaluate = inverter(_scalar, chain)
+    for times in (0.6, [0.1, 0.6], [[0.1], [1.0 / 2560.0]], [0.1, math.nan]):
+        with pytest.raises(ValueError):
+            evaluate(times)
+    with pytest.raises(ValueError):
+        inverter(_scalar, [])
+
+
+@pytest.mark.parametrize("transform", [_scalar, _vector])
+def test_inverter_batch_matches_one_time_at_a_time(transform):
+    # The batch is one matrix product per window and a single time a
+    # vector product, so the two sum the nodes in different orders.  The
+    # terms' magnitudes times step/pi sum to about 44 on this chain, and
+    # 44 machine epsilons is 1e-14: gaps below that are round-off.
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    evaluate = inverter(transform, chain)
+    times = np.geomspace(chain[0].t_min, chain[-1].t_max, 200)
+    batch = evaluate(times)
+    single = np.stack([evaluate(t) for t in times])
+    assert batch.shape == single.shape
+    assert np.max(np.abs(batch - single)) <= 1e-14

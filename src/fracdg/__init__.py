@@ -20,28 +20,24 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .special import (
     FractionalOrder,
     QuadratureError,
-    mittag_leffler_neg,
-    mittag_leffler_neg_with_error,
     mittag_leffler_neg_array,
     symbol_series,
     symbol_integral,
     symbol_cut,
 )
-from .laplace import ContourSpec, invert, inverter, reference_mode, window_chain
+from .laplace import ContourSpec, inverter, window_chain
 from .stepping import TimeGrid, dg_weights, step_spectral, step_galerkin
 from .exact import (
     KAPPA,
     EigenSystem1D,
     InitialData,
-    exact_mode,
     exact_field,
     constant_data_transform,
 )
-from .fem1d import Mesh1D, FemMatrices, graded_mesh, assemble, l2_project, l2_error
+from .fem1d import Mesh1D, FemMatrices, graded_mesh, assemble, l2_project
 from .certify import (
     delta_direct,
     delta_contour,
-    bound_check,
     phi_sweep,
     lemma_integral_zero,
     lemma_scan_bounds,
@@ -53,16 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "FractionalOrder",
     "QuadratureError",
-    "mittag_leffler_neg",
-    "mittag_leffler_neg_with_error",
     "mittag_leffler_neg_array",
     "symbol_series",
     "symbol_integral",
     "symbol_cut",
     "ContourSpec",
-    "invert",
     "inverter",
-    "reference_mode",
     "window_chain",
     "TimeGrid",
     "dg_weights",
@@ -71,7 +63,6 @@ __all__ = [
     "KAPPA",
     "EigenSystem1D",
     "InitialData",
-    "exact_mode",
     "exact_field",
     "constant_data_transform",
     "Mesh1D",
@@ -79,10 +70,8 @@ __all__ = [
     "graded_mesh",
     "assemble",
     "l2_project",
-    "l2_error",
     "delta_direct",
     "delta_contour",
-    "bound_check",
     "phi_sweep",
     "lemma_integral_zero",
     "lemma_scan_bounds",

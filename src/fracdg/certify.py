@@ -20,7 +20,6 @@ from .special import (
     QuadratureError,
     _quad,
     mittag_leffler_neg_array,
-    mittag_leffler_neg_with_error,
     symbol_cut,
 )
 from .stepping import TimeGrid, step_spectral
@@ -31,10 +30,8 @@ __all__ = [
     "LemmaScan",
     "ErrorTable",
     "delta_direct",
-    "delta_series",
     "delta_contour",
     "delta_scan",
-    "bound_check",
     "phi_sweep",
     "lemma_integral_zero",
     "lemma_scan_bounds",
@@ -57,25 +54,8 @@ def delta_direct(order: FractionalOrder, mu: float, n: int) -> float:
     if mu == 0.0:
         return 0.0
     u = step_spectral(order, [mu], [1.0], TimeGrid(1.0, n))[:, 0]
-    exact, _ = mittag_leffler_neg_with_error(order, mu * float(n) ** order.nu)
-    return float(u[n]) - exact
-
-
-def delta_series(order: FractionalOrder, mu: float, n_max: int):
-    """delta(1..n_max, mu) from one recurrence run.
-
-    Returns (delta, ml_err): the kernel values and the error estimates of
-    the Mittag-Leffler evaluations they subtract, used as an accuracy
-    guard by the sweeps.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    u = step_spectral(order, [mu], [1.0], TimeGrid(1.0, n_max))[:, 0]
-    ns = np.arange(1, n_max + 1, dtype=float)
-    exact, ml_err = mittag_leffler_neg_array(order, mu * ns ** order.nu)
-    return u[1:] - exact, ml_err
+    exact, _ = mittag_leffler_neg_array(order, mu * float(n) ** order.nu)
+    return float(u[n] - exact)
 
 
 def delta_contour(order: FractionalOrder, mu: float, n: int,
@@ -133,7 +113,8 @@ def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> DeltaS
     """Tabulate delta and its bound ratio over (mu_grid) x (1..n_max).
 
     One spectral run with dt = 1 and the mu values as eigenvalues gives
-    every trajectory; its columns equal delta_series bit for bit.
+    every trajectory; each mu's rows are the same bits as a scan of that
+    mu alone.
     """
     if mu_grid is None:
         mu_grid = default_mu_grid()
@@ -154,11 +135,6 @@ def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> DeltaS
     k = int(np.argmax(ratio))  # first occurrence, mu-major as in rows
     return DeltaScan(order=order, rows=rows, max_ratio=float(ratio.flat[k]),
                      argmax=(float(mu_grid[k // n_max]), k % n_max + 1))
-
-
-def bound_check(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> float:
-    """Worst ratio |delta| / [n^{-1} min(rho^2, 1/rho)] over the grid."""
-    return delta_scan(order, mu_grid, n_max).max_ratio
 
 
 @dataclass(frozen=True)

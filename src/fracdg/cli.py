@@ -14,7 +14,6 @@ a quadrature does not converge, 1 on usage or configuration errors.
 """
 
 import argparse
-import concurrent.futures
 import hashlib
 import math
 import os
@@ -392,11 +391,6 @@ def cmd_converge(args, config: RunConfig) -> int:
     return 0
 
 
-def _phi_row(nu: float):
-    sweep = phi_sweep(FractionalOrder(nu))
-    return (nu, sweep.phi1, sweep.phi2, sweep.min_delta, sweep.skipped)
-
-
 def cmd_phi(args, config: RunConfig) -> int:
     if "nu" in args.given:
         grid = (config.nu,)
@@ -404,11 +398,10 @@ def cmd_phi(args, config: RunConfig) -> int:
         grid = (0.75,)
     else:
         grid = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            rows = list(pool.map(_phi_row, grid))
-    else:
-        rows = [_phi_row(nu) for nu in grid]
+    rows = []
+    for nu in grid:
+        sweep = phi_sweep(FractionalOrder(nu))
+        rows.append((nu, sweep.phi1, sweep.phi2, sweep.min_delta, sweep.skipped))
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "phi_sweep.csv")
@@ -434,8 +427,8 @@ def cmd_phi(args, config: RunConfig) -> int:
 def cmd_delta(args, config: RunConfig) -> int:
     order = FractionalOrder(config.nu)
     mu, n = args.mu, args.n
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = {}
@@ -564,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", help="kernel suprema over an order grid")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the order sweep")
+    # Accepted and ignored, so existing command lines that pass it (the
+    # benchmark's phi-sweep argv) keep working; the sweep is serial.
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("delta", help="single error-kernel values")

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import FractionalOrder, mittag_leffler_neg, mittag_leffler_neg_array
+from .special import FractionalOrder, mittag_leffler_neg_array
 
 __all__ = [
     "EigenSystem1D",
     "InitialData",
-    "exact_mode",
     "exact_field",
     "constant_data_transform",
     "KAPPA",
@@ -68,17 +67,6 @@ class InitialData:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.coefficients ** 2)))
-
-
-def exact_mode(order: FractionalOrder, lam: float, u0m: float, t: float) -> float:
-    """u0m * E_nu(-lam t^nu); exact initial value at t = 0."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if t == 0.0 or lam == 0.0:
-        return u0m
-    return u0m * mittag_leffler_neg(order, lam * t ** order.nu)
 
 
 def _truncation_cutoff(system, data, t, nu, tol):

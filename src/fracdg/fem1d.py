@@ -20,7 +20,6 @@ __all__ = [
     "graded_mesh",
     "assemble",
     "l2_project",
-    "l2_error",
     "l2_error_from_values",
     "gauss_points",
 ]
@@ -178,10 +177,3 @@ def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray,
     sq *= weights
     err = np.sqrt(np.sum(sq, axis=(-2, -1)))
     return float(err) if err.ndim == 0 else err
-
-
-def l2_error(coeffs, mesh: Mesh1D, reference, order: int = 4) -> float:
-    """L2 norm of (P1 field - reference(x)); reference takes an ndarray."""
-    points = gauss_points(mesh, order)[0]
-    ref = np.asarray(reference(points.ravel()), dtype=float).reshape(points.shape)
-    return l2_error_from_values(coeffs, mesh, ref, order)

@@ -27,7 +27,6 @@ from .special import FractionalOrder
 __all__ = [
     "ContourSpec",
     "contour_nodes",
-    "invert",
     "inverter",
     "reference_mode",
     "window_chain",
@@ -181,21 +180,13 @@ def inverter(F, specs):
     return evaluate
 
 
-def invert(F, t: float, spec: ContourSpec) -> float:
-    """Evaluate the inverse transform of F at time t on the tuned contour.
-
-    A one-window call of ``inverter``; t must lie inside the window the
-    contour was tuned for.
-    """
-    return float(inverter(F, [spec])(t))
-
-
 def reference_mode(order: FractionalOrder, lam: float, u0m: float, t: float,
                    spec: ContourSpec) -> float:
     """Mode amplitude u0m * E_nu(-lam t^nu) by contour inversion.
 
     The transform of the mode is u0m z^{nu-1}/(z^nu + lam), analytic off
-    the cut.  lam = 0 short-circuits to the constant mode.
+    the cut.  lam = 0 short-circuits to the constant mode.  t must lie
+    inside the window the contour was tuned for.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -207,7 +198,7 @@ def reference_mode(order: FractionalOrder, lam: float, u0m: float, t: float,
         zn = z ** nu
         return u0m * zn / (z * (zn + lam))
 
-    return invert(transform, t, spec)
+    return float(inverter(transform, [spec])(t))
 
 
 def window_chain(t_min: float, t_max: float, max_ratio: float = 25.0,

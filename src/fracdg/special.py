@@ -1,10 +1,11 @@
 """Special functions for the convolution-quadrature scheme.
 
-Everything here is double precision and deliberately boring: gamma with pole
-rejection, zeta at small negative arguments through the functional equation,
-the one-parameter Mittag-Leffler function E_nu(-s) on the negative real axis
-(per point, and over arrays: the same series branches, and a fixed
-tanh-sinh rule where the per-point evaluator calls quadpack),
+Everything here is double precision and deliberately boring: zeta at small
+negative arguments through the functional equation, the one-parameter
+Mittag-Leffler function E_nu(-s) on the negative real axis (over arrays
+for every workflow, and per point as the reference the array evaluator
+is checked against: the same series branches, with quadpack where the
+array evaluator takes a fixed tanh-sinh rule),
 and the generating symbol of the piecewise-constant DG weights
 
     psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu),
@@ -37,9 +38,7 @@ def _quad(f, a, b, **kw):
 __all__ = [
     "FractionalOrder",
     "QuadratureError",
-    "gamma",
     "zeta_neg",
-    "mittag_leffler_neg",
     "mittag_leffler_neg_with_error",
     "mittag_leffler_neg_array",
     "symbol_series",
@@ -60,20 +59,7 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message, achieved):
         super().__init__(f"{message} (achieved estimate {achieved:.3e})")
-        self.message = message
         self.achieved = achieved
-
-    def __reduce__(self):
-        # Rebuild from the constructor's arguments, so the error survives
-        # the trip back from a worker process (``phi --jobs``).
-        return type(self), (self.message, self.achieved)
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the real line, rejecting the poles at 0, -1, -2, ..."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x={x}")
-    return math.gamma(x)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for the Euler-Maclaurin tail.
@@ -245,11 +231,6 @@ def mittag_leffler_neg_with_error(order: FractionalOrder, s: float):
     if err <= 1e-13:
         return val, err
     return _ml_spectral_quad(nu, s)
-
-
-def mittag_leffler_neg(order: FractionalOrder, s: float) -> float:
-    """E_nu(-s) for s >= 0, absolute accuracy about 1e-12 or better."""
-    return mittag_leffler_neg_with_error(order, s)[0]
 
 
 def _ml_taylor_array(nu, s):

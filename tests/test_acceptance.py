@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from fracdg.certify import (
-    bound_check,
     default_mu_grid,
     delta_contour,
     delta_direct,
-    delta_series,
+    delta_scan,
     resolvent_ratio_max,
     lemma_integral_zero,
     lemma_scan_bounds,
@@ -25,7 +24,7 @@ from fracdg.exact import EigenSystem1D, InitialData
 from fracdg.laplace import ContourSpec, reference_mode
 from fracdg.special import (
     FractionalOrder,
-    mittag_leffler_neg,
+    mittag_leffler_neg_with_error,
     symbol_asym_origin,
     symbol_integral,
     symbol_series,
@@ -66,7 +65,7 @@ def test_weighted_rates_match_reference_study(headline_table):
 @pytest.mark.acceptance(2)
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
 def test_kernel_bound_ratio(nu):
-    assert bound_check(FractionalOrder(nu)) <= 1.1
+    assert delta_scan(FractionalOrder(nu)).max_ratio <= 1.1
 
 
 @pytest.mark.acceptance(3)
@@ -74,7 +73,7 @@ def test_classical_limit_matches_closed_form():
     order = FractionalOrder(1.0)
     ns = np.arange(1, 201, dtype=float)
     for mu in default_mu_grid():
-        delta, _ = delta_series(order, mu, 200)
+        delta = delta_scan(order, [mu], 200).rows[:, 3]
         with np.errstate(under="ignore"):
             closed = (1.0 + mu) ** -ns - np.exp(-mu * ns)
         assert np.max(np.abs(delta - closed)) <= 1e-12
@@ -98,12 +97,12 @@ def test_mittag_leffler_dual_route():
     for nu in (0.25, 0.5, 0.75):
         order = FractionalOrder(nu)
         for s in (0.01, 0.1, 1.0, 10.0, 100.0):
-            series_value = mittag_leffler_neg(order, s)
+            series_value = mittag_leffler_neg_with_error(order, s)[0]
             inverted = reference_mode(order, s, 1.0, 1.0, spec)
             assert abs(inverted - series_value) <= 1e-10, (nu, s)
     classical = FractionalOrder(1.0)
     for s in (0.01, 0.1, 1.0, 10.0, 100.0):
-        assert abs(mittag_leffler_neg(classical, s) - math.exp(-s)) <= 1e-13
+        assert abs(mittag_leffler_neg_with_error(classical, s)[0] - math.exp(-s)) <= 1e-13
 
 
 @pytest.mark.acceptance(6)
@@ -202,12 +201,12 @@ def test_parseval_error_identity():
             # delta scales linearly in the data; unused columns stay 0
             deltas[:, m] = 0.0
             continue
-        series, _ = delta_series(order, lam * dt ** order.nu, grid.n_steps)
+        series = delta_scan(order, [lam * dt ** order.nu], grid.n_steps).rows[:, 3]
         deltas[:, m] = series
 
     for n in (1, 10, 50):
         exact = u0 * np.array(
-            [mittag_leffler_neg(order, lam * (n * dt) ** order.nu)
+            [mittag_leffler_neg_with_error(order, lam * (n * dt) ** order.nu)[0]
              for lam in lambdas])
         lhs = float(np.sum((u[n] - exact) ** 2))
         rhs = float(np.sum((deltas[n - 1] * u0) ** 2))

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdg.certify import (
-    bound_check,
     default_mu_grid,
     delta_contour,
     delta_direct,
     delta_scan,
-    delta_series,
     resolvent_ratio_max,
     lemma_integral_zero,
     lemma_scan_bounds,
@@ -49,7 +47,7 @@ def test_delta_direct_classical_values():
 
 def test_delta_series_consistent_with_single_values():
     order = FractionalOrder(0.75)
-    series, ml_err = delta_series(order, 2.0, 12)
+    series, ml_err = delta_scan(order, [2.0], 12).rows[:, 3:5].T
     assert np.all(ml_err < 1e-12)
     for n in (1, 5, 12):
         assert series[n - 1] == pytest.approx(
@@ -64,7 +62,7 @@ def test_delta_scan_rows_equal_series_bitwise(nu):
     blocks = scan.rows.reshape(mus.size, 200, 6)
     ns = np.arange(1, 201, dtype=float)
     for mu, block in zip(mus, blocks):
-        delta, ml_err = delta_series(order, mu, 200)
+        delta, ml_err = delta_scan(order, [mu], 200).rows[:, 3:5].T
         assert np.all(block[:, 0] == mu)
         assert np.array_equal(block[:, 1], ns)
         assert np.array_equal(block[:, 3], delta)
@@ -115,8 +113,8 @@ def test_scan_small_grid():
 
 
 def test_bound_check_moderate_grid():
-    value = bound_check(FractionalOrder(0.5),
-                        mu_grid=2.0 ** np.arange(-6, 7), n_max=50)
+    value = delta_scan(FractionalOrder(0.5),
+                       mu_grid=2.0 ** np.arange(-6, 7), n_max=50).max_ratio
     assert 0.0 < value <= 1.1
 
 

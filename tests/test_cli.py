@@ -151,6 +151,8 @@ def test_quadrature_failure_exits_2(tmp_path, monkeypatch, capsys):
 def test_delta_rejects_bad_arguments(capsys):
     assert main(["delta", "--mu", "-1.0", "--n", "5"]) == 1
     assert main(["delta", "--mu", "1.0", "--n", "0"]) == 1
+    assert main(["delta", "--mu", "nan", "--n", "5"]) == 1
+    assert main(["delta", "--mu", "inf", "--n", "5"]) == 1
     capsys.readouterr()
 
 
@@ -282,8 +284,8 @@ def test_files_do_not_depend_on_import_order(tmp_path):
 
 
 def test_csv_workflows_do_not_load_quadpack(tmp_path):
-    # scipy.integrate loads on the first quadpack call, and the CSV
-    # workflows make none.  A fresh interpreter, so that no other test's
+    # scipy.integrate loads on the first quadpack call; the CSV workflows
+    # and the direct delta route make none.  A fresh interpreter, so that no other test's
     # imports count; each step reports its exit status and whether
     # scipy.integrate is loaded after it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -297,6 +299,8 @@ def test_csv_workflows_do_not_load_quadpack(tmp_path):
         "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
         "report('modal', cli.main(['converge', '--quick', '--reference', 'modal',"
         " '--out', out]))\n"
+        "report('direct', cli.main(['delta', '--nu', '0.5', '--mu', '0.3',"
+        " '--n', '200', '--oracle', 'direct']))\n"
         "report('contour', cli.main(['delta', '--mu', '1', '--n', '50',"
         " '--oracle', 'contour']))\n"
     )
@@ -304,7 +308,8 @@ def test_csv_workflows_do_not_load_quadpack(tmp_path):
                           env={**os.environ, "PYTHONPATH": src}, check=True,
                           capture_output=True, text=True, timeout=300)
     assert done.stderr.splitlines() == ["import 0 False", "phi 0 False",
-                                        "modal 0 False", "contour 0 True"]
+                                        "modal 0 False", "direct 0 False",
+                                        "contour 0 True"]
 
 
 def test_converge_baseline_gate_fails_cleanly(tmp_path, monkeypatch, capsys):
@@ -344,7 +349,7 @@ def test_phi_quick(tmp_path, capsys):
     assert 0.0 < float(rows[0][1]) <= 1.1
 
 
-def test_phi_parallel_matches_serial(tmp_path, capsys):
+def test_phi_accepts_jobs_and_writes_the_same_bytes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["phi", "--quick", "--out", str(out)]) == 0
     serial = (out / "phi_sweep.csv").read_bytes()

@@ -11,11 +11,9 @@ from fracdg.exact import (
     InitialData,
     constant_data_transform,
     exact_field,
-    exact_mode,
 )
-from fracdg.special import FractionalOrder
+from fracdg.special import FractionalOrder, mittag_leffler_neg_with_error
 
-ML_HALF_AT_1 = 0.427583576155807
 DATA_NORM = 1.1107207345395916  # pi sqrt(2) / 4
 
 
@@ -47,21 +45,6 @@ def test_initial_data_norm_converges():
     # |u0| over (-1, 1) for the constant pi/4 state
     norm = InitialData.quarter_pi(20001).norm()
     assert norm == pytest.approx(DATA_NORM, rel=1e-4)
-
-
-def test_exact_mode_values():
-    order = FractionalOrder(0.5)
-    assert exact_mode(order, 1.0, 1.0, 1.0) == pytest.approx(ML_HALF_AT_1, rel=1e-13)
-    assert exact_mode(order, 1.0, 2.5, 0.0) == 2.5
-    assert exact_mode(order, 0.0, -1.5, 3.0) == -1.5
-
-
-def test_exact_mode_time_scaling():
-    # the mode depends on (lambda, t) only through lambda t^nu
-    order = FractionalOrder(0.4)
-    a = exact_mode(order, 5.0, 1.0, 2.0)
-    b = exact_mode(order, 5.0 * 2.0 ** 0.4, 1.0, 1.0)
-    assert a == pytest.approx(b, rel=1e-13)
 
 
 def test_exact_field_requires_positive_time():
@@ -103,7 +86,8 @@ def test_exact_field_matches_brute_force():
     lam = system.eigenvalues()
     slow = np.zeros_like(x)
     for m in range(1, 8001, 2):
-        coeff = exact_mode(order, lam[m - 1], 1.0 / m, 0.02)
+        coeff = 1.0 / m * mittag_leffler_neg_with_error(
+            order, lam[m - 1] * 0.02 ** order.nu)[0]
         slow += coeff * np.sin(m * math.pi * (x + 1.0) / 2.0)
     assert np.max(np.abs(fast - slow)) <= 5e-9
 

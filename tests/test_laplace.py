@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from fracdg.laplace import (
     ContourSpec,
     contour_nodes,
-    invert,
     inverter,
     reference_mode,
     window_chain,
 )
-from fracdg.special import FractionalOrder, mittag_leffler_neg
+from fracdg.special import FractionalOrder, mittag_leffler_neg_with_error
 
 ML_HALF_AT_1 = 0.427583576155807
 EXP_M2 = 0.13533528323661269
@@ -61,30 +60,30 @@ def test_nodes_shape_and_symmetry(unit_spec):
 
 
 def test_invert_constant_transform(unit_spec):
-    got = invert(lambda z: 1.0 / z, 1.0, unit_spec)
+    got = float(inverter(lambda z: 1.0 / z, [unit_spec])(1.0))
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_invert_exponential(unit_spec):
-    got = invert(lambda z: 1.0 / (z + 1.0), 2.0, unit_spec)
+    got = float(inverter(lambda z: 1.0 / (z + 1.0), [unit_spec])(2.0))
     assert got == pytest.approx(EXP_M2, rel=1e-12)
 
 
 def test_invert_polynomial_damping(unit_spec):
-    got = invert(lambda z: 1.0 / (z + 1.0) ** 2, 0.7, unit_spec)
+    got = float(inverter(lambda z: 1.0 / (z + 1.0) ** 2, [unit_spec])(0.7))
     assert got == pytest.approx(0.7 * math.exp(-0.7), rel=1e-12)
 
 
 def test_invert_rejects_time_outside_window(unit_spec):
     for t in (0.1, 5.0):
         with pytest.raises(ValueError):
-            invert(lambda z: 1.0 / z, t, unit_spec)
+            float(inverter(lambda z: 1.0 / z, [unit_spec])(t))
 
 
 @given(c=st.floats(0.1, 20.0), t=st.floats(0.5, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_invert_exponential_family(c, t, unit_spec):
-    got = invert(lambda z: 1.0 / (z + c), t, unit_spec)
+    got = float(inverter(lambda z: 1.0 / (z + c), [unit_spec])(t))
     assert got == pytest.approx(math.exp(-c * t), rel=1e-10, abs=1e-13)
 
 
@@ -122,7 +121,7 @@ def test_window_chain_accuracy_uniform():
     for spec in window_chain(1.0 / 1280.0, 0.5):
         for t in np.geomspace(spec.t_min, spec.t_max, 5):
             got = reference_mode(order, 4.0, 1.0, t, spec)
-            want = mittag_leffler_neg(order, 4.0 * t ** 0.75)
+            want = mittag_leffler_neg_with_error(order, 4.0 * t ** 0.75)[0]
             worst = max(worst, abs(got - want))
     assert worst <= 1e-12
 

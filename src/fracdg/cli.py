@@ -9,8 +9,11 @@ header row and a metadata comment carrying the package version and a
 hash of the resolved configuration; identical configurations produce
 byte-identical files.
 
+Each subcommand takes only the flags it reads.
+
 Exit status: 0 when every built-in check passes, 2 when a check fails or
-a quadrature does not converge, 1 on usage or configuration errors.
+a quadrature does not converge, 1 on usage or configuration errors,
+including an output directory that cannot be created.
 """
 
 import argparse
@@ -18,7 +21,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +58,10 @@ _QUICK_N = (20, 40, 80, 160)
 _QUICK_M = 80
 # Time levels per error-norm call.
 _LEVEL_CHUNK = 16
+# Accuracy of the converge references: the contour windows of the
+# transform route and the Mittag-Leffler sums of the modal route.
+_CONTOUR_TOL = 1e-13
+_FIELD_TOL = 1e-8
 
 # Regression baseline for the default configuration (per alpha: weighted
 # errors over the default N chain, then observed rates).  Raw errors are
@@ -87,8 +94,6 @@ class RunConfig:
     alphas: tuple = _DEFAULT_ALPHAS
     reference: str = "transform"
     mode_cap: int = 4000
-    contour_tol: float = 1e-13
-    field_tol: float = 1e-8
     out_dir: str = "out"
     quick: bool = False
 
@@ -122,10 +127,6 @@ class RunConfig:
                 f"reference must be 'transform' or 'modal', got {self.reference!r}")
         if self.mode_cap < 50:
             raise ValueError(f"mode_cap must be >= 50, got {self.mode_cap}")
-        if not 0.0 < self.contour_tol <= 1e-6:
-            raise ValueError(f"contour_tol={self.contour_tol} outside (0, 1e-6]")
-        if not 0.0 < self.field_tol <= 1e-2:
-            raise ValueError(f"field_tol={self.field_tol} outside (0, 1e-2]")
 
     def items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -144,99 +145,45 @@ def _parse_int_list(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# config-file / flag key -> (RunConfig field, parser)
-_CONFIG_KEYS = {
-    "nu": ("nu", float),
-    "N": ("n_list", _parse_int_list),
-    "M": ("m_intervals", int),
-    "gamma": ("gamma", float),
-    "alpha": ("alphas", _parse_float_list),
-    "reference": ("reference", str),
-    "mode_cap": ("mode_cap", int),
-    "contour_tol": ("contour_tol", float),
-    "field_tol": ("field_tol", float),
-    "out": ("out_dir", str),
-    "quick": ("quick", _parse_bool),
-}
-
-
-def load_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; keys as in the CLI."""
-    updates = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parse = _CONFIG_KEYS[key]
-            updates[field] = parse(value.strip())
-    return updates
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}")
 
 
 def resolve_config(args) -> RunConfig:
-    """Defaults, then the config file, then explicit flags.
+    """Defaults, overridden by the flags given (each flag's dest is its field).
 
-    Sets ``args.given`` to the RunConfig fields the file or a flag chose,
-    so a subcommand can tell a chosen value from a default.
+    ``converge --quick`` takes the small sizes for those not given.
     """
-    updates = {}
-    if getattr(args, "config", None):
-        updates.update(load_config_file(args.config))
-    for key, (field, parse) in _CONFIG_KEYS.items():
-        flag = key.replace("-", "_")
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field] = parse(value) if isinstance(value, str) else value
-    config = RunConfig(**updates)
-    args.given = frozenset(updates)
-    if config.quick and args.command == "converge":
-        if "n_list" not in updates:
-            config = replace(config, n_list=_QUICK_N)
-        if "m_intervals" not in updates:
-            config = replace(config, m_intervals=_QUICK_M)
-    return config
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    if given.get("quick") and args.command == "converge":
+        given = {"n_list": _QUICK_N, "m_intervals": _QUICK_M, **given}
+    return RunConfig(**given)
 
 
 # ---------------------------------------------------------------------------
 # convergence engine
 
 
-def _transform_reference(config: RunConfig, order: FractionalOrder, flat_x, t_min):
+def _transform_reference(order: FractionalOrder, flat_x, t_min):
     """Contour inversion of the field's transform over [t_min, 1/2]; t -> values."""
     return inverter(lambda z: constant_data_transform(order, flat_x, z),
-                    window_chain(t_min, _WINDOW_TOP, tol=config.contour_tol))
+                    window_chain(t_min, _WINDOW_TOP, tol=_CONTOUR_TOL))
 
 
 def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
     """Reference values at every time level, shape (len(times), len(flat_x))."""
     system = EigenSystem1D(config.mode_cap)
     data = InitialData.quarter_pi(config.mode_cap)
-    return exact_field(order, system, data, times, flat_x, tol=config.field_tol)
+    return exact_field(order, system, data, times, flat_x, tol=_FIELD_TOL)
 
 
 def run_convergence(config: RunConfig):
@@ -246,7 +193,7 @@ def run_convergence(config: RunConfig):
     its (t, error) arrays over the window (0, 1/2].  The runs go finest
     first.  The transform reference is built once, after the finest
     stepping, on one window chain from 1/max(N) to 1/2: its windows hold
-    every coarser run's levels and are tuned to the same contour_tol.
+    every coarser run's levels and are tuned to the same _CONTOUR_TOL.
     The modal reference is evaluated per N, all levels in one call.
     """
     order = FractionalOrder(config.nu)
@@ -267,7 +214,7 @@ def run_convergence(config: RunConfig):
         if config.reference == "modal":
             refs = _modal_reference(config, order, flat_x, times)
         elif reference is None:
-            reference = _transform_reference(config, order, flat_x, dt)
+            reference = _transform_reference(order, flat_x, dt)
         # The error norm, and the transform reference, take _LEVEL_CHUNK
         # levels per call, so their temporaries stay small.
         errors = np.empty(half)
@@ -360,8 +307,8 @@ def cmd_converge(args, config: RunConfig) -> int:
         for key, value in config.items():
             print(f"{key} = {value}")
         return 0
-    table, samples = run_convergence(config)
     os.makedirs(config.out_dir, exist_ok=True)
+    table, samples = run_convergence(config)
     table_path = os.path.join(config.out_dir, "error_table.csv")
     _write_table_csv(table_path, config, table)
     for n_steps, (times, errors) in sorted(samples.items()):
@@ -392,7 +339,8 @@ def cmd_converge(args, config: RunConfig) -> int:
 
 
 def cmd_phi(args, config: RunConfig) -> int:
-    if "nu" in args.given:
+    os.makedirs(config.out_dir, exist_ok=True)
+    if args.nu is not None:
         grid = (config.nu,)
     elif config.quick:
         grid = (0.75,)
@@ -403,7 +351,6 @@ def cmd_phi(args, config: RunConfig) -> int:
         sweep = phi_sweep(FractionalOrder(nu))
         rows.append((nu, sweep.phi1, sweep.phi2, sweep.min_delta, sweep.skipped))
 
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "phi_sweep.csv")
     _write_csv(path, config, ["nu", "phi1", "phi2", "min_delta", "skipped"], rows,
                grid=grid)
@@ -449,6 +396,7 @@ def cmd_delta(args, config: RunConfig) -> int:
 
 
 def cmd_lemmas(args, config: RunConfig) -> int:
+    os.makedirs(config.out_dir, exist_ok=True)
     failures = []
     for nu in (0.6, 0.75, 0.9):
         value = abs(lemma_integral_zero(FractionalOrder(nu)))
@@ -493,7 +441,6 @@ def cmd_lemmas(args, config: RunConfig) -> int:
             worst = max(worst, abs(r0 / r1 / target - 1.0))
     _check("origin expansion halving ratio dev", worst, 0.15, failures)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     for name, scan in (("lemma_scan_small.csv", small),
                        ("lemma_scan_large.csv", large)):
         path = os.path.join(config.out_dir, name)
@@ -519,15 +466,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(parser):
-    parser.add_argument("--nu", type=float, default=None,
-                        help="fractional order in (0, 1]")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output directory (default: out)")
-    parser.add_argument("--quick", action="store_const", const=True,
-                        default=None, help="reduced-size preset")
-    parser.add_argument("--config", type=str, default=None,
-                        help="flat key = value configuration file")
+# Flags that more than one subcommand reads.
+_SHARED_FLAGS = {
+    "--nu": dict(type=float, help="fractional order in (0, 1]"),
+    "--quick": dict(action="store_const", const=True, help="reduced-size preset"),
+    "--out": dict(dest="out_dir", metavar="DIR",
+                  help="output directory (default: out)"),
+}
+
+
+def _add_shared(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,32 +488,31 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     p = sub.add_parser("converge", help="graded-mesh convergence study")
-    _add_common(p)
-    p.add_argument("--N", type=str, default=None,
+    _add_shared(p, "--nu", "--out", "--quick")
+    p.add_argument("--N", dest="n_list", type=_parse_int_list, metavar="LIST",
                    help="comma-separated doubling chain of step counts")
-    p.add_argument("--M", type=int, default=None,
+    p.add_argument("--M", dest="m_intervals", type=int, metavar="INT",
                    help="number of spatial subintervals (even)")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="mesh grading exponent")
-    p.add_argument("--alpha", type=str, default=None,
-                   help="comma-separated error weights")
-    p.add_argument("--reference", choices=("transform", "modal"), default=None,
+    p.add_argument("--gamma", type=float, help="mesh grading exponent")
+    p.add_argument("--alpha", dest="alphas", type=_parse_float_list,
+                   metavar="LIST", help="comma-separated error weights")
+    p.add_argument("--reference", choices=("transform", "modal"),
                    help="exact-solution route for the error")
-    p.add_argument("--mode-cap", dest="mode_cap", type=int, default=None,
+    p.add_argument("--mode-cap", dest="mode_cap", type=int, metavar="INT",
                    help="mode cutoff for the modal reference")
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved configuration and exit")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("phi", help="kernel suprema over an order grid")
-    _add_common(p)
+    _add_shared(p, "--nu", "--out", "--quick")
     # Accepted and ignored, so existing command lines that pass it (the
     # benchmark's phi-sweep argv) keep working; the sweep is serial.
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("delta", help="single error-kernel values")
-    _add_common(p)
+    _add_shared(p, "--nu")
     p.add_argument("--mu", type=float, required=True,
                    help="scaled eigenvalue lambda * dt^nu")
     p.add_argument("--n", type=int, required=True, help="step index")
@@ -572,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("lemmas", help="quadrature and symbol identity checks")
-    _add_common(p)
+    _add_shared(p, "--out")
     p.set_defaults(func=cmd_lemmas)
 
     return parser
@@ -583,7 +532,7 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         return args.func(args, config)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QuadratureError as exc:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fracdg.cli as cli
-from fracdg.cli import RunConfig, load_config_file, main, run_convergence
+from fracdg.cli import RunConfig, main, run_convergence
 from fracdg.exact import constant_data_transform
 from fracdg.laplace import inverter, window_chain
 from fracdg.special import QuadratureError
@@ -40,8 +40,6 @@ def test_config_defaults_round_trip():
     {"alphas": (0.6, 2.5)},
     {"reference": "series"},
     {"mode_cap": 10},
-    {"contour_tol": 1e-3},
-    {"field_tol": 0.5},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -58,47 +56,6 @@ def test_digest_is_stable_and_sensitive():
 def test_digest_ignores_output_directory():
     assert RunConfig(out_dir="a").digest() == RunConfig(out_dir="b").digest()
     assert RunConfig(quick=True).digest() != RunConfig().digest()
-
-
-# -- config file -------------------------------------------------------------
-
-
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "# study setup\n"
-        "nu = 0.5\n"
-        "N = 20,40\n"
-        "quick = true\n"
-        "\n"
-        "gamma = 2.0   # grading\n")
-    updates = load_config_file(str(path))
-    assert updates == {"nu": 0.5, "n_list": (20, 40), "quick": True,
-                       "gamma": 2.0}
-
-
-def test_config_file_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("nu = 0.5\nsteps = 40\n")
-    with pytest.raises(ValueError, match=r"bad\.cfg:2.*steps"):
-        load_config_file(str(path))
-
-
-def test_config_file_malformed_line(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("just some words\n")
-    with pytest.raises(ValueError, match="key = value"):
-        load_config_file(str(path))
-
-
-def test_flags_override_config_file(tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text("nu = 0.5\ngamma = 2.0\n")
-    rc = main(["converge", "--config", str(path), "--nu", "0.25", "--dry-run"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "nu = 0.25" in out
-    assert "gamma = 2.0" in out
 
 
 def test_quick_preset_swaps_sizes(capsys):
@@ -129,12 +86,41 @@ def test_version_flag():
     assert info.value.code == 0
 
 
-def test_config_errors_exit_1(capsys, tmp_path):
+def test_config_errors_exit_1(capsys):
     assert main(["converge", "--nu", "2.0", "--dry-run"]) == 1
     assert "error:" in capsys.readouterr().err
-    path = tmp_path / "bad.cfg"
-    path.write_text("steps = 3\n")
-    assert main(["phi", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--nu", "0.5"],
+    ["lemmas", "--quick"],
+    ["delta", "--mu", "1", "--n", "5", "--out", "d"],
+    ["delta", "--mu", "1", "--n", "5", "--quick"],
+    ["converge", "--config", "f"],
+    ["phi", "--config", "f"],
+    ["delta", "--mu", "1", "--n", "5", "--config", "f"],
+    ["lemmas", "--config", "f"],
+    ["converge", "--N", "80,abc", "--dry-run"],
+])
+def test_settings_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    if "--N" in argv:
+        assert "--N" in err and "80,abc" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--quick"], ["phi", "--quick"], ["lemmas"]])
+def test_unusable_output_directory_exits_1(argv, tmp_path, capsys):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    assert main(argv + ["--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_quadrature_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -241,8 +227,8 @@ def test_converge_shares_one_transform_reference(monkeypatch):
         chains.append(args)
         return chain(*args, **kwargs)
 
-    def kept_reference(config, order, flat_x, t_min):
-        evaluate = reference(config, order, flat_x, t_min)
+    def kept_reference(order, flat_x, t_min):
+        evaluate = reference(order, flat_x, t_min)
         built.append((order, flat_x, evaluate))
         return evaluate
 
@@ -256,9 +242,9 @@ def test_converge_shares_one_transform_reference(monkeypatch):
     order, flat_x, shared = built[0]
     for n_steps, (times, _) in samples.items():
         own = inverter(lambda z: constant_data_transform(order, flat_x, z),
-                       window_chain(1.0 / n_steps, 0.5, tol=config.contour_tol))
+                       window_chain(1.0 / n_steps, 0.5, tol=cli._CONTOUR_TOL))
         gap = max(np.max(np.abs(shared(t) - own(t))) for t in times)
-        assert gap <= config.contour_tol, (n_steps, gap)
+        assert gap <= cli._CONTOUR_TOL, (n_steps, gap)
 
 
 def test_files_do_not_depend_on_import_order(tmp_path):
@@ -356,19 +342,6 @@ def test_phi_accepts_jobs_and_writes_the_same_bytes(tmp_path, capsys):
     assert main(["phi", "--quick", "--jobs", "2", "--out", str(out)]) == 0
     capsys.readouterr()
     assert (out / "phi_sweep.csv").read_bytes() == serial
-
-
-def test_phi_order_from_config_file_equals_flag(tmp_path, capsys):
-    # the order grid follows the resolved configuration, wherever nu came from
-    path = tmp_path / "run.cfg"
-    path.write_text("nu = 0.5\n")
-    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
-    assert main(["phi", "--config", str(path), "--out", str(by_file)]) == 0
-    assert main(["phi", "--nu", "0.5", "--out", str(by_flag)]) == 0
-    capsys.readouterr()
-    text = (by_file / "phi_sweep.csv").read_bytes()
-    assert text == (by_flag / "phi_sweep.csv").read_bytes()
-    assert len(text.splitlines()) == 3  # metadata, header, one order
 
 
 def test_phi_digest_covers_the_order_grid(tmp_path, capsys):

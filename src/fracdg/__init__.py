@@ -17,64 +17,6 @@ import os
 # has no effect if numpy was imported first.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .special import (
-    FractionalOrder,
-    QuadratureError,
-    mittag_leffler_neg_array,
-    symbol_series,
-    symbol_integral,
-    symbol_cut,
-)
-from .laplace import ContourSpec, inverter, window_chain
-from .stepping import TimeGrid, dg_weights, step_spectral, step_galerkin
-from .exact import (
-    KAPPA,
-    EigenSystem1D,
-    InitialData,
-    exact_field,
-    constant_data_transform,
-)
-from .fem1d import Mesh1D, FemMatrices, graded_mesh, assemble, l2_project
-from .certify import (
-    delta_direct,
-    delta_contour,
-    phi_sweep,
-    lemma_integral_zero,
-    lemma_scan_bounds,
-    weighted_error_table,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "FractionalOrder",
-    "QuadratureError",
-    "mittag_leffler_neg_array",
-    "symbol_series",
-    "symbol_integral",
-    "symbol_cut",
-    "ContourSpec",
-    "inverter",
-    "window_chain",
-    "TimeGrid",
-    "dg_weights",
-    "step_spectral",
-    "step_galerkin",
-    "KAPPA",
-    "EigenSystem1D",
-    "InitialData",
-    "exact_field",
-    "constant_data_transform",
-    "Mesh1D",
-    "FemMatrices",
-    "graded_mesh",
-    "assemble",
-    "l2_project",
-    "delta_direct",
-    "delta_contour",
-    "phi_sweep",
-    "lemma_integral_zero",
-    "lemma_scan_bounds",
-    "weighted_error_table",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -121,6 +121,9 @@ class RunConfig:
         for a in alphas:
             if not 0.0 < a <= 2.0:
                 raise ValueError(f"weight alpha={a} outside (0, 2]")
+        labels = [f"{a:.4f}" for a in alphas]  # the CSV column names
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"weights alpha repeat to 4 decimals: {', '.join(labels)}")
         object.__setattr__(self, "alphas", alphas)
         if self.reference not in ("transform", "modal"):
             raise ValueError(

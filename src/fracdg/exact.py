@@ -32,7 +32,6 @@ class EigenSystem1D:
     """Dirichlet eigensystem of -(kappa u_x)_x on (-1, 1), kappa = 4/pi^2."""
 
     mode_count: int
-    kappa: float = KAPPA
 
     def __post_init__(self):
         if self.mode_count < 1:

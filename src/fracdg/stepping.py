@@ -8,11 +8,12 @@ recurrence
 which step_spectral runs for every mode of an eigenmode expansion at
 once (the scalar recurrence is a one-column call), and the Galerkin
 matrix form
-(M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu sum beta_{n-j} K U^j.
-Both share one history contraction.  The history sum is a direct
-O(N^2) convolution whose terms are added one at a time in ascending j,
-without BLAS, so trajectories are bit-identical from run to run and do
-not depend on the BLAS thread count.
+(M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j.
+Both run in one time loop, which sums the stored trajectory; the
+Galerkin step then applies K once to that sum.  The history sum is a
+direct O(N^2) convolution whose terms are added one at a time in
+ascending j, without BLAS, so trajectories are bit-identical from run
+to run and do not depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass
@@ -85,37 +86,28 @@ def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
     return beta
 
 
-def _history(beta: np.ndarray):
-    """Contraction (rows, n) -> sum_{j=1}^{n-1} beta_{n-j} rows[j] over 2-d rows.
+def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance) -> np.ndarray:
+    """The one time loop: u[n] = advance(u[n-1], hist), u[0] = u0.
 
-    The weights are reversed once into a contiguous array, so step n reads
-    rev[N-n:N-1] against rows[1:n] with unit strides.  einsum adds the
-    terms row by row for ascending j, the order of the plain loop.  On a
-    single column it would switch to a blocked SIMD reduction instead;
-    that case keeps the negative-stride product, which numpy evaluates
-    outside BLAS as one running sum in the same order.
+    hist = sum_{j=1}^{n-1} beta_{n-j} u[j] over the stored trajectory, an
+    empty sum (zeros) at n = 1.  The weights are reversed once into a
+    contiguous array, so step n reads rev[N-n:N-1] against u[1:n] with
+    unit strides.  einsum adds the terms row by row for ascending j, the
+    order of the plain loop.  On a single column it would switch to a
+    blocked SIMD reduction instead; that case keeps the negative-stride
+    product, which numpy evaluates outside BLAS as one running sum in the
+    same order.
     """
     rev = np.ascontiguousarray(beta[::-1])
     top = len(beta)
-
-    def contract(rows, n):
-        if rows.shape[1] == 1:
-            return beta[n - 1:0:-1] @ rows[1:n]
-        return np.einsum("i,ij->j", rev[top - n:top - 1], rows[1:n])
-
-    return contract
-
-
-def _march(beta: np.ndarray, mu: np.ndarray, u0: np.ndarray,
-           n_steps: int) -> np.ndarray:
-    # The scalar recurrence for every column of mu at once.
-    history = _history(beta[:n_steps])
-    u = np.zeros((n_steps + 1, len(mu)))
+    u = np.zeros((n_steps + 1, len(u0)))
     u[0] = u0
-    denom = 1.0 + beta[0] * mu
     for n in range(1, n_steps + 1):
-        hist = history(u, n) if n > 1 else 0.0
-        u[n] = (u[n - 1] - mu * hist) / denom
+        if u.shape[1] == 1:
+            hist = beta[n - 1:0:-1] @ u[1:n]
+        else:
+            hist = np.einsum("i,ij->j", rev[top - n:top - 1], u[1:n])
+        u[n] = advance(u[n - 1], hist)
     return u
 
 
@@ -134,15 +126,18 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
     if np.any(lam < 0.0):
         raise ValueError("eigenvalues must be >= 0")
     beta = dg_weights(order, grid.n_steps)
-    return _march(beta, lam * grid.dt ** order.nu, u0, grid.n_steps)
+    mu = lam * grid.dt ** order.nu
+    denom = 1.0 + beta[0] * mu
+    return _march(beta, u0, grid.n_steps, lambda prev, hist: (prev - mu * hist) / denom)
 
 
 def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
                   u0_vec) -> np.ndarray:
     """Coefficient trajectories, shape (n_steps+1, ndof); row 0 is u0_vec.
 
-    Factors M + beta_0 dt^nu K once; each step costs one banded solve
-    plus one history contraction over the stored K U^j vectors.
+    Factors M + beta_0 dt^nu K once; each step costs one history
+    contraction over the stored U^j, one product each with M and K, and
+    one banded solve.
     """
     u0 = np.asarray(u0_vec, dtype=float)
     mass = sp.csc_matrix(mass)
@@ -156,14 +151,5 @@ def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
         solver = splu(mass + (beta[0] * dtn) * stiff)
     except RuntimeError as exc:
         raise ValueError(f"singular stepping system: {exc}") from exc
-    history = _history(beta)
-    u = np.zeros((grid.n_steps + 1, ndof))
-    ku = np.zeros((grid.n_steps + 1, ndof))  # rows K @ U^j, filled as we go
-    u[0] = u0
-    for n in range(1, grid.n_steps + 1):
-        rhs = mass @ u[n - 1]
-        if n > 1:
-            rhs -= dtn * history(ku, n)
-        u[n] = solver.solve(rhs)
-        ku[n] = stiff @ u[n]
-    return u
+    return _march(beta, u0, grid.n_steps,
+                  lambda prev, hist: solver.solve(mass @ prev - dtn * (stiff @ hist)))

@@ -38,6 +38,7 @@ def test_config_defaults_round_trip():
     {"gamma": 11.0},
     {"alphas": ()},
     {"alphas": (0.6, 2.5)},
+    {"alphas": (0.6, 0.6)},
     {"reference": "series"},
     {"mode_cap": 10},
 ])

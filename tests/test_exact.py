@@ -20,7 +20,6 @@ DATA_NORM = 1.1107207345395916  # pi sqrt(2) / 4
 def test_eigensystem_basics():
     system = EigenSystem1D(5)
     assert np.array_equal(system.eigenvalues(), [1.0, 4.0, 9.0, 16.0, 25.0])
-    assert system.kappa == pytest.approx(4.0 / math.pi ** 2)
     assert KAPPA == pytest.approx(4.0 / math.pi ** 2, rel=1e-16)
 
 

@@ -169,23 +169,18 @@ def test_spectral_columns_equal_scalar_runs_bitwise():
 
 
 def ordered_galerkin(order, mass, stiff, grid, u0):
-    # the history summed one term at a time for ascending j, with the
-    # same sparse factorization as step_galerkin
+    # the history summed one term at a time for ascending j, then K applied
+    # once, with the same sparse factorization as step_galerkin
     beta = dg_weights(order, grid.n_steps)
     dtn = grid.dt ** order.nu
     solver = splu(sp.csc_matrix(mass + (beta[0] * dtn) * stiff))
     u = np.zeros((grid.n_steps + 1, len(u0)))
-    ku = np.zeros_like(u)
     u[0] = u0
     for n in range(1, grid.n_steps + 1):
-        rhs = mass @ u[n - 1]
-        if n > 1:
-            acc = np.zeros(len(u0))
-            for j in range(1, n):
-                acc += beta[n - j] * ku[j]
-            rhs -= dtn * acc
-        u[n] = solver.solve(rhs)
-        ku[n] = stiff @ u[n]
+        acc = np.zeros(len(u0))
+        for j in range(1, n):
+            acc += beta[n - j] * u[j]
+        u[n] = solver.solve(mass @ u[n - 1] - dtn * (stiff @ acc))
     return u
 
 
@@ -199,6 +194,25 @@ def test_galerkin_history_order_is_pinned(m):
     fast = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
     slow = ordered_galerkin(order, mats.mass, mats.stiff, grid, u0)
     assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.75])
+def test_spectral_history_order_is_pinned(nu):
+    # the kernel scan's 39-point mu grid against the recurrence written as
+    # a plain loop, the history summed one term at a time for ascending j
+    order = FractionalOrder(nu)
+    grid = TimeGrid(1.0, 200)
+    mus = 2.0 ** np.arange(-18, 21, dtype=float)
+    beta = dg_weights(order, grid.n_steps)
+    u = np.zeros((grid.n_steps + 1, mus.size))
+    u[0] = 1.0
+    for n in range(1, grid.n_steps + 1):
+        acc = np.zeros(mus.size)
+        for j in range(1, n):
+            acc += beta[n - j] * u[j]
+        u[n] = (u[n - 1] - mus * acc) / (1.0 + beta[0] * mus)
+    traj = step_spectral(order, mus, np.ones(mus.size), grid)
+    assert np.array_equal(traj, u)
 
 
 def test_galerkin_rejects_singular_system():

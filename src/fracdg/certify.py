@@ -4,10 +4,12 @@ delta(n, mu) = U^n - E_nu(-mu n^nu) is the per-mode discretization error
 with unit data and unit step (only mu = lam dt^nu enters, so this loses
 no generality).  The harness computes it by two independent routes (the
 recurrence itself, and adaptive quadrature of its branch-cut integral
-representation), scans the bound |delta| <= C n^{-1} min(rho^2, 1/rho)
-with rho = mu n^nu, extracts the weighted suprema Phi_1/Phi_2, checks
-the inequalities the bound's proof rests on, and turns per-run error
-samples into weighted convergence tables.
+representation), scans it over a (mu, n) grid, extracts the weighted
+suprema Phi_1/Phi_2, checks the inequalities the bound's proof rests
+on, and turns per-run error samples into weighted convergence tables.
+The scan returns the rho = mu n^nu, delta and Mittag-Leffler error
+grids; the ratio to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is
+formed by the acceptance test of criterion 2.
 """
 
 import math
@@ -25,7 +27,6 @@ from .special import (
 from .stepping import TimeGrid, step_spectral
 
 __all__ = [
-    "DeltaScan",
     "PhiSweep",
     "LemmaScan",
     "ErrorTable",
@@ -38,6 +39,9 @@ __all__ = [
     "resolvent_ratio_max",
     "weighted_error_table",
 ]
+
+# Error-estimate limit of the branch-cut quadrature in delta_contour.
+_KERNEL_QUAD_TOL = 1e-9
 
 
 def default_mu_grid() -> np.ndarray:
@@ -58,8 +62,7 @@ def delta_direct(order: FractionalOrder, mu: float, n: int) -> float:
     return float(u[n] - exact)
 
 
-def delta_contour(order: FractionalOrder, mu: float, n: int,
-                  tol: float = 1e-9) -> float:
+def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
     """Error kernel via its branch-cut integral representation,
 
       delta = (sin(pi nu)/pi) * int_0^inf e^{-ns} mu s^{-nu-1}
@@ -90,31 +93,19 @@ def delta_contour(order: FractionalOrder, mu: float, n: int,
     # generic rule resolves both scales.
     pts = [p for p in (1.0 / n, 10.0 / n) if p < upper]
     val, est = _quad(integrand, 0.0, upper, points=pts or None,
-                     limit=400, epsabs=0.1 * tol, epsrel=1e-9)
-    if est > tol:
+                     limit=400, epsabs=0.1 * _KERNEL_QUAD_TOL, epsrel=1e-9)
+    if est > _KERNEL_QUAD_TOL:
         raise QuadratureError("error-kernel quadrature did not converge", est)
     return order.sin_pi / math.pi * val
 
 
-@dataclass(frozen=True)
-class DeltaScan:
-    """Grid scan of the kernel against the n^{-1} min(rho^2, 1/rho) bound.
+def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200):
+    """The kernel over (mu_grid) x (1..n_max) as grids (rho, delta, ml_err).
 
-    rows columns: mu, n, rho, delta, ml_err, bound_ratio.
-    """
-
-    order: FractionalOrder
-    rows: np.ndarray
-    max_ratio: float
-    argmax: tuple  # (mu, n) attaining max_ratio
-
-
-def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> DeltaScan:
-    """Tabulate delta and its bound ratio over (mu_grid) x (1..n_max).
-
-    One spectral run with dt = 1 and the mu values as eigenvalues gives
-    every trajectory; each mu's rows are the same bits as a scan of that
-    mu alone.
+    Each grid has shape (len(mu_grid), n_max); row i, column n-1 holds
+    mu_grid[i] and step n.  One spectral run with dt = 1 and the mu
+    values as eigenvalues gives every trajectory; each mu's row is the
+    same bits as a scan of that mu alone.
     """
     if mu_grid is None:
         mu_grid = default_mu_grid()
@@ -123,18 +114,9 @@ def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> DeltaS
         raise ValueError("mu_grid must be nonempty and positive")
     u = step_spectral(order, mu_grid, np.ones(len(mu_grid)),
                       TimeGrid(dt=1.0, n_steps=n_max))
-    ns = np.arange(1, n_max + 1, dtype=float)
-    rho = mu_grid[:, None] * ns ** order.nu
+    rho = mu_grid[:, None] * np.arange(1, n_max + 1, dtype=float) ** order.nu
     exact, ml_err = mittag_leffler_neg_array(order, rho)
-    delta = u[1:].T - exact
-    bound = np.minimum(rho ** 2, 1.0 / rho) / ns
-    ratio = np.abs(delta) / bound
-    rows = np.stack([np.repeat(mu_grid, n_max), np.tile(ns, len(mu_grid)),
-                     rho.ravel(), delta.ravel(), ml_err.ravel(), ratio.ravel()],
-                    axis=1)
-    k = int(np.argmax(ratio))  # first occurrence, mu-major as in rows
-    return DeltaScan(order=order, rows=rows, max_ratio=float(ratio.flat[k]),
-                     argmax=(float(mu_grid[k // n_max]), k % n_max + 1))
+    return rho, u[1:].T - exact, ml_err
 
 
 @dataclass(frozen=True)
@@ -159,32 +141,32 @@ class PhiSweep:
     skipped: int
 
 
-def _first_max(w, keep, mu, ns):
+def _first_max(w, keep, mu):
     # Largest w where keep holds, first occurrence on ties (NaN never
-    # wins); (-inf, (nan, 0)) when nothing qualifies.
+    # wins), with its (mu, n); (-inf, (nan, 0)) when nothing qualifies.
     w = np.where(keep & ~np.isnan(w), w, -math.inf)
-    k = int(np.argmax(w))
-    if w.flat[k] == -math.inf:
+    i, j = np.unravel_index(int(np.argmax(w)), w.shape)
+    if w[i, j] == -math.inf:
         return -math.inf, (math.nan, 0)
-    return w.flat[k], (mu.flat[k], int(ns.flat[k]))
+    return w[i, j], (mu[i], int(j) + 1)
 
 
 def phi_sweep(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> PhiSweep:
     """Compute (Phi_1, Phi_2) from a fresh grid scan."""
-    scan = delta_scan(order, mu_grid, n_max)
-    grid = scan.rows.reshape(-1, n_max, 6)  # (mu, n, column)
-    mu, ns, rho, delta, ml_err = (grid[..., k] for k in range(5))
+    mu = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
+    rho, delta, ml_err = delta_scan(order, mu, n_max)
     nu = order.nu
     # Powers are taken once per grid value with scalar pow and broadcast:
     # numpy's vectorised pow can differ from scalar pow in the last bit.
-    mu_sq = np.array([m ** 2 for m in mu[:, 0]])[:, None]
-    n_pow1 = np.array([n ** (1.0 - 2.0 * nu) for n in ns[0]])
-    n_pow2 = np.array([n ** (1.0 + nu) for n in ns[0]])
+    ns = np.arange(1, n_max + 1, dtype=float)
+    mu_sq = np.array([m ** 2 for m in mu])[:, None]
+    n_pow1 = np.array([n ** (1.0 - 2.0 * nu) for n in ns])
+    n_pow2 = np.array([n ** (1.0 + nu) for n in ns])
     guarded = (rho <= 1.0) & (np.abs(delta) <= 10.0 * ml_err)
     phi1, phi1_arg = _first_max(n_pow1 * delta / mu_sq,
-                                (rho <= 1.0) & ~guarded, mu, ns)
-    phi2, phi2_arg = _first_max(n_pow2 * mu * delta,
-                                (rho >= 1.0) & ~guarded, mu, ns)
+                                (rho <= 1.0) & ~guarded, mu)
+    phi2, phi2_arg = _first_max(n_pow2 * mu[:, None] * delta,
+                                (rho >= 1.0) & ~guarded, mu)
     return PhiSweep(order=order, phi1=phi1, phi2=phi2,
                     phi1_arg=phi1_arg, phi2_arg=phi2_arg,
                     min_delta=float(np.min(delta)),
@@ -237,27 +219,20 @@ def _stable_power_difference(b: np.ndarray, logx: np.ndarray) -> np.ndarray:
     return out
 
 
-def lemma_scan_bounds(nu_small=None, nu_large=None, x_count: int = 161) -> tuple:
+def lemma_scan_bounds() -> tuple:
     """Scan the two weighted-integral inequalities; both stay below 3.
 
-    Small orders (0 <= nu <= 1/2): f(x) = x^nu int_x^1 s^{-3 nu} ds on
-    (0, 1].  Large orders (1/2 <= nu <= 1): g(x) = x^{nu-1} int_1^x
-    s^{1-3 nu} ds on [1, 1e6].  Closed forms are used, with the
-    removable 1 - 3 nu = 0 and 2 - 3 nu = 0 cases handled by expm1.
-    Returns (small_scan, large_scan).
+    Small orders (0 <= nu <= 1/2, eleven even steps plus 1/3): f(x) =
+    x^nu int_x^1 s^{-3 nu} ds on (0, 1].  Large orders (1/2 <= nu <= 1,
+    eleven even steps plus 2/3): g(x) = x^{nu-1} int_1^x s^{1-3 nu} ds
+    on [1, 1e6].  Each runs over 161 log-spaced x.  Closed forms are
+    used, with the removable 1 - 3 nu = 0 and 2 - 3 nu = 0 cases handled
+    by expm1.  Returns (small_scan, large_scan).
     """
-    if nu_small is None:
-        nu_small = np.append(np.linspace(0.0, 0.5, 11), 1.0 / 3.0)
-    if nu_large is None:
-        nu_large = np.append(np.linspace(0.5, 1.0, 11), 2.0 / 3.0)
-    nu_small = np.asarray(nu_small, dtype=float)
-    nu_large = np.asarray(nu_large, dtype=float)
-    if np.any(nu_small < 0.0) or np.any(nu_small > 0.5):
-        raise ValueError("small-order grid must lie in [0, 1/2]")
-    if np.any(nu_large < 0.5) or np.any(nu_large > 1.0):
-        raise ValueError("large-order grid must lie in [1/2, 1]")
+    nu_small = np.append(np.linspace(0.0, 0.5, 11), 1.0 / 3.0)
+    nu_large = np.append(np.linspace(0.5, 1.0, 11), 2.0 / 3.0)
 
-    x5 = np.logspace(-8.0, 0.0, x_count)
+    x5 = np.logspace(-8.0, 0.0, 161)
     rows5 = np.empty((len(nu_small), 3))
     for i, nu in enumerate(nu_small):
         # f = x^nu (1 - x^{1-3nu})/(1-3nu) = -x^nu * ((x^b - 1)/b), b = 1-3nu
@@ -266,7 +241,7 @@ def lemma_scan_bounds(nu_small=None, nu_large=None, x_count: int = 161) -> tuple
         k = int(np.argmax(vals))
         rows5[i] = (nu, vals[k], x5[k])
 
-    x6 = np.logspace(0.0, 6.0, x_count)
+    x6 = np.logspace(0.0, 6.0, 161)
     rows6 = np.empty((len(nu_large), 3))
     for i, nu in enumerate(nu_large):
         # g = x^{nu-1} (x^{2-3nu} - 1)/(2-3nu)
@@ -281,20 +256,16 @@ def lemma_scan_bounds(nu_small=None, nu_large=None, x_count: int = 161) -> tuple
     )
 
 
-def resolvent_ratio_max(nu_values=None, x_max: float = 1e4,
-                     x_count: int = 4001) -> float:
+def resolvent_ratio_max() -> float:
     """Largest |1 + X e^{i pi nu}|^{-2} relative to (1-nu)^{-2} (1+X^2)^{-1}.
 
-    The claimed inequality makes this <= 1.  The grid includes X = 0 and
-    the exact minimizer X = -cos(pi nu) of the left denominator.
+    The claimed inequality makes this <= 1.  It is scanned for nu =
+    0.1..0.9 over X = 0 and 4001 log-spaced X in [1e-4, 1e4], plus the
+    exact minimizer X = -cos(pi nu) of the left denominator.
     """
-    if nu_values is None:
-        nu_values = np.linspace(0.1, 0.9, 9)
     worst = 0.0
-    for nu in np.asarray(nu_values, dtype=float):
-        if not 0.0 < nu < 1.0:
-            raise ValueError(f"nu must lie in (0, 1), got {nu}")
-        x = np.concatenate([[0.0], np.logspace(-4.0, math.log10(x_max), x_count)])
+    for nu in np.linspace(0.1, 0.9, 9):
+        x = np.concatenate([[0.0], np.logspace(-4.0, 4.0, 4001)])
         c = math.cos(math.pi * nu)
         if c < 0.0:
             x = np.append(x, -c)
@@ -318,12 +289,12 @@ class ErrorTable:
     rates: dict
 
 
-def weighted_error_table(samples: dict, alphas, t_top: float = 0.5) -> ErrorTable:
+def weighted_error_table(samples: dict, alphas) -> ErrorTable:
     """Build the weighted table from per-run error curves.
 
-    samples maps N -> (t, err) arrays over t in [dt, t_top]; N values
+    samples maps N -> (t, err) arrays over the error window; N values
     must form a doubling chain.  E_N = max of t^alpha * err over the
-    window.
+    samples.
     """
     n_values = sorted(samples)
     if len(n_values) < 1:
@@ -339,11 +310,8 @@ def weighted_error_table(samples: dict, alphas, t_top: float = 0.5) -> ErrorTabl
         err = np.asarray(err, dtype=float)
         if t.shape != err.shape or t.ndim != 1 or len(t) == 0:
             raise ValueError(f"bad sample arrays for N={n}")
-        keep = t <= t_top * (1.0 + 1e-12)
-        if not np.any(keep):
-            raise ValueError(f"no sample times below {t_top} for N={n}")
         for a in alphas:
-            errors[a].append(float(np.max(t[keep] ** a * err[keep])))
+            errors[a].append(float(np.max(t ** a * err)))
     rates = {
         a: tuple(
             math.log2(errors[a][i] / errors[a][i + 1])

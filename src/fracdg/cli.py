@@ -36,7 +36,7 @@ from .certify import (
     phi_sweep,
     weighted_error_table,
 )
-from .exact import KAPPA, EigenSystem1D, InitialData, constant_data_transform, exact_field
+from .exact import KAPPA, constant_data_transform, exact_field, quarter_pi_coefficients
 from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
 from .laplace import inverter, window_chain
 from .special import (
@@ -59,7 +59,9 @@ _QUICK_M = 80
 # Time levels per error-norm call.
 _LEVEL_CHUNK = 16
 # Accuracy of the converge references: the contour windows of the
-# transform route and the Mittag-Leffler sums of the modal route.
+# transform route, and the truncation of the modal route's expansion
+# over its first mode_cap modes.  The modes above mode_cap are left out
+# of the modal reference and of this tolerance.
 _CONTOUR_TOL = 1e-13
 _FIELD_TOL = 1e-8
 
@@ -160,13 +162,17 @@ def _parse_float_list(text: str) -> tuple:
             f"expected comma-separated numbers, got {text!r}")
 
 
-def resolve_config(args) -> RunConfig:
+def resolve_config(parser, args) -> RunConfig:
     """Defaults, overridden by the flags given (each flag's dest is its field).
 
     ``converge --quick`` takes the small sizes for those not given.
+    ``--mode-cap`` without ``--reference modal`` is a usage error: the
+    transform route reads no mode cutoff.
     """
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if getattr(args, f.name, None) is not None}
+    if "mode_cap" in given and given.get("reference") != "modal":
+        parser.error("--mode-cap is read only with --reference modal")
     if given.get("quick") and args.command == "converge":
         given = {"n_list": _QUICK_N, "m_intervals": _QUICK_M, **given}
     return RunConfig(**given)
@@ -184,9 +190,8 @@ def _transform_reference(order: FractionalOrder, flat_x, t_min):
 
 def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
     """Reference values at every time level, shape (len(times), len(flat_x))."""
-    system = EigenSystem1D(config.mode_cap)
-    data = InitialData.quarter_pi(config.mode_cap)
-    return exact_field(order, system, data, times, flat_x, tol=_FIELD_TOL)
+    return exact_field(order, quarter_pi_coefficients(config.mode_cap), times, flat_x,
+                       tol=_FIELD_TOL)
 
 
 def run_convergence(config: RunConfig):
@@ -231,7 +236,7 @@ def run_convergence(config: RunConfig):
                 solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
         samples[n_steps] = (times, errors)
     samples = dict(sorted(samples.items()))
-    table = weighted_error_table(samples, config.alphas, t_top=_WINDOW_TOP)
+    table = weighted_error_table(samples, config.alphas)
     return table, samples
 
 
@@ -531,9 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
+        config = resolve_config(parser, args)
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,15 +10,13 @@ used by the convergence experiments as a mode-sum-free reference.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .special import FractionalOrder, mittag_leffler_neg_array
 
 __all__ = [
-    "EigenSystem1D",
-    "InitialData",
+    "quarter_pi_coefficients",
     "exact_field",
     "constant_data_transform",
     "KAPPA",
@@ -27,82 +25,52 @@ __all__ = [
 KAPPA = 4.0 / math.pi ** 2
 
 
-@dataclass(frozen=True)
-class EigenSystem1D:
-    """Dirichlet eigensystem of -(kappa u_x)_x on (-1, 1), kappa = 4/pi^2."""
-
-    mode_count: int
-
-    def __post_init__(self):
-        if self.mode_count < 1:
-            raise ValueError(f"mode_count must be >= 1, got {self.mode_count}")
-
-    def eigenvalues(self) -> np.ndarray:
-        m = np.arange(1, self.mode_count + 1, dtype=float)
-        return m * m
-
-    def eigenfunction(self, m: int, x) -> np.ndarray:
-        return np.sin(0.5 * m * math.pi * (np.asarray(x, dtype=float) + 1.0))
+def quarter_pi_coefficients(count: int) -> np.ndarray:
+    """Sine coefficients of the constant pi/4: 1/m for odd m, 0 for even m."""
+    m = np.arange(1, count + 1)
+    return np.where(m % 2 == 1, 1.0 / m, 0.0)
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Finite modal expansion of the initial value."""
-
-    coefficients: np.ndarray = field()
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 1 or len(c) < 1:
-            raise ValueError("coefficients must be a nonempty 1-d array")
-        object.__setattr__(self, "coefficients", c)
-
-    @classmethod
-    def quarter_pi(cls, mode_count: int) -> "InitialData":
-        """Modes of the constant pi/4: u0m = 1/m for odd m, 0 for even m."""
-        m = np.arange(1, mode_count + 1, dtype=float)
-        c = np.where(np.arange(1, mode_count + 1) % 2 == 1, 1.0 / m, 0.0)
-        return cls(coefficients=c)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.coefficients ** 2)))
-
-
-def _truncation_cutoff(system, data, t, nu, tol):
+def _truncation_cutoff(lam, coefficients, t, nu, tol):
     # Smallest M with sum_{m>M} u0m^2 min(1, 2/(lam_m t^nu))^2 < tol^2.
     # The decay-aware factor keeps M modest for t bounded away from 0;
     # the stored expansion itself is treated as the exact data.
-    lam = system.eigenvalues()[: len(data.coefficients)]
-    w = data.coefficients ** 2 * np.minimum(1.0, 2.0 / (lam * t ** nu)) ** 2
+    w = coefficients ** 2 * np.minimum(1.0, 2.0 / (lam * t ** nu)) ** 2
     tail = np.cumsum(w[::-1])[::-1]  # tail[m] = sum_{k>=m} w_k (0-based)
     small = np.nonzero(tail < tol * tol)[0]
     return int(small[0]) if len(small) else len(w)
 
 
-def exact_field(order: FractionalOrder, system: EigenSystem1D,
-                data: InitialData, t, x_points,
+def exact_field(order: FractionalOrder, coefficients, t, x_points,
                 tol: float = 1e-8) -> np.ndarray:
     """u(x, t) by the truncated eigenfunction expansion.
 
+    coefficients[m-1] is the sine coefficient of mode m, eigenvalue m^2.
     t is a time or an array of times; the result has shape
-    t.shape + (len(x_points),).  Truncation keeps the L2 tail below tol
-    at each time, and modes with a zero coefficient are skipped.  Every
-    time must be positive since the series of discontinuous data
+    t.shape + (len(x_points),).  The given coefficients are taken as the
+    exact data: tol bounds, at each time, the L2 norm of the part of
+    that expansion the truncation drops, and says nothing about modes
+    beyond len(coefficients).  Modes with a zero coefficient are skipped.
+    Every time must be positive since the series of discontinuous data
     converges too slowly at t = 0.
     """
+    coefficients = np.asarray(coefficients, dtype=float)
+    if coefficients.ndim != 1 or len(coefficients) < 1:
+        raise ValueError("coefficients must be a nonempty 1-d array")
     times = np.asarray(t, dtype=float)
     if not np.all(times > 0.0):
         raise ValueError(f"t must be > 0, got {np.min(times)}")
     nu = order.nu
+    lam = np.arange(1, len(coefficients) + 1, dtype=float) ** 2
     flat_t = [float(ti) for ti in times.ravel()]
-    cuts = np.array([max(1, _truncation_cutoff(system, data, ti, nu, tol))
+    cuts = np.array([max(1, _truncation_cutoff(lam, coefficients, ti, nu, tol))
                      for ti in flat_t])
-    live = np.flatnonzero(data.coefficients[:cuts.max(initial=1)])
+    live = np.flatnonzero(coefficients[:cuts.max(initial=1)])
     kept = live[None, :] < cuts[:, None]
-    s = system.eigenvalues()[live] * np.array([ti ** nu for ti in flat_t])[:, None]
+    s = lam[live] * np.array([ti ** nu for ti in flat_t])[:, None]
     weights = np.zeros(s.shape)
     weights[kept] = mittag_leffler_neg_array(order, s[kept])[0]
-    weights *= data.coefficients[live]
+    weights *= coefficients[live]
     # One sine table phi_m(x) over the kept modes, built in place.
     x = np.asarray(x_points, dtype=float)
     table = np.outer(live + 1.0, x + 1.0)

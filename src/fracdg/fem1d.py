@@ -137,15 +137,15 @@ def _padded(coeffs, mesh) -> np.ndarray:
     return np.concatenate([pad, c, pad], axis=-1)
 
 
-def l2_project(f, mesh: Mesh1D, order: int = 3) -> np.ndarray:
+def l2_project(f, mesh: Mesh1D) -> np.ndarray:
     """Interior coefficients of the L2 projection of f.
 
-    f must accept an ndarray of points.  The load vector uses an
-    ``order``-point Gauss rule per element (>= 3 keeps the quadrature
-    error below the projection error for smooth f).
+    f must accept an ndarray of points.  The load vector uses a 3-point
+    Gauss rule per element, which keeps the quadrature error below the
+    projection error for smooth f.
     """
     mats = assemble(1.0, mesh)  # mass is kappa-independent
-    points, weights, local = gauss_points(mesh, order)
+    points, weights, local = gauss_points(mesh, 3)
     fv = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
     contrib_left = np.sum(weights * fv * (1.0 - local), axis=1)
     contrib_right = np.sum(weights * fv * local, axis=1)
@@ -153,16 +153,15 @@ def l2_project(f, mesh: Mesh1D, order: int = 3) -> np.ndarray:
     return factorized(mats.mass)(load)
 
 
-def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray,
-                         order: int = 4):
+def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):
     """L2 norm of (P1 field - reference) given reference values.
 
-    ref_values must match the layout of gauss_points(mesh, order)[0].
+    ref_values must match the layout of gauss_points(mesh)[0].
     Stacked levels are accepted: with coeffs of shape (L, M-1) and
-    ref_values of shape (L, M, order) the result is an array of L norms,
+    ref_values of shape (L, M, 4) the result is an array of L norms,
     each summed exactly as a call for that level alone would sum it.
     """
-    points, weights, local = gauss_points(mesh, order)
+    points, weights, local = gauss_points(mesh)
     vals = _padded(coeffs, mesh)
     if ref_values.shape != vals.shape[:-1] + points.shape:
         raise ValueError(

@@ -40,6 +40,9 @@ _ALPHA = 1.1721
 # Largest t_max/t_min a single contour is tuned for.
 _MAX_RATIO = 50.0 * (1.0 + 1e-12)
 
+# Largest window ratio window_chain uses, well inside the tuning regime.
+_CHAIN_RATIO = 25.0
+
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -201,20 +204,17 @@ def reference_mode(order: FractionalOrder, lam: float, u0m: float, t: float,
     return float(inverter(transform, [spec])(t))
 
 
-def window_chain(t_min: float, t_max: float, max_ratio: float = 25.0,
-                 tol: float = 1e-13):
+def window_chain(t_min: float, t_max: float, tol: float = 1e-13):
     """Split [t_min, t_max] into geometric windows with tuned contours.
 
-    Each window's ratio is at most max_ratio, so the per-window contours
-    stay well inside the tuning regime.  Returns a list of ContourSpec
-    whose windows tile [t_min, t_max] contiguously.
+    Each window's ratio is at most 25, so the per-window contours stay
+    well inside the tuning regime.  Returns a list of ContourSpec whose
+    windows tile [t_min, t_max] contiguously.
     """
     if not 0.0 < t_min <= t_max:
         raise ValueError(f"bad time window [{t_min}, {t_max}]")
-    if not 1.0 < max_ratio <= 50.0:
-        raise ValueError(f"max_ratio must lie in (1, 50], got {max_ratio}")
     total = t_max / t_min
-    count = max(1, math.ceil(math.log(total) / math.log(max_ratio) - 1e-12))
+    count = max(1, math.ceil(math.log(total) / math.log(_CHAIN_RATIO) - 1e-12))
     edges = [t_min * total ** (i / count) for i in range(count)] + [t_max]
     return [
         ContourSpec.for_window(edges[i], edges[i + 1], tol=tol)

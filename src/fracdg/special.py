@@ -132,10 +132,6 @@ class FractionalOrder:
     def sin_pi(self) -> float:
         return math.sin(math.pi * self.nu)
 
-    @property
-    def cos_pi(self) -> float:
-        return math.cos(math.pi * self.nu)
-
 
 # ---------------------------------------------------------------------------
 # Mittag-Leffler E_nu(-s), s >= 0
@@ -437,7 +433,7 @@ def _one_m_exp(w: complex) -> complex:
     return complex(-math.expm1(-x) + 2.0 * ex * sh * sh, ex * math.sin(y))
 
 
-def symbol_integral(order: FractionalOrder, z: complex, tol: float = 1e-8) -> complex:
+def symbol_integral(order: FractionalOrder, z: complex) -> complex:
     """Integral form of the symbol on the strip |Im z| <= pi, z off (-inf, 0].
 
     psi(z) = (sin(pi nu)/pi) int_0^inf s^{-nu}/(1 - e^{-z-s}) (1-e^{-s})/s ds,
@@ -472,7 +468,7 @@ def symbol_integral(order: FractionalOrder, z: complex, tol: float = 1e-8) -> co
     im1, e3 = _quad(lambda s: tail(s).imag, 1.0, math.inf, limit=400,
                    epsabs=1e-12, epsrel=1e-11)
     est = e0 + e1 + e2 + e3
-    if est > tol:
+    if est > 1e-8:
         raise QuadratureError("symbol integral did not converge", est)
     pref = order.sin_pi / math.pi
     return pref * complex(re0 + re1, im0 + im1)

@@ -45,9 +45,6 @@ class TimeGrid:
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
-    def times(self):
-        return self.dt * np.arange(self.n_steps + 1)
-
 
 def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
     # (1+x)^nu - 2 + (1-x)^nu at x = 1/j, summed as the even binomial

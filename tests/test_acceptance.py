@@ -20,7 +20,7 @@ from fracdg.certify import (
     lemma_scan_bounds,
 )
 from fracdg.cli import RunConfig, run_convergence
-from fracdg.exact import EigenSystem1D, InitialData
+from fracdg.exact import quarter_pi_coefficients
 from fracdg.laplace import ContourSpec, reference_mode
 from fracdg.special import (
     FractionalOrder,
@@ -65,7 +65,9 @@ def test_weighted_rates_match_reference_study(headline_table):
 @pytest.mark.acceptance(2)
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
 def test_kernel_bound_ratio(nu):
-    assert delta_scan(FractionalOrder(nu)).max_ratio <= 1.1
+    rho, delta, _ = delta_scan(FractionalOrder(nu))
+    n = np.arange(1, rho.shape[1] + 1, dtype=float)
+    assert np.max(abs(delta) / (np.minimum(rho ** 2, 1 / rho) / n)) <= 1.1
 
 
 @pytest.mark.acceptance(3)
@@ -73,7 +75,7 @@ def test_classical_limit_matches_closed_form():
     order = FractionalOrder(1.0)
     ns = np.arange(1, 201, dtype=float)
     for mu in default_mu_grid():
-        delta = delta_scan(order, [mu], 200).rows[:, 3]
+        _, (delta,), _ = delta_scan(order, [mu], 200)
         with np.errstate(under="ignore"):
             closed = (1.0 + mu) ** -ns - np.exp(-mu * ns)
         assert np.max(np.abs(delta - closed)) <= 1e-12
@@ -187,10 +189,8 @@ def test_stability_galerkin_path(nu, dt):
 def test_parseval_error_identity():
     order = FractionalOrder(0.75)
     modes = 50
-    system = EigenSystem1D(modes)
-    data = InitialData.quarter_pi(modes)
-    u0 = np.asarray(data.coefficients, dtype=float)
-    lambdas = system.eigenvalues()
+    u0 = quarter_pi_coefficients(modes)
+    lambdas = np.arange(1, modes + 1, dtype=float) ** 2
     dt = 0.02
     grid = TimeGrid(dt=dt, n_steps=50)
     u = step_spectral(order, lambdas, u0, grid)
@@ -201,7 +201,7 @@ def test_parseval_error_identity():
             # delta scales linearly in the data; unused columns stay 0
             deltas[:, m] = 0.0
             continue
-        series = delta_scan(order, [lam * dt ** order.nu], grid.n_steps).rows[:, 3]
+        _, (series,), _ = delta_scan(order, [lam * dt ** order.nu], grid.n_steps)
         deltas[:, m] = series
 
     for n in (1, 10, 50):

@@ -47,7 +47,7 @@ def test_delta_direct_classical_values():
 
 def test_delta_series_consistent_with_single_values():
     order = FractionalOrder(0.75)
-    series, ml_err = delta_scan(order, [2.0], 12).rows[:, 3:5].T
+    _, (series,), (ml_err,) = delta_scan(order, [2.0], 12)
     assert np.all(ml_err < 1e-12)
     for n in (1, 5, 12):
         assert series[n - 1] == pytest.approx(
@@ -58,15 +58,14 @@ def test_delta_series_consistent_with_single_values():
 def test_delta_scan_rows_equal_series_bitwise(nu):
     order = FractionalOrder(nu)
     mus = default_mu_grid()
-    scan = delta_scan(order, n_max=200)
-    blocks = scan.rows.reshape(mus.size, 200, 6)
+    rho, deltas, ml_errs = delta_scan(order, n_max=200)
     ns = np.arange(1, 201, dtype=float)
-    for mu, block in zip(mus, blocks):
-        delta, ml_err = delta_scan(order, [mu], 200).rows[:, 3:5].T
-        assert np.all(block[:, 0] == mu)
-        assert np.array_equal(block[:, 1], ns)
-        assert np.array_equal(block[:, 3], delta)
-        assert np.array_equal(block[:, 4], ml_err)
+    for mu, rho_row, delta_row, ml_err_row in zip(mus, rho, deltas, ml_errs):
+        (mu_rho,), (delta,), (ml_err,) = delta_scan(order, [mu], 200)
+        assert np.array_equal(rho_row, mu * ns ** nu)
+        assert np.array_equal(rho_row, mu_rho)
+        assert np.array_equal(delta_row, delta)
+        assert np.array_equal(ml_err_row, ml_err)
 
 
 def test_delta_zero_eigenvalue_is_exact():
@@ -101,20 +100,27 @@ def test_delta_positive_and_bounded(nu, log_mu, n):
     assert abs(delta) <= 1.1 / n * min(rho ** 2, 1.0 / rho)
 
 
+def max_bound_ratio(rho, delta):
+    # |delta| over the bound n^{-1} min(rho^2, 1/rho), maximised over the scan
+    n = np.arange(1, rho.shape[1] + 1, dtype=float)
+    return np.max(np.abs(delta) / (np.minimum(rho ** 2, 1.0 / rho) / n))
+
+
 def test_scan_small_grid():
     order = FractionalOrder(0.5)
-    scan = delta_scan(order, mu_grid=np.array([0.5, 1.0, 2.0]), n_max=20)
-    assert scan.rows.shape == (60, 6)
-    mu, n, rho, delta, ml_err, ratio = scan.rows.T
+    mu = np.array([0.5, 1.0, 2.0])
+    rho, delta, ml_err = delta_scan(order, mu_grid=mu, n_max=20)
+    assert rho.shape == delta.shape == ml_err.shape == (3, 20)
+    n = np.arange(1, 21, dtype=float)
     assert np.all(ml_err < 1e-11)
-    assert np.allclose(rho, mu * n ** 0.5, rtol=1e-15)
-    assert scan.max_ratio == pytest.approx(np.max(ratio), rel=0)
-    assert scan.max_ratio <= 1.1
+    assert np.allclose(rho, mu[:, None] * n ** 0.5, rtol=1e-15)
+    assert max_bound_ratio(rho, delta) <= 1.1
 
 
 def test_bound_check_moderate_grid():
-    value = delta_scan(FractionalOrder(0.5),
-                       mu_grid=2.0 ** np.arange(-6, 7), n_max=50).max_ratio
+    rho, delta, _ = delta_scan(FractionalOrder(0.5),
+                               mu_grid=2.0 ** np.arange(-6, 7), n_max=50)
+    value = max_bound_ratio(rho, delta)
     assert 0.0 < value <= 1.1
 
 
@@ -130,12 +136,16 @@ def test_phi_sweep_moderate():
     assert mu2 * n2 ** 0.6 >= 1.0 - 1e-12
 
 
-def looped_phi(scan, nu):
+def looped_phi(mu_grid, scan, nu):
     # point-by-point restatement of the weighted suprema
     phi1 = phi2 = -math.inf
     arg1 = arg2 = (math.nan, 0)
     skipped = 0
-    for mu, n, rho, delta, ml_err, _ in scan.rows:
+    grid_rho, grid_delta, grid_ml_err = scan
+    ns = np.arange(1, grid_rho.shape[1] + 1, dtype=float)
+    points = zip(np.repeat(mu_grid, len(ns)), np.tile(ns, len(mu_grid)),
+                 grid_rho.ravel(), grid_delta.ravel(), grid_ml_err.ravel())
+    for mu, n, rho, delta, ml_err in points:
         if rho <= 1.0:
             if abs(delta) <= 10.0 * ml_err:
                 skipped += 1
@@ -159,8 +169,9 @@ def looped_phi(scan, nu):
 def test_phi_sweep_equals_point_loop(nu, mu_grid, n_max):
     order = FractionalOrder(nu)
     sweep = phi_sweep(order, mu_grid=mu_grid, n_max=n_max)
+    mus = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
     phi1, phi2, arg1, arg2, skipped = looped_phi(
-        delta_scan(order, mu_grid, n_max), nu)
+        mus, delta_scan(order, mu_grid, n_max), nu)
     assert (sweep.phi1, sweep.phi2, sweep.skipped) == (phi1, phi2, skipped)
     assert sweep.phi2_arg == arg2
     if phi1 == -math.inf:
@@ -217,12 +228,6 @@ def test_weighted_table_recovers_exact_rates():
 def test_weighted_table_requires_doubling():
     with pytest.raises(ValueError):
         weighted_error_table(synthetic_samples(1.0, (40, 100)), alphas=(0.5,))
-
-
-def test_weighted_table_requires_window_samples():
-    bad = {8: (np.array([0.75, 1.0]), np.array([1.0, 1.0]))}
-    with pytest.raises(ValueError):
-        weighted_error_table(bad, alphas=(0.5,))
 
 
 def test_weighted_table_single_run_has_no_rates():

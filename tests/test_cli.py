@@ -71,6 +71,12 @@ def test_quick_preset_swaps_sizes(capsys):
     assert "m_intervals = 80" in out
 
 
+def test_mode_cap_is_read_with_the_modal_reference(capsys):
+    assert main(["converge", "--reference", "modal", "--mode-cap", "100",
+                 "--dry-run"]) == 0
+    assert "mode_cap = 100" in capsys.readouterr().out
+
+
 # -- exit statuses -----------------------------------------------------------
 
 
@@ -102,6 +108,7 @@ def test_config_errors_exit_1(capsys):
     ["delta", "--mu", "1", "--n", "5", "--config", "f"],
     ["lemmas", "--config", "f"],
     ["converge", "--N", "80,abc", "--dry-run"],
+    ["converge", "--quick", "--mode-cap", "100"],
 ])
 def test_settings_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:

@@ -49,7 +49,6 @@ def test_order_validation():
     order = FractionalOrder(0.5)
     assert order.gamma_1p == pytest.approx(GAMMA_1P5, rel=1e-15)
     assert order.sin_pi == pytest.approx(1.0, abs=1e-15)
-    assert abs(order.cos_pi) < 1e-15
 
 
 def test_mittag_leffler_reference_values():

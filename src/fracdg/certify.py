@@ -132,23 +132,17 @@ class PhiSweep:
     |delta| > 10 * ml_err.
     """
 
-    order: FractionalOrder
     phi1: float
     phi2: float
-    phi1_arg: tuple
-    phi2_arg: tuple
     min_delta: float
     skipped: int
 
 
-def _first_max(w, keep, mu):
+def _first_max(w, keep):
     # Largest w where keep holds, first occurrence on ties (NaN never
-    # wins), with its (mu, n); (-inf, (nan, 0)) when nothing qualifies.
+    # wins); -inf when nothing qualifies.
     w = np.where(keep & ~np.isnan(w), w, -math.inf)
-    i, j = np.unravel_index(int(np.argmax(w)), w.shape)
-    if w[i, j] == -math.inf:
-        return -math.inf, (math.nan, 0)
-    return w[i, j], (mu[i], int(j) + 1)
+    return w.flat[int(np.argmax(w))]
 
 
 def phi_sweep(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> PhiSweep:
@@ -163,13 +157,9 @@ def phi_sweep(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> PhiSwee
     n_pow1 = np.array([n ** (1.0 - 2.0 * nu) for n in ns])
     n_pow2 = np.array([n ** (1.0 + nu) for n in ns])
     guarded = (rho <= 1.0) & (np.abs(delta) <= 10.0 * ml_err)
-    phi1, phi1_arg = _first_max(n_pow1 * delta / mu_sq,
-                                (rho <= 1.0) & ~guarded, mu)
-    phi2, phi2_arg = _first_max(n_pow2 * mu[:, None] * delta,
-                                (rho >= 1.0) & ~guarded, mu)
-    return PhiSweep(order=order, phi1=phi1, phi2=phi2,
-                    phi1_arg=phi1_arg, phi2_arg=phi2_arg,
-                    min_delta=float(np.min(delta)),
+    phi1 = _first_max(n_pow1 * delta / mu_sq, (rho <= 1.0) & ~guarded)
+    phi2 = _first_max(n_pow2 * mu[:, None] * delta, (rho >= 1.0) & ~guarded)
+    return PhiSweep(phi1=phi1, phi2=phi2, min_delta=float(np.min(delta)),
                     skipped=int(np.count_nonzero(guarded)))
 
 

@@ -60,10 +60,11 @@ _QUICK_M = 80
 _LEVEL_CHUNK = 16
 # Accuracy of the converge references: the contour windows of the
 # transform route, and the truncation of the modal route's expansion
-# over its first mode_cap modes.  The modes above mode_cap are left out
-# of the modal reference and of this tolerance.
+# over its first _MODE_CAP modes.  The modes above _MODE_CAP are left
+# out of the modal reference and of this tolerance.
 _CONTOUR_TOL = 1e-13
 _FIELD_TOL = 1e-8
+_MODE_CAP = 4000
 
 # Regression baseline for the default configuration (per alpha: weighted
 # errors over the default N chain, then observed rates).  Raw errors are
@@ -95,9 +96,7 @@ class RunConfig:
     gamma: float = 3.0
     alphas: tuple = _DEFAULT_ALPHAS
     reference: str = "transform"
-    mode_cap: int = 4000
     out_dir: str = "out"
-    quick: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
@@ -130,8 +129,6 @@ class RunConfig:
         if self.reference not in ("transform", "modal"):
             raise ValueError(
                 f"reference must be 'transform' or 'modal', got {self.reference!r}")
-        if self.mode_cap < 50:
-            raise ValueError(f"mode_cap must be >= 50, got {self.mode_cap}")
 
     def items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -146,34 +143,25 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}")
+def _list_of(kind, what):
+    """argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}")
+    return parse
 
 
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}")
-
-
-def resolve_config(parser, args) -> RunConfig:
+def resolve_config(args) -> RunConfig:
     """Defaults, overridden by the flags given (each flag's dest is its field).
 
     ``converge --quick`` takes the small sizes for those not given.
-    ``--mode-cap`` without ``--reference modal`` is a usage error: the
-    transform route reads no mode cutoff.
     """
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if getattr(args, f.name, None) is not None}
-    if "mode_cap" in given and given.get("reference") != "modal":
-        parser.error("--mode-cap is read only with --reference modal")
-    if given.get("quick") and args.command == "converge":
+    if args.command == "converge" and args.quick:
         given = {"n_list": _QUICK_N, "m_intervals": _QUICK_M, **given}
     return RunConfig(**given)
 
@@ -182,16 +170,13 @@ def resolve_config(parser, args) -> RunConfig:
 # convergence engine
 
 
-def _transform_reference(order: FractionalOrder, flat_x, t_min):
-    """Contour inversion of the field's transform over [t_min, 1/2]; t -> values."""
+def _reference(config: RunConfig, order: FractionalOrder, flat_x, t_min):
+    """The exact field on [t_min, 1/2] by the configured route; t -> values."""
+    if config.reference == "modal":
+        return exact_field(order, quarter_pi_coefficients(_MODE_CAP), flat_x, t_min,
+                           tol=_FIELD_TOL)
     return inverter(lambda z: constant_data_transform(order, flat_x, z),
                     window_chain(t_min, _WINDOW_TOP, tol=_CONTOUR_TOL))
-
-
-def _modal_reference(config: RunConfig, order: FractionalOrder, flat_x, times):
-    """Reference values at every time level, shape (len(times), len(flat_x))."""
-    return exact_field(order, quarter_pi_coefficients(config.mode_cap), times, flat_x,
-                       tol=_FIELD_TOL)
 
 
 def run_convergence(config: RunConfig):
@@ -199,10 +184,11 @@ def run_convergence(config: RunConfig):
 
     Returns (table, samples) where samples maps N, in ascending order, to
     its (t, error) arrays over the window (0, 1/2].  The runs go finest
-    first.  The transform reference is built once, after the finest
-    stepping, on one window chain from 1/max(N) to 1/2: its windows hold
-    every coarser run's levels and are tuned to the same _CONTOUR_TOL.
-    The modal reference is evaluated per N, all levels in one call.
+    first.  The reference is built once, after the finest stepping, for
+    the times from 1/max(N) on, which hold every coarser run's levels:
+    the transform route's window chain is tuned to the same _CONTOUR_TOL
+    throughout, and the modal route's sine table covers every mode kept
+    at any later time.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
@@ -219,19 +205,14 @@ def run_convergence(config: RunConfig):
         solution = step_galerkin(order, mats.mass, mats.stiff,
                                  TimeGrid(dt, half), u0)
         times = dt * np.arange(1, half + 1)
-        if config.reference == "modal":
-            refs = _modal_reference(config, order, flat_x, times)
-        elif reference is None:
-            reference = _transform_reference(order, flat_x, dt)
-        # The error norm, and the transform reference, take _LEVEL_CHUNK
-        # levels per call, so their temporaries stay small.
+        if reference is None:
+            reference = _reference(config, order, flat_x, dt)
+        # The reference and the error norm take _LEVEL_CHUNK levels per
+        # call, so their temporaries stay small.
         errors = np.empty(half)
         for lo in range(0, half, _LEVEL_CHUNK):
             hi = min(lo + _LEVEL_CHUNK, half)
-            if config.reference == "modal":
-                ref = refs[lo:hi]
-            else:
-                ref = reference(times[lo:hi])
+            ref = reference(times[lo:hi])
             errors[lo:hi] = l2_error_from_values(
                 solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
         samples[n_steps] = (times, errors)
@@ -348,10 +329,8 @@ def cmd_converge(args, config: RunConfig) -> int:
 
 def cmd_phi(args, config: RunConfig) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
-    if args.nu is not None:
+    if args.nu is not None or args.quick:  # --quick alone: the default order
         grid = (config.nu,)
-    elif config.quick:
-        grid = (0.75,)
     else:
         grid = tuple(round(0.1 * k, 1) for k in range(1, 10))
     rows = []
@@ -477,7 +456,7 @@ class _Parser(argparse.ArgumentParser):
 # Flags that more than one subcommand reads.
 _SHARED_FLAGS = {
     "--nu": dict(type=float, help="fractional order in (0, 1]"),
-    "--quick": dict(action="store_const", const=True, help="reduced-size preset"),
+    "--quick": dict(action="store_true", help="reduced-size preset"),
     "--out": dict(dest="out_dir", metavar="DIR",
                   help="output directory (default: out)"),
 }
@@ -497,17 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="graded-mesh convergence study")
     _add_shared(p, "--nu", "--out", "--quick")
-    p.add_argument("--N", dest="n_list", type=_parse_int_list, metavar="LIST",
+    p.add_argument("--N", dest="n_list", type=_list_of(int, "integers"), metavar="LIST",
                    help="comma-separated doubling chain of step counts")
     p.add_argument("--M", dest="m_intervals", type=int, metavar="INT",
                    help="number of spatial subintervals (even)")
     p.add_argument("--gamma", type=float, help="mesh grading exponent")
-    p.add_argument("--alpha", dest="alphas", type=_parse_float_list,
+    p.add_argument("--alpha", dest="alphas", type=_list_of(float, "numbers"),
                    metavar="LIST", help="comma-separated error weights")
     p.add_argument("--reference", choices=("transform", "modal"),
                    help="exact-solution route for the error")
-    p.add_argument("--mode-cap", dest="mode_cap", type=int, metavar="INT",
-                   help="mode cutoff for the modal reference")
     p.add_argument("--dry-run", action="store_true",
                    help="print the resolved configuration and exit")
     p.set_defaults(func=cmd_converge)
@@ -539,7 +516,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(parser, args)
+        config = resolve_config(args)
         return args.func(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

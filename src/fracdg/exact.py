@@ -3,7 +3,9 @@
 With diffusivity kappa = 4/pi^2 and homogeneous Dirichlet conditions the
 operator -(kappa u_x)_x has eigenvalues m^2 and orthonormal
 eigenfunctions sin(m pi (x+1)/2), so each Fourier mode decays like
-E_nu(-m^2 t^nu) and the field is a sine series.  For the constant
+E_nu(-m^2 t^nu) and the field is a sine series.  ``exact_field`` builds
+its sine table once for every time from t_min on and returns an
+evaluator t -> values, as ``laplace.inverter`` does.  For the constant
 initial value pi/4 the Laplace transform of the field also has the
 closed form (pi/4)(1/z)(1 - cosh(w x)/cosh(w)) with w = (pi/2) z^{nu/2},
 used by the convergence experiments as a mode-sum-free reference.
@@ -41,42 +43,51 @@ def _truncation_cutoff(lam, coefficients, t, nu, tol):
     return int(small[0]) if len(small) else len(w)
 
 
-def exact_field(order: FractionalOrder, coefficients, t, x_points,
-                tol: float = 1e-8) -> np.ndarray:
-    """u(x, t) by the truncated eigenfunction expansion.
+def exact_field(order: FractionalOrder, coefficients, x_points, t_min: float,
+                tol: float = 1e-8):
+    """u(x, t) by the truncated eigenfunction expansion; returns t -> values.
 
     coefficients[m-1] is the sine coefficient of mode m, eigenvalue m^2.
-    t is a time or an array of times; the result has shape
-    t.shape + (len(x_points),).  The given coefficients are taken as the
-    exact data: tol bounds, at each time, the L2 norm of the part of
-    that expansion the truncation drops, and says nothing about modes
-    beyond len(coefficients).  Modes with a zero coefficient are skipped.
-    Every time must be positive since the series of discontinuous data
-    converges too slowly at t = 0.
+    The given coefficients are taken as the exact data: tol bounds, at
+    each time, the L2 norm of the part of that expansion the truncation
+    drops, and says nothing about modes beyond len(coefficients).  The
+    cutoff only shrinks as t grows, so one sine table over the modes kept
+    at t_min serves every later time; modes with a zero coefficient are
+    skipped.  The evaluator takes a time or an array of times, all
+    >= t_min, and returns shape ``t.shape + (len(x_points),)``.  t_min
+    must be positive since the series of discontinuous data converges
+    too slowly at t = 0.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.ndim != 1 or len(coefficients) < 1:
         raise ValueError("coefficients must be a nonempty 1-d array")
-    times = np.asarray(t, dtype=float)
-    if not np.all(times > 0.0):
-        raise ValueError(f"t must be > 0, got {np.min(times)}")
+    if not t_min > 0.0:
+        raise ValueError(f"t_min must be > 0, got {t_min}")
     nu = order.nu
     lam = np.arange(1, len(coefficients) + 1, dtype=float) ** 2
-    flat_t = [float(ti) for ti in times.ravel()]
-    cuts = np.array([max(1, _truncation_cutoff(lam, coefficients, ti, nu, tol))
-                     for ti in flat_t])
-    live = np.flatnonzero(coefficients[:cuts.max(initial=1)])
-    kept = live[None, :] < cuts[:, None]
-    s = lam[live] * np.array([ti ** nu for ti in flat_t])[:, None]
-    weights = np.zeros(s.shape)
-    weights[kept] = mittag_leffler_neg_array(order, s[kept])[0]
-    weights *= coefficients[live]
-    # One sine table phi_m(x) over the kept modes, built in place.
+    top = max(1, _truncation_cutoff(lam, coefficients, t_min, nu, tol))
+    live = np.flatnonzero(coefficients[:top])
+    # One sine table phi_m(x) over the modes kept at t_min, built in place.
     x = np.asarray(x_points, dtype=float)
     table = np.outer(live + 1.0, x + 1.0)
     table *= 0.5 * math.pi
     np.sin(table, out=table)
-    return (weights @ table).reshape(times.shape + x.shape)
+
+    def evaluate(t):
+        times = np.asarray(t, dtype=float)
+        if not np.all(times >= t_min):
+            raise ValueError(f"t must be >= t_min={t_min}, got {np.min(times)}")
+        flat_t = [float(ti) for ti in times.ravel()]
+        cuts = np.array([max(1, _truncation_cutoff(lam, coefficients, ti, nu, tol))
+                         for ti in flat_t])
+        kept = live[None, :] < cuts[:, None]
+        s = lam[live] * np.array([ti ** nu for ti in flat_t])[:, None]
+        weights = np.zeros(s.shape)
+        weights[kept] = mittag_leffler_neg_array(order, s[kept])[0]
+        weights *= coefficients[live]
+        return (weights @ table).reshape(times.shape + x.shape)
+
+    return evaluate
 
 
 def constant_data_transform(order: FractionalOrder, x, z) -> np.ndarray:

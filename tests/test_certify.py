@@ -130,16 +130,11 @@ def test_phi_sweep_moderate():
     assert 0.0 < sweep.phi1 <= 1.1
     assert 0.0 < sweep.phi2 <= 1.1
     assert sweep.min_delta >= -1e-12
-    mu1, n1 = sweep.phi1_arg
-    assert mu1 * n1 ** 0.6 <= 1.0 + 1e-12
-    mu2, n2 = sweep.phi2_arg
-    assert mu2 * n2 ** 0.6 >= 1.0 - 1e-12
 
 
 def looped_phi(mu_grid, scan, nu):
     # point-by-point restatement of the weighted suprema
     phi1 = phi2 = -math.inf
-    arg1 = arg2 = (math.nan, 0)
     skipped = 0
     grid_rho, grid_delta, grid_ml_err = scan
     ns = np.arange(1, grid_rho.shape[1] + 1, dtype=float)
@@ -150,14 +145,10 @@ def looped_phi(mu_grid, scan, nu):
             if abs(delta) <= 10.0 * ml_err:
                 skipped += 1
                 continue
-            w = n ** (1.0 - 2.0 * nu) * delta / mu ** 2
-            if w > phi1:
-                phi1, arg1 = w, (mu, int(n))
+            phi1 = max(phi1, n ** (1.0 - 2.0 * nu) * delta / mu ** 2)
         if rho >= 1.0:
-            w = n ** (1.0 + nu) * mu * delta
-            if w > phi2:
-                phi2, arg2 = w, (mu, int(n))
-    return phi1, phi2, arg1, arg2, skipped
+            phi2 = max(phi2, n ** (1.0 + nu) * mu * delta)
+    return phi1, phi2, skipped
 
 
 @pytest.mark.parametrize("nu, mu_grid, n_max", [
@@ -170,14 +161,8 @@ def test_phi_sweep_equals_point_loop(nu, mu_grid, n_max):
     order = FractionalOrder(nu)
     sweep = phi_sweep(order, mu_grid=mu_grid, n_max=n_max)
     mus = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    phi1, phi2, arg1, arg2, skipped = looped_phi(
-        mus, delta_scan(order, mu_grid, n_max), nu)
+    phi1, phi2, skipped = looped_phi(mus, delta_scan(order, mu_grid, n_max), nu)
     assert (sweep.phi1, sweep.phi2, sweep.skipped) == (phi1, phi2, skipped)
-    assert sweep.phi2_arg == arg2
-    if phi1 == -math.inf:
-        assert math.isnan(sweep.phi1_arg[0]) and sweep.phi1_arg[1] == 0
-    else:
-        assert sweep.phi1_arg == arg1
 
 
 def test_lemma_integral_zero_inside_range():

@@ -40,7 +40,6 @@ def test_config_defaults_round_trip():
     {"alphas": (0.6, 2.5)},
     {"alphas": (0.6, 0.6)},
     {"reference": "series"},
-    {"mode_cap": 10},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -56,7 +55,22 @@ def test_digest_is_stable_and_sensitive():
 
 def test_digest_ignores_output_directory():
     assert RunConfig(out_dir="a").digest() == RunConfig(out_dir="b").digest()
-    assert RunConfig(quick=True).digest() != RunConfig().digest()
+    assert RunConfig(n_list=cli._QUICK_N).digest() != RunConfig().digest()
+
+
+@pytest.mark.parametrize("quick, spelled", [
+    (["converge", "--quick"], ["converge", "--N", "20,40,80,160", "--M", "80"]),
+    (["phi", "--quick"], ["phi", "--nu", "0.75"]),
+])
+def test_stamp_does_not_depend_on_how_sizes_are_spelled(quick, spelled, tmp_path,
+                                                        capsys):
+    files = []
+    for name, argv in (("quick", quick), ("spelled", spelled)):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        files.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    capsys.readouterr()
+    assert files[0] and files[0] == files[1]
 
 
 def test_quick_preset_swaps_sizes(capsys):
@@ -69,12 +83,6 @@ def test_quick_preset_swaps_sizes(capsys):
     out = capsys.readouterr().out
     assert "n_list = (20, 40)" in out
     assert "m_intervals = 80" in out
-
-
-def test_mode_cap_is_read_with_the_modal_reference(capsys):
-    assert main(["converge", "--reference", "modal", "--mode-cap", "100",
-                 "--dry-run"]) == 0
-    assert "mode_cap = 100" in capsys.readouterr().out
 
 
 # -- exit statuses -----------------------------------------------------------
@@ -109,6 +117,7 @@ def test_config_errors_exit_1(capsys):
     ["lemmas", "--config", "f"],
     ["converge", "--N", "80,abc", "--dry-run"],
     ["converge", "--quick", "--mode-cap", "100"],
+    ["converge", "--reference", "modal", "--mode-cap", "100"],
 ])
 def test_settings_a_subcommand_does_not_read_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -225,23 +234,31 @@ def test_same_study_in_two_directories_is_byte_identical(tmp_path, capsys):
     assert files[0] == files[1]
 
 
+def keep_references(monkeypatch):
+    # Wraps cli._reference; returns the list of (order, flat_x, evaluator)
+    # built.
+    built, reference = [], cli._reference
+
+    def kept_reference(config, order, flat_x, t_min):
+        evaluate = reference(config, order, flat_x, t_min)
+        built.append((order, flat_x, evaluate))
+        return evaluate
+
+    monkeypatch.setattr(cli, "_reference", kept_reference)
+    return built
+
+
 def test_converge_shares_one_transform_reference(monkeypatch):
     # One window chain per study, from the finest step to 1/2; at every
     # level of every N it agrees with a chain built for that N alone.
-    chains, built = [], []
-    chain, reference = cli.window_chain, cli._transform_reference
+    chains, chain = [], cli.window_chain
 
     def counted_chain(*args, **kwargs):
         chains.append(args)
         return chain(*args, **kwargs)
 
-    def kept_reference(order, flat_x, t_min):
-        evaluate = reference(order, flat_x, t_min)
-        built.append((order, flat_x, evaluate))
-        return evaluate
-
     monkeypatch.setattr(cli, "window_chain", counted_chain)
-    monkeypatch.setattr(cli, "_transform_reference", kept_reference)
+    built = keep_references(monkeypatch)
     config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M)
     _, samples = run_convergence(config)
     assert list(samples) == list(config.n_list)
@@ -253,6 +270,52 @@ def test_converge_shares_one_transform_reference(monkeypatch):
                        window_chain(1.0 / n_steps, 0.5, tol=cli._CONTOUR_TOL))
         gap = max(np.max(np.abs(shared(t) - own(t))) for t in times)
         assert gap <= cli._CONTOUR_TOL, (n_steps, gap)
+
+
+def test_converge_shares_one_modal_reference(monkeypatch):
+    # One exact_field build per study, for the times from the finest step on.
+    fields_built, field = [], cli.exact_field
+
+    def counted_field(order, coefficients, flat_x, t_min, **kwargs):
+        fields_built.append(t_min)
+        return field(order, coefficients, flat_x, t_min, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_field", counted_field)
+    built = keep_references(monkeypatch)
+    config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
+                       reference="modal")
+    _, samples = run_convergence(config)
+    assert list(samples) == list(config.n_list)
+    assert len(built) == 1
+    assert fields_built == [1.0 / max(config.n_list)]
+
+
+def test_reference_routes_agree(tmp_path, capsys):
+    # Every CSV cell of the quick study, transform route against modal.
+    files = {}
+    for route in ("transform", "modal"):
+        out = tmp_path / route
+        assert main(["converge", "--quick", "--reference", route,
+                     "--out", str(out)]) == 0
+        files[route] = {p.name: read_csv(p) for p in sorted(out.glob("*.csv"))}
+    capsys.readouterr()
+    assert len(files["transform"]) == 5
+    assert files["transform"].keys() == files["modal"].keys()
+    for name, (header, rows) in files["transform"].items():
+        modal_header, modal_rows = files["modal"][name]
+        assert modal_header == header and len(modal_rows) == len(rows)
+        for row, modal_row in zip(rows, modal_rows):
+            for column, a, b in zip(header, row, modal_row):
+                if column in ("t", "N"):
+                    assert a == b, (name, column)
+                elif column.startswith("rate_"):
+                    if a == "nan":
+                        assert b == "nan", (name, column)
+                    else:
+                        assert abs(float(a) - float(b)) <= 1e-7, (name, column)
+                else:
+                    assert float(b) == pytest.approx(float(a), rel=1e-7, abs=0), \
+                        (name, column)
 
 
 def test_files_do_not_depend_on_import_order(tmp_path):

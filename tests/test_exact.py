@@ -33,9 +33,10 @@ def test_initial_data_norm_converges():
 
 
 def test_exact_field_requires_positive_time():
-    with pytest.raises(ValueError):
-        exact_field(FractionalOrder(0.5), quarter_pi_coefficients(10), 0.0,
-                    np.array([0.0]))
+    data = quarter_pi_coefficients(10)
+    for t_min in (0.0, -0.2, math.nan):
+        with pytest.raises(ValueError):
+            exact_field(FractionalOrder(0.5), data, np.array([0.0]), t_min)
 
 
 def test_exact_field_over_times_matches_single_times():
@@ -43,27 +44,28 @@ def test_exact_field_over_times_matches_single_times():
     data = quarter_pi_coefficients(3000)
     x = np.linspace(-0.99, 0.99, 23)
     times = np.array([1e-3, 0.01, 0.05, 0.2, 0.5, 2.0])
-    batch = exact_field(order, data, times, x)
+    field = exact_field(order, data, x, times[0])
+    batch = field(times)
     assert batch.shape == (len(times), len(x))
-    single = np.stack([exact_field(order, data, t, x) for t in times])
+    single = np.stack([exact_field(order, data, x, t)(t) for t in times])
     assert np.max(np.abs(batch - single)) <= 1e-14
-    grid = exact_field(order, data, times.reshape(2, 3), x)
+    grid = field(times.reshape(2, 3))
     assert np.array_equal(grid.reshape(batch.shape), batch)
 
 
-def test_exact_field_rejects_any_nonpositive_time():
-    data = quarter_pi_coefficients(10)
-    for times in ([0.1, 0.0], [0.1, -0.2, 0.3]):
+def test_exact_field_rejects_times_before_t_min():
+    field = exact_field(FractionalOrder(0.5), quarter_pi_coefficients(10),
+                        np.array([0.0]), 0.1)
+    for times in ([0.1, 0.0], [0.1, -0.2, 0.3], [0.2, 0.05], [math.nan]):
         with pytest.raises(ValueError):
-            exact_field(FractionalOrder(0.5), data, np.array(times),
-                        np.array([0.0]))
+            field(np.array(times))
 
 
 def test_exact_field_matches_brute_force():
     order = FractionalOrder(0.75)
     data = quarter_pi_coefficients(8000)
     x = np.linspace(-0.95, 0.95, 9)
-    fast = exact_field(order, data, 0.02, x, tol=1e-9)
+    fast = exact_field(order, data, x, 0.02, tol=1e-9)(0.02)
     lam = np.arange(1, 8001, dtype=float) ** 2
     slow = np.zeros_like(x)
     for m in range(1, 8001, 2):
@@ -79,7 +81,7 @@ def test_exact_field_general_coefficients_match_brute_force():
     data = np.arange(1, 401, dtype=float) ** -2
     x = np.linspace(-0.95, 0.95, 9)
     t = 0.01
-    fast = exact_field(order, data, t, x, tol=1e-12)
+    fast = exact_field(order, data, x, t, tol=1e-12)(t)
     slow = np.zeros_like(x)
     for m in range(1, 401):
         coeff = data[m - 1] * mittag_leffler_neg_with_error(
@@ -92,8 +94,8 @@ def test_exact_field_even_symmetry():
     order = FractionalOrder(0.6)
     data = quarter_pi_coefficients(2000)
     x = np.linspace(0.05, 0.9, 6)
-    left = exact_field(order, data, 0.1, -x)
-    right = exact_field(order, data, 0.1, x)
+    left = exact_field(order, data, -x, 0.1)(0.1)
+    right = exact_field(order, data, x, 0.1)(0.1)
     assert np.allclose(left, right, rtol=0, atol=1e-12)
 
 
@@ -102,7 +104,7 @@ def test_exact_field_even_symmetry():
 def test_exact_field_bounded_by_data(t, xi):
     order = FractionalOrder(0.5)
     data = quarter_pi_coefficients(3000)
-    value = exact_field(order, data, t, np.array([xi]))[0]
+    value = exact_field(order, data, np.array([xi]), t)(t)[0]
     # the solution stays between 0 and the initial plateau (up to the
     # truncated tail's wiggle room near t = 0)
     assert -1e-3 <= value <= 0.25 * math.pi + 1e-3

@@ -11,11 +11,17 @@ matrix form
 (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j.
 Both run in one time loop, which sums the stored trajectory; the
 Galerkin step then applies K once to that sum.  The history sum is a
-direct O(N^2) convolution whose terms are added one at a time in
-ascending j, without BLAS, so trajectories are bit-identical from run
-to run and do not depend on the BLAS thread count.
+direct O(N^2) convolution, taken in tiles of _TILE future steps: one
+pass over the stored trajectory at the start of a tile serves every
+step of the tile, so the trajectory is read _TILE times less often.
+Each step's sum still gets its terms one at a time in ascending j, a
+multiply then an add, without BLAS, so trajectories are bit-identical
+to the plain per-step loop, from run to run, and whatever the BLAS
+thread count.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +46,14 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        try:
+            n_steps = operator.index(self.n_steps)
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}") from None
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
 
 
 def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
@@ -83,28 +93,45 @@ def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
     return beta
 
 
+# Steps per tile of the history sum.  The tile's partial sums, _TILE rows
+# of the trajectory's width, stay in cache while one pass streams the
+# stored trajectory.  On a 2-vCPU Xeon, tiles of 4 to 16 steps timed
+# within 10% of each other at 249 to 4,000 columns; 24 was slower at 249
+# and 999 columns.
+_TILE = 8
+
+
 def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance) -> np.ndarray:
     """The one time loop: u[n] = advance(u[n-1], hist), u[0] = u0.
 
     hist = sum_{j=1}^{n-1} beta_{n-j} u[j] over the stored trajectory, an
-    empty sum (zeros) at n = 1.  The weights are reversed once into a
-    contiguous array, so step n reads rev[N-n:N-1] against u[1:n] with
-    unit strides.  einsum adds the terms row by row for ascending j, the
-    order of the plain loop.  On a single column it would switch to a
-    blocked SIMD reduction instead; that case keeps the negative-stride
-    product, which numpy evaluates outside BLAS as one running sum in the
-    same order.
+    empty sum (zeros) at n = 1.  Steps go in tiles of _TILE.  At the start
+    n0 of a tile, one einsum fills acc[i] with the terms j < n0 of step
+    n0 + i, for every i at once.  Its weight block T[i, j] = beta_{n0+i-j}
+    is a reversed column slice of a Fortran-ordered Hankel table, so
+    einsum runs with j outermost, then i, then the columns, and adds each
+    term to each acc[i, k] as a separate multiply and add, in ascending j,
+    outside BLAS.  After step n = n0 + i, its row u[n] is added to the
+    later rows of acc, the terms j = n that those steps still lack, which
+    continues the ascending order.  The table and acc always have _TILE
+    rows (the weights are padded with zeros past beta_{n_steps-1}), so
+    einsum's innermost loop never becomes a blocked reduction over j,
+    even on one column.
     """
-    rev = np.ascontiguousarray(beta[::-1])
-    top = len(beta)
+    tile = _TILE
+    padded = np.zeros(len(beta) + tile)
+    padded[:len(beta)] = beta
+    # hankel[i, m] = beta_{m+i}, Fortran-ordered: each column is contiguous
+    hankel = padded[np.add.outer(np.arange(n_steps), np.arange(tile))].T
     u = np.zeros((n_steps + 1, len(u0)))
     u[0] = u0
-    for n in range(1, n_steps + 1):
-        if u.shape[1] == 1:
-            hist = beta[n - 1:0:-1] @ u[1:n]
-        else:
-            hist = np.einsum("i,ij->j", rev[top - n:top - 1], u[1:n])
-        u[n] = advance(u[n - 1], hist)
+    acc = np.empty((tile, len(u0)))
+    for n0 in range(1, n_steps + 1, tile):
+        np.einsum("ij,jk->ik", hankel[:, n0 - 1:0:-1], u[1:n0], out=acc)
+        for i in range(min(tile, n_steps + 1 - n0)):
+            n = n0 + i
+            u[n] = advance(u[n - 1], acc[i])
+            acc[i + 1:] += padded[1:tile - i, None] * u[n]
     return u
 
 
@@ -120,8 +147,8 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
     u0 = np.asarray(u0_coeffs, dtype=float)
     if lam.shape != u0.shape or lam.ndim != 1:
         raise ValueError("eigenvalues and u0_coeffs must be 1-d of equal length")
-    if np.any(lam < 0.0):
-        raise ValueError("eigenvalues must be >= 0")
+    if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+        raise ValueError("eigenvalues must be finite and >= 0")
     beta = dg_weights(order, grid.n_steps)
     mu = lam * grid.dt ** order.nu
     denom = 1.0 + beta[0] * mu

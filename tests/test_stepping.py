@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdg import stepping
 from fracdg.fem1d import assemble, graded_mesh, l2_project
 from fracdg.special import FractionalOrder
 from fracdg.stepping import TimeGrid, dg_weights, step_galerkin, step_spectral
@@ -79,6 +80,25 @@ def test_time_grid_validation():
         TimeGrid(0.0, 5)
     with pytest.raises(ValueError):
         TimeGrid(0.1, 0)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_time_grid_rejects_nonfinite_or_negative_dt(dt):
+    with pytest.raises(ValueError):
+        TimeGrid(dt, 3)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 3.0, "3", None])
+def test_time_grid_rejects_non_integer_steps(n_steps):
+    with pytest.raises(ValueError):
+        TimeGrid(0.1, n_steps)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_spectral_rejects_nonfinite_or_negative_eigenvalues(bad):
+    with pytest.raises(ValueError):
+        step_spectral(FractionalOrder(0.5), [1.0, bad], [1.0, 1.0],
+                      TimeGrid(0.1, 4))
 
 
 def test_single_step_reference():
@@ -211,6 +231,87 @@ def test_spectral_history_order_is_pinned(nu):
         u[n] = (u[n - 1] - mus * acc) / (1.0 + beta[0] * mus)
     traj = step_spectral(order, mus, np.ones(mus.size), grid)
     assert np.array_equal(traj, u)
+
+
+def plain_spectral(order, lams, u0, grid):
+    # the spectral recurrence as a plain loop, the history summed one term
+    # at a time for ascending j
+    beta = dg_weights(order, grid.n_steps)
+    mu = lams * grid.dt ** order.nu
+    u = np.zeros((grid.n_steps + 1, len(u0)))
+    u[0] = u0
+    for n in range(1, grid.n_steps + 1):
+        acc = np.zeros(len(u0))
+        for j in range(1, n):
+            acc += beta[n - j] * u[j]
+        u[n] = (u[n - 1] - mu * acc) / (1.0 + beta[0] * mu)
+    return u
+
+
+TILE = stepping._TILE
+# the last entry ends on a one-step tile after a long history
+TILE_EDGES = [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5, 16 * TILE + 1]
+
+
+@pytest.mark.parametrize("n_steps", TILE_EDGES)
+@pytest.mark.parametrize("cols", [1, 2, 39])
+def test_spectral_equals_plain_loop_at_tile_edges(n_steps, cols):
+    order = FractionalOrder(0.3)
+    grid = TimeGrid(0.01, n_steps)
+    lams = np.geomspace(37.0, 5e4, cols)
+    u0 = np.linspace(1.0, -0.5, cols)
+    traj = step_spectral(order, lams, u0, grid)
+    assert np.array_equal(traj, plain_spectral(order, lams, u0, grid))
+
+
+@pytest.mark.parametrize("n_steps", TILE_EDGES)
+@pytest.mark.parametrize("ndof", [1, 2, 39])
+def test_galerkin_equals_plain_loop_at_tile_edges(n_steps, ndof):
+    # leading blocks of the 39-DOF system, which stay symmetric positive
+    # definite
+    order = FractionalOrder(0.75)
+    mesh = graded_mesh(40, 2.0)
+    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass = mats.mass[:ndof, :ndof]
+    stiff = mats.stiff[:ndof, :ndof]
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[:ndof]
+    grid = TimeGrid(1.0 / 64, n_steps)
+    fast = step_galerkin(order, mass, stiff, grid, u0)
+    slow = ordered_galerkin(order, mass, stiff, grid, u0)
+    assert np.array_equal(fast, slow)
+
+
+def gather_march(beta, u0, n_steps, advance):
+    # the per-step gather the tiled loop replaced: step n contracts the
+    # reversed weights with the whole stored trajectory
+    rev = np.ascontiguousarray(beta[::-1])
+    top = len(beta)
+    u = np.zeros((n_steps + 1, len(u0)))
+    u[0] = u0
+    for n in range(1, n_steps + 1):
+        if u.shape[1] == 1:
+            hist = beta[n - 1:0:-1] @ u[1:n]
+        else:
+            hist = np.einsum("i,ij->j", rev[top - n:top - 1], u[1:n])
+        u[n] = advance(u[n - 1], hist)
+    return u
+
+
+def test_tiled_march_equals_per_step_gather_bitwise():
+    # 249 columns, as in the long-history study, over 1,003 steps so the
+    # last tile is partial
+    order = FractionalOrder(0.3)
+    n_steps = 1003
+    beta = dg_weights(order, n_steps)
+    mus = (math.pi * np.arange(1, 250)) ** 2 * (1.0 / n_steps) ** order.nu
+    u0 = 1.0 / np.arange(1, 250)
+    denom = 1.0 + beta[0] * mus
+
+    def advance(prev, hist):
+        return (prev - mus * hist) / denom
+
+    tiled = stepping._march(beta, u0, n_steps, advance)
+    assert np.array_equal(tiled, gather_march(beta, u0, n_steps, advance))
 
 
 def test_galerkin_rejects_singular_system():

@@ -10,11 +10,12 @@ harness.
 
 import os
 
-# The time stepping and the error norms call no BLAS; only the reference
-# products (contour sums, modal sine tables) do.  Single-threaded BLAS keeps
-# their reduction order fixed, so repeated runs of the CSV-emitting
-# workflows are byte-identical.  An explicit setting wins, and the setting
-# has no effect if numpy was imported first.
+# The time stepping and the error norms call no BLAS: every history
+# contraction, direct or through exponential sums, is an einsum.  Only the
+# reference products (contour sums, modal sine tables) use BLAS.
+# Single-threaded BLAS keeps their reduction order fixed, so repeated runs
+# of the CSV-emitting workflows are byte-identical.  An explicit setting
+# wins, and the setting has no effect if numpy was imported first.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

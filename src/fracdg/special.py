@@ -45,7 +45,6 @@ __all__ = [
     "symbol_integral",
     "symbol_cut",
     "symbol_asym_origin",
-    "symbol_asym_left",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -600,13 +599,3 @@ def symbol_asym_origin(order: FractionalOrder, z: complex) -> complex:
     z = complex(z)
     nu = order.nu
     return z ** -nu + 0.5 * z ** (1.0 - nu) + order.zeta_neg / order.gamma_1p * z
-
-
-def symbol_asym_left(order: FractionalOrder, z: complex) -> complex:
-    """Leading behaviour for Re z -> -inf inside the strip 0 < Im z < pi.
-
-    psi(z) ~ (sin(pi nu)/(pi nu)) (i pi - z)^{-nu}.
-    """
-    z = complex(z)
-    nu = order.nu
-    return order.sin_pi / (math.pi * nu) * (1j * math.pi - z) ** -nu

@@ -10,14 +10,21 @@ once (the scalar recurrence is a one-column call), and the Galerkin
 matrix form
 (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j.
 Both run in one time loop, which sums the stored trajectory; the
-Galerkin step then applies K once to that sum.  The history sum is a
-direct O(N^2) convolution, taken in tiles of _TILE future steps: one
-pass over the stored trajectory at the start of a tile serves every
-step of the tile, so the trajectory is read _TILE times less often.
-Each step's sum still gets its terms one at a time in ascending j, a
-multiply then an add, without BLAS, so trajectories are bit-identical
-to the plain per-step loop, from run to run, and whatever the BLAS
-thread count.
+Galerkin step then applies K once to that sum.  The history sum goes in
+tiles of _TILE future steps: one pass over the stored rows at the start
+of a tile serves every step of the tile.
+
+Runs shorter than _SOE_FROM steps sum the whole history directly, an
+O(N^2) convolution.  Each step's sum gets its terms one at a time in
+ascending j, a multiply then an add, so these trajectories are
+bit-identical to the plain per-step loop.  Longer runs keep the exact
+weights only for lags below _J0 and carry all older rows in a sum of
+exponentials, beta_j ~= sum_q w_q e^{-p_q j}, one running sum per node,
+so a step costs O(len(p)) rows and a run grows linearly in N.  Those
+trajectories move from the direct sum's by round-off, at most about
+5e-14 of the largest initial value in the tests.  Every contraction is
+an einsum in a fixed order, outside BLAS, so either way trajectories
+are the same from run to run and whatever the BLAS thread count.
 """
 
 import math
@@ -76,6 +83,10 @@ def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
     an even-power binomial series for large j, where naive subtraction
     would lose about 2*log10(j) digits.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"need n >= 1 weights, got {n}")
     nu = order.nu
@@ -100,8 +111,68 @@ def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
 # and 999 columns.
 _TILE = 8
 
+# Far history.  For j >= 1,
+#     beta_j = c int_0^inf p^{-1-nu} e^{-p(j-1)} (1 - e^{-p})^2 dp
+#            = c int_0^inf p^{-1-nu} 4 sinh^2(p/2) e^{-pj} dp,
+# c = nu (nu - 1) / (Gamma(2 - nu) Gamma(1 + nu)), a completely monotone
+# tail, so a trapezoid rule in log p gives beta_j ~= sum_q w_q e^{-p_q j}
+# for every lag j >= _J0 (Jiang, Zhang, Zhang & Zhang, Commun. Comput.
+# Phys. 21 (2017) 650; McLean, SIAM J. Sci. Comput. 34 (2012) A3039).
+# Lags below _J0 keep the exact weights.  The rule's top node is
+# p = 60/(_J0 - 1), where e^{-p _J0} is below 1e-26, so each halving of _J0
+# adds about three nodes while each doubling adds _J0 exact rows per tile;
+# at 2,560 steps, _J0 = 8 and 32 timed 0-20% slower than 16 at 39, 249 and
+# 999 columns.
+_J0 = 16
+# Step of the rule in log p.  Its error is the rule's aliasing term, about
+# exp(-pi^2/h) times a power of 1/h: against 40-digit second differences at
+# nu in {0.1, 0.3, 0.5, 0.75, 0.95, 0.999} and 16 <= j <= n_steps in
+# {1024, 5120}, h = 1/4 is within 3.8e-15 relative, h = 9/32 within 2.3e-13
+# and h = 5/16 within 6.7e-12.  A power of two keeps every node exactly h
+# from the next in log p.
+_SOE_H = 0.25
+# Lowest node p_lo = _SOE_P_LO / n_steps.  The rule's nodes below p_lo fold
+# into one p = 0 node, their sum taken with the integrand replaced by its
+# small-p form c p^{2-nu}.  That form is off by O(p j) <= O(_SOE_P_LO), and
+# the weight error falls about 100-fold per decade of _SOE_P_LO: 3.7e-13
+# relative at 1e-6 (nu = 0.999, j = 5120), under the aliasing floor at
+# 1e-7.  1e-8 leaves a margin of about 100; the rule then has 109 nodes
+# at 1,024 steps and 116 at 5,120.
+_SOE_P_LO = 1e-8
+# Runs of at least this many steps carry the far history in exponential
+# sums; shorter runs sum the whole history directly.  On a 2-vCPU Xeon the
+# sums were slower up to 512 steps and faster from 640-768 steps on
+# (step_galerkin at 249 and 999 DOF, step_spectral at 1, 39 and 249
+# columns); at 1,024 steps they took 0.60-0.90 of the direct time.  The
+# first power of two past the crossover also keeps the default study (at
+# most 640 steps) and the kernel scans on the direct sum, bit for bit.
+_SOE_FROM = 1024
 
-def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance) -> np.ndarray:
+
+def _far_nodes(order: FractionalOrder, n_steps: int):
+    """Nodes p_q, weights w_q: beta_j ~= sum_q w_q exp(-p_q j), _J0 <= j <= n_steps.
+
+    None for runs shorter than _SOE_FROM, which sum their history
+    directly, and at nu = 1, where every beta_j with j >= 1 is zero.
+    The first node is p = 0: it carries the rule's nodes below p_lo.
+    """
+    nu = order.nu
+    if n_steps < _SOE_FROM or nu == 1.0:
+        return None
+    c = nu * (nu - 1.0) / (math.gamma(2.0 - nu) * order.gamma_1p)
+    h = _SOE_H
+    s_top = math.log(60.0 / (_J0 - 1))
+    count = math.ceil((s_top - math.log(_SOE_P_LO / n_steps)) / h)
+    p = np.exp(s_top - h * np.arange(count, -1, -1.0))
+    w = (c * h) * p ** -nu * (2.0 * np.sinh(0.5 * p)) ** 2
+    # h * sum_{k>=1} c (p_lo e^{-kh})^{2-nu}: the rule continued below p_lo
+    a = 2.0 - nu
+    w_zero = c * h * p[0] ** a / math.expm1(a * h)
+    return np.concatenate(([0.0], p)), np.concatenate(([w_zero], w))
+
+
+def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance,
+           far=None) -> np.ndarray:
     """The one time loop: u[n] = advance(u[n-1], hist), u[0] = u0.
 
     hist = sum_{j=1}^{n-1} beta_{n-j} u[j] over the stored trajectory, an
@@ -117,6 +188,14 @@ def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance) -> np.ndarra
     rows (the weights are padded with zeros past beta_{n_steps-1}), so
     einsum's innermost loop never becomes a blocked reduction over j,
     even on one column.
+
+    far = (p, w) from _far_nodes switches the rows j <= n0 - _J0 to
+    exponential sums: S[q] = sum_{j <= n0-_J0} e^{-p_q (n0-j)} u[j], and
+    acc[i] starts from sum_q w_q e^{-p_q i} S[q] plus the Hankel block over
+    only the last _J0 - 1 stored rows.  After the tile, S moves on by
+    _TILE steps, S = e^{-_TILE p} S + sum of the _TILE rows that reach lag
+    _J0, so a step costs O(len(p)) rows instead of O(n).  With far=None
+    the loop is the direct sum above, bit for bit.
     """
     tile = _TILE
     padded = np.zeros(len(beta) + tile)
@@ -126,12 +205,32 @@ def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance) -> np.ndarra
     u = np.zeros((n_steps + 1, len(u0)))
     u[0] = u0
     acc = np.empty((tile, len(u0)))
+    if far is not None:
+        p, w = far
+        lags = np.arange(tile)
+        # Fortran order again keeps every innermost loop running over the
+        # tile or the nodes, never a blocked reduction, even on one column
+        to_acc = np.asfortranarray(w * np.exp(-np.outer(lags, p)))
+        to_far = np.asfortranarray(np.exp(-np.outer(p, _J0 + tile - 1 - lags)))
+        decay = np.exp(-tile * p)[:, None]
+        far_sums = np.zeros((len(p), len(u0)))
     for n0 in range(1, n_steps + 1, tile):
-        np.einsum("ij,jk->ik", hankel[:, n0 - 1:0:-1], u[1:n0], out=acc)
+        lo = 1 if far is None else max(1, n0 - _J0 + 1)
+        np.einsum("ij,jk->ik", hankel[:, n0 - lo:0:-1], u[lo:n0], out=acc)
+        if far is not None:
+            acc += np.einsum("iq,qk->ik", to_acc, far_sums)
         for i in range(min(tile, n_steps + 1 - n0)):
             n = n0 + i
             u[n] = advance(u[n - 1], acc[i])
             acc[i + 1:] += padded[1:tile - i, None] * u[n]
+        if far is not None:
+            # rows first..first+tile-1 reach lag _J0 at the next tile
+            first = n0 - _J0 + 1
+            skip = max(0, 1 - first)
+            far_sums *= decay
+            if skip < tile:
+                far_sums += np.einsum("qr,rk->qk", to_far[:, skip:],
+                                      u[first + skip:first + tile])
     return u
 
 
@@ -152,7 +251,8 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
     beta = dg_weights(order, grid.n_steps)
     mu = lam * grid.dt ** order.nu
     denom = 1.0 + beta[0] * mu
-    return _march(beta, u0, grid.n_steps, lambda prev, hist: (prev - mu * hist) / denom)
+    return _march(beta, u0, grid.n_steps, lambda prev, hist: (prev - mu * hist) / denom,
+                  _far_nodes(order, grid.n_steps))
 
 
 def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
@@ -176,4 +276,5 @@ def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
     except RuntimeError as exc:
         raise ValueError(f"singular stepping system: {exc}") from exc
     return _march(beta, u0, grid.n_steps,
-                  lambda prev, hist: solver.solve(mass @ prev - dtn * (stiff @ hist)))
+                  lambda prev, hist: solver.solve(mass @ prev - dtn * (stiff @ hist)),
+                  _far_nodes(order, grid.n_steps))

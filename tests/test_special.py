@@ -12,7 +12,6 @@ from fracdg.special import (
     QuadratureError,
     mittag_leffler_neg_array,
     mittag_leffler_neg_with_error,
-    symbol_asym_left,
     symbol_asym_origin,
     symbol_cut,
     symbol_integral,
@@ -239,6 +238,14 @@ def test_symbol_origin_expansion_order():
         target = 2.0 ** (2.0 - nu)
         for r0, r1 in zip(res, res[1:]):
             assert r0 / r1 == pytest.approx(target, rel=0.15)
+
+
+def symbol_asym_left(order, z):
+    # leading behaviour for Re z -> -inf inside the strip 0 < Im z < pi:
+    # psi(z) ~ (sin(pi nu)/(pi nu)) (i pi - z)^{-nu}
+    z = complex(z)
+    nu = order.nu
+    return order.sin_pi / (math.pi * nu) * (1j * math.pi - z) ** -nu
 
 
 def test_symbol_left_asymptote():

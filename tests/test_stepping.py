@@ -75,6 +75,12 @@ def test_weights_telescoping(nu, j):
     assert total == pytest.approx(stable_partial_sum(order, j), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, "3", None])
+def test_weights_reject_non_integer_count(n):
+    with pytest.raises(ValueError):
+        dg_weights(FractionalOrder(0.5), n)
+
+
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 5)
@@ -109,11 +115,14 @@ def test_single_step_reference():
 
 
 def test_classical_trajectory_closed_form():
+    # the second length is past the far-history crossover, where nu = 1
+    # keeps the direct sum (every far weight is zero)
     order = FractionalOrder(1.0)
-    for mu in (0.25, 1.0, 4.0):
-        u = one_mode(order, mu, 1.0, TimeGrid(1.0, 40))
-        want = (1.0 + mu) ** -np.arange(41)
-        assert np.max(np.abs(u - want)) <= 1e-14
+    for n_steps in (40, stepping._SOE_FROM + 9):
+        for mu in (0.25, 1.0, 4.0):
+            u = one_mode(order, mu, 1.0, TimeGrid(1.0, n_steps))
+            want = (1.0 + mu) ** -np.arange(n_steps + 1)
+            assert np.max(np.abs(u - want)) <= 1e-14
 
 
 @given(nu=st.floats(0.05, 1.0), log_mu=st.floats(-6.0, 6.0))
@@ -175,15 +184,16 @@ def test_galerkin_matches_dense_restatement():
 
 
 def test_spectral_columns_equal_scalar_runs_bitwise():
-    # the kernel scan's 39-point mu grid with dt = 1, so lam = mu
-    grid = TimeGrid(1.0, 200)
+    # the kernel scan's 39-point mu grid with dt = 1, so lam = mu; the
+    # second grid is past the far-history crossover
     mus = 2.0 ** np.arange(-18, 21, dtype=float)
-    for nu in (0.3, 0.75):
-        order = FractionalOrder(nu)
-        traj = step_spectral(order, mus, np.ones(mus.size), grid)
-        for k, mu in enumerate(mus):
-            u = one_mode(order, mu, 1.0, grid)
-            assert np.array_equal(traj[:, k], u)
+    for grid in (TimeGrid(1.0, 200), TimeGrid(1.0, stepping._SOE_FROM + 9)):
+        for nu in (0.3, 0.75):
+            order = FractionalOrder(nu)
+            traj = step_spectral(order, mus, np.ones(mus.size), grid)
+            for k, mu in enumerate(mus):
+                u = one_mode(order, mu, 1.0, grid)
+                assert np.array_equal(traj[:, k], u)
 
 
 def ordered_galerkin(order, mass, stiff, grid, u0):
@@ -312,6 +322,94 @@ def test_tiled_march_equals_per_step_gather_bitwise():
 
     tiled = stepping._march(beta, u0, n_steps, advance)
     assert np.array_equal(tiled, gather_march(beta, u0, n_steps, advance))
+
+
+def beta_multiprecision(mpmath, nu, j):
+    # the second difference of j^nu / Gamma(1+nu) at 40 digits
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(nu)
+        j = mpmath.mpf(j)
+        return float(((j + 1) ** nu - 2 * j ** nu + (j - 1) ** nu)
+                     / mpmath.gamma(1 + nu))
+
+
+@pytest.mark.parametrize("n_steps", [stepping._SOE_FROM, 5120])
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.75, 0.95, 0.999])
+def test_far_weights_match_multiprecision(nu, n_steps):
+    # measured worst case 3.8e-15 relative (nu = 0.1, j = 177 of 5,120),
+    # the trapezoid rule's aliasing term at h = 1/4
+    mpmath = pytest.importorskip("mpmath")
+    p, w = stepping._far_nodes(FractionalOrder(nu), n_steps)
+    for j in np.unique(np.geomspace(stepping._J0, n_steps, 25).round()):
+        far = float(np.sum(w * np.exp(-p * j)))
+        want = beta_multiprecision(mpmath, nu, j)
+        assert abs(far - want) <= 1e-14 * abs(want), j
+
+
+def test_far_history_only_from_the_crossover():
+    order = FractionalOrder(0.5)
+    assert stepping._far_nodes(order, stepping._SOE_FROM - 1) is None
+    assert stepping._far_nodes(order, stepping._SOE_FROM) is not None
+    assert stepping._far_nodes(FractionalOrder(1.0), 5120) is None
+
+
+def test_spectral_below_crossover_equals_plain_loop():
+    n_steps = stepping._SOE_FROM - 1
+    order = FractionalOrder(0.3)
+    grid = TimeGrid(1.0 / n_steps, n_steps)
+    lams = np.array([9.87, 2.5e4])
+    u0 = np.array([1.0, -0.5])
+    traj = step_spectral(order, lams, u0, grid)
+    assert np.array_equal(traj, plain_spectral(order, lams, u0, grid))
+
+
+SOE_LENGTHS = [stepping._SOE_FROM + k for k in (0, 1, 7, 8, 9)]
+SOE_ORDERS = [0.1, 0.3, 0.75, 0.95]
+
+
+def direct_sum(monkeypatch, n_steps, run):
+    # the same public call with the crossover moved past the run
+    with monkeypatch.context() as patch:
+        patch.setattr(stepping, "_SOE_FROM", n_steps + 1)
+        return run()
+
+
+@pytest.mark.parametrize("nu", SOE_ORDERS)
+@pytest.mark.parametrize("n_steps", SOE_LENGTHS)
+@pytest.mark.parametrize("cols", [1, 2, 39, 249])
+def test_spectral_far_history_matches_direct_sum(cols, n_steps, nu, monkeypatch):
+    # measured worst case 9.3e-15 * max|u0| (nu = 0.1, every width); most
+    # of it is the direct sum's own weight error at 16 <= j <= 64, which
+    # against 40-digit weights is larger than the exponential sums' error
+    order = FractionalOrder(nu)
+    grid = TimeGrid(1.0 / n_steps, n_steps)
+    lams = (math.pi * np.arange(1, cols + 1)) ** 2
+    u0 = np.linspace(1.0, -0.5, cols)
+
+    def run():
+        return step_spectral(order, lams, u0, grid)
+
+    far = run()
+    direct = direct_sum(monkeypatch, n_steps, run)
+    assert np.max(np.abs(far - direct)) <= 2e-14 * np.max(np.abs(u0))
+
+
+@pytest.mark.parametrize("nu", SOE_ORDERS)
+@pytest.mark.parametrize("n_steps", SOE_LENGTHS)
+def test_galerkin_far_history_matches_direct_sum(n_steps, nu, monkeypatch):
+    # 39 DOF; measured worst case 5.2e-14 * max|u0| (nu = 0.1)
+    order = FractionalOrder(nu)
+    mesh = graded_mesh(40, 2.0)
+    mats = assemble(4.0 / math.pi ** 2, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
+    grid = TimeGrid(1.0 / n_steps, n_steps)
+
+    def run():
+        return step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+
+    far = run()
+    direct = direct_sum(monkeypatch, n_steps, run)
+    assert np.max(np.abs(far - direct)) <= 1e-13 * np.max(np.abs(u0))
 
 
 def test_galerkin_rejects_singular_system():

@@ -58,12 +58,12 @@ _QUICK_N = (20, 40, 80, 160)
 _QUICK_M = 80
 # Time levels per error-norm call.
 _LEVEL_CHUNK = 16
-# Accuracy of the converge references: the contour windows of the
-# transform route, and the truncation of the modal route's expansion
-# over its first _MODE_CAP modes.  The modes above _MODE_CAP are left
-# out of the modal reference and of this tolerance.
+# Accuracy of the contour windows of the transform reference.
 _CONTOUR_TOL = 1e-13
-_FIELD_TOL = 1e-8
+# Modes of the pi/4 data in the modal reference.  By the tail bound the
+# odd modes left out are worth 2.8e-8 in L2 at t = 1/160 and 1.3e-7 at
+# t = 1/1280 (nu = 0.75), yet the quick study's printed errors stay within
+# 1.3e-9 relative of the transform route.
 _MODE_CAP = 4000
 
 # Regression baseline for the default configuration (per alpha: weighted
@@ -173,8 +173,7 @@ def resolve_config(args) -> RunConfig:
 def _reference(config: RunConfig, order: FractionalOrder, flat_x, t_min):
     """The exact field on [t_min, 1/2] by the configured route; t -> values."""
     if config.reference == "modal":
-        return exact_field(order, quarter_pi_coefficients(_MODE_CAP), flat_x, t_min,
-                           tol=_FIELD_TOL)
+        return exact_field(order, quarter_pi_coefficients(_MODE_CAP), flat_x)
     return inverter(lambda z: constant_data_transform(order, flat_x, z),
                     window_chain(t_min, _WINDOW_TOP, tol=_CONTOUR_TOL))
 
@@ -187,8 +186,7 @@ def run_convergence(config: RunConfig):
     first.  The reference is built once, after the finest stepping, for
     the times from 1/max(N) on, which hold every coarser run's levels:
     the transform route's window chain is tuned to the same _CONTOUR_TOL
-    throughout, and the modal route's sine table covers every mode kept
-    at any later time.
+    throughout, and the modal route's one sine table serves every time.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)

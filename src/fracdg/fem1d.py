@@ -30,7 +30,6 @@ class Mesh1D:
     """Nodes -1 = x_0 < ... < x_M = 1, symmetric about 0, M even."""
 
     nodes: np.ndarray
-    gamma: float
 
     def __post_init__(self):
         x = np.asarray(self.nodes, dtype=float)
@@ -77,7 +76,7 @@ def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
     xi[0] = 0.0
     xi[-1] = 1.0
     nodes = np.concatenate([-xi[:0:-1], xi])
-    return Mesh1D(nodes=nodes, gamma=gamma)
+    return Mesh1D(nodes=nodes)
 
 
 def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:

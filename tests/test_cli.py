@@ -273,12 +273,12 @@ def test_converge_shares_one_transform_reference(monkeypatch):
 
 
 def test_converge_shares_one_modal_reference(monkeypatch):
-    # One exact_field build per study, for the times from the finest step on.
+    # One exact_field build per study, over the capped pi/4 data.
     fields_built, field = [], cli.exact_field
 
-    def counted_field(order, coefficients, flat_x, t_min, **kwargs):
-        fields_built.append(t_min)
-        return field(order, coefficients, flat_x, t_min, **kwargs)
+    def counted_field(order, coefficients, flat_x):
+        fields_built.append(len(coefficients))
+        return field(order, coefficients, flat_x)
 
     monkeypatch.setattr(cli, "exact_field", counted_field)
     built = keep_references(monkeypatch)
@@ -287,7 +287,7 @@ def test_converge_shares_one_modal_reference(monkeypatch):
     _, samples = run_convergence(config)
     assert list(samples) == list(config.n_list)
     assert len(built) == 1
-    assert fields_built == [1.0 / max(config.n_list)]
+    assert fields_built == [cli._MODE_CAP]
 
 
 def test_reference_routes_agree(tmp_path, capsys):
@@ -312,9 +312,9 @@ def test_reference_routes_agree(tmp_path, capsys):
                     if a == "nan":
                         assert b == "nan", (name, column)
                     else:
-                        assert abs(float(a) - float(b)) <= 1e-7, (name, column)
+                        assert abs(float(a) - float(b)) <= 5e-9, (name, column)
                 else:
-                    assert float(b) == pytest.approx(float(a), rel=1e-7, abs=0), \
+                    assert float(b) == pytest.approx(float(a), rel=5e-9, abs=0), \
                         (name, column)
 
 

@@ -53,11 +53,11 @@ def test_mesh_symmetry_and_spacing():
 
 def test_mesh_type_validation():
     with pytest.raises(ValueError):
-        Mesh1D(np.array([-1.0, 0.5, 1.0, 2.0]), 1.0)  # even node count
+        Mesh1D(np.array([-1.0, 0.5, 1.0, 2.0]))  # even node count
     with pytest.raises(ValueError):
-        Mesh1D(np.array([-1.0, 0.5, 0.25, 0.75, 1.0]), 1.0)  # not increasing
+        Mesh1D(np.array([-1.0, 0.5, 0.25, 0.75, 1.0]))  # not increasing
     with pytest.raises(ValueError):
-        Mesh1D(np.array([-0.9, -0.5, 0.0, 0.5, 0.9]), 1.0)  # wrong span
+        Mesh1D(np.array([-0.9, -0.5, 0.0, 0.5, 0.9]))  # wrong span
 
 
 def test_uniform_assembly_closed_forms():

@@ -32,7 +32,7 @@ def test_initial_data_norm_converges():
     assert norm == pytest.approx(DATA_NORM, rel=1e-4)
 
 
-def test_exact_field_at_zero_is_partial_sine_sum_and_rejects_bad_times():
+def test_exact_field_at_zero_is_partial_sine_sum():
     data = quarter_pi_coefficients(2001)
     x = np.linspace(-0.95, 0.95, 9)
     field = exact_field(FractionalOrder(0.5), data, x)
@@ -40,7 +40,24 @@ def test_exact_field_at_zero_is_partial_sine_sum_and_rejects_bad_times():
     for m in range(1, 2002, 2):
         slow += np.sin(m * math.pi * (x + 1.0) / 2.0) / m
     assert np.max(np.abs(field(0.0) - slow)) <= 1e-13
-    for times in ([0.1, -0.2, 0.3], [-1e-300], [math.nan], [0.2, math.nan]):
+
+
+def test_exact_field_requires_positive_time():
+    # t = 0 is the data itself and is valid; only t < 0 and NaN are refused.
+    field = exact_field(FractionalOrder(0.5), quarter_pi_coefficients(10),
+                        np.array([0.0]))
+    for t in (-0.2, -1e-300, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            field(t)
+
+
+def test_exact_field_rejects_times_before_t_min():
+    # The earliest valid time is t = 0: one bad time anywhere in a batch
+    # refuses the whole batch.
+    field = exact_field(FractionalOrder(0.5), quarter_pi_coefficients(10),
+                        np.array([0.0]))
+    for times in ([0.1, -0.2, 0.3], [-1e-300], [math.nan], [0.2, math.nan],
+                  [[0.0, 0.1], [0.2, -0.1]]):
         with pytest.raises(ValueError):
             field(np.array(times))
 

@@ -78,6 +78,17 @@ def test_delta_contour_matches_direct_spot():
     assert got == pytest.approx(DELTA_1_HALF_MU1, abs=5e-9)
 
 
+def test_delta_contour_matches_direct_tightly():
+    # criterion 4's points with an absolute gate far inside its pinned
+    # max(1e-6, 1e-4 |delta|); the worst gap measured is 7.2e-15
+    for nu in (0.25, 0.5, 0.75):
+        order = FractionalOrder(nu)
+        for mu in (0.25, 1.0, 4.0):
+            for n in (1, 4, 16):
+                gap = abs(delta_contour(order, mu, n) - delta_direct(order, mu, n))
+                assert gap <= 1e-13, (nu, mu, n)
+
+
 def test_delta_contour_validation():
     with pytest.raises(ValueError):
         delta_contour(FractionalOrder(1.0), 1.0, 1)

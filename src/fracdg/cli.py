@@ -223,18 +223,17 @@ def run_convergence(config: RunConfig):
 # output
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return "%d" % value
-    return "%.12e" % value
-
-
 def _write_csv(path: str, config: RunConfig, header, rows, **derived):
+    # Integers print as %d and everything else as %.12e (nan as "nan"); one
+    # format string serves every row, built from the first row's types,
+    # which every caller keeps the same down each column.
     with open(path, "w", newline="") as fh:
         fh.write(f"# fracdg v{__version__} config={config.digest(**derived)}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
+        if rows:
+            fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.12e"
+                           for v in rows[0]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _write_table_csv(path: str, config: RunConfig, table: ErrorTable):

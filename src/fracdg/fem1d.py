@@ -2,20 +2,23 @@
 
 The mesh concentrates nodes near the endpoints x = +-1, where the
 solution of the model problem is least regular for non-smooth initial
-data.  Assembly produces the interior (homogeneous-Dirichlet) tridiagonal
-mass and stiffness matrices; projection and error evaluation use fixed
-Gauss rules per element.
+data.  Assembly produces the interior (homogeneous-Dirichlet) mass and
+stiffness matrices, each stored as its two diagonals: both are symmetric
+tridiagonal, and the mass and every M + c K with c >= 0 are positive
+definite, so products are three vector operations and solves are LAPACK's
+L D L^T kernels (dpttrf once, dpttrs per right-hand side).  Projection
+and error evaluation use fixed Gauss rules per element.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import factorized
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 __all__ = [
     "Mesh1D",
+    "SymTridiagonal",
     "FemMatrices",
     "graded_mesh",
     "assemble",
@@ -53,11 +56,53 @@ class Mesh1D:
 
 
 @dataclass(frozen=True)
-class FemMatrices:
-    """Interior-DOF tridiagonal mass and (kappa-weighted) stiffness."""
+class SymTridiagonal:
+    """Symmetric tridiagonal matrix: main diagonal and the off-diagonal."""
 
-    mass: sp.csc_matrix
-    stiff: sp.csc_matrix
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.diag, dtype=float)
+        e = np.asarray(self.off, dtype=float)
+        object.__setattr__(self, "diag", d)
+        object.__setattr__(self, "off", e)
+        if d.ndim != 1 or e.ndim != 1 or len(d) < 1 or len(e) != len(d) - 1:
+            raise ValueError(
+                f"need diagonals of lengths n >= 1 and n - 1, got {d.shape} and {e.shape}"
+            )
+
+    def matvec(self, v) -> np.ndarray:
+        """A v for one vector, summed in a fixed order without BLAS."""
+        out = self.diag * v
+        out[1:] += self.off * v[:-1]
+        out[:-1] += self.off * v[1:]
+        return out
+
+    def solver(self):
+        """b -> A^{-1} b for one vector; A must be positive definite.
+
+        Factors A = L D L^T once (dpttrf); each call is one dpttrs sweep.
+        Raises ValueError when a pivot is not positive.
+        """
+        if len(self.diag) == 1:
+            # the LAPACK wrappers reject an empty off-diagonal
+            d = self.diag
+            if d[0] <= 0.0:
+                raise ValueError("matrix is not positive definite (pivot 1)")
+            return lambda b: b / d
+        d, e, info = dpttrf(self.diag, self.off)
+        if info != 0:
+            raise ValueError(f"matrix is not positive definite (pivot {info})")
+        return lambda b: dpttrs(d, e, b)[0]
+
+
+@dataclass(frozen=True)
+class FemMatrices:
+    """Interior-DOF mass and (kappa-weighted) stiffness, both tridiagonal."""
+
+    mass: SymTridiagonal
+    stiff: SymTridiagonal
 
 
 def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
@@ -88,14 +133,12 @@ def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     h = mesh.spacings
-    n = mesh.n_intervals - 1  # interior DOFs
     main_k = kappa * (1.0 / h[:-1] + 1.0 / h[1:])
     off_k = -kappa / h[1:-1]
     main_m = (h[:-1] + h[1:]) / 3.0
     off_m = h[1:-1] / 6.0
-    stiff = sp.diags([off_k, main_k, off_k], [-1, 0, 1], shape=(n, n), format="csc")
-    mass = sp.diags([off_m, main_m, off_m], [-1, 0, 1], shape=(n, n), format="csc")
-    return FemMatrices(mass=mass, stiff=stiff)
+    return FemMatrices(mass=SymTridiagonal(main_m, off_m),
+                       stiff=SymTridiagonal(main_k, off_k))
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +186,13 @@ def l2_project(f, mesh: Mesh1D) -> np.ndarray:
     Gauss rule per element, which keeps the quadrature error below the
     projection error for smooth f.
     """
-    mats = assemble(1.0, mesh)  # mass is kappa-independent
+    mass = assemble(1.0, mesh).mass  # kappa-independent
     points, weights, local = gauss_points(mesh, 3)
     fv = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
     contrib_left = np.sum(weights * fv * (1.0 - local), axis=1)
     contrib_right = np.sum(weights * fv * local, axis=1)
     load = contrib_right[:-1] + contrib_left[1:]
-    return factorized(mats.mass)(load)
+    return mass.solver()(load)
 
 
 def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):

@@ -8,11 +8,12 @@ recurrence
 which step_spectral runs for every mode of an eigenmode expansion at
 once (the scalar recurrence is a one-column call), and the Galerkin
 matrix form
-(M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j.
-Both run in one time loop, which sums the stored trajectory; the
-Galerkin step then applies K once to that sum.  The history sum goes in
-tiles of _TILE future steps: one pass over the stored rows at the start
-of a tile serves every step of the tile.
+(M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j,
+which step_galerkin runs on the tridiagonal M and K with LAPACK's
+kernels, in a form that needs no product by K.  Both run in one time
+loop, which sums the stored trajectory.  The history sum goes in tiles
+of _TILE future steps: one pass over the stored rows at the start of a
+tile serves every step of the tile.
 
 Runs shorter than _SOE_FROM steps sum the whole history directly, an
 O(N^2) convolution.  Each step's sum gets its terms one at a time in
@@ -32,9 +33,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
+from .fem1d import SymTridiagonal
 from .special import FractionalOrder
 
 __all__ = [
@@ -255,26 +255,35 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
                   _far_nodes(order, grid.n_steps))
 
 
-def step_galerkin(order: FractionalOrder, mass, stiff, grid: TimeGrid,
-                  u0_vec) -> np.ndarray:
+def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
+                  stiff: SymTridiagonal, grid: TimeGrid, u0_vec) -> np.ndarray:
     """Coefficient trajectories, shape (n_steps+1, ndof); row 0 is u0_vec.
 
-    Factors M + beta_0 dt^nu K once; each step costs one history
-    contraction over the stored U^j, one product each with M and K, and
-    one banded solve.
+    Factors A = M + beta_0 dt^nu K once (LAPACK dpttrf) and raises
+    ValueError unless it is positive definite.  With the history
+    H = sum_{j<n} beta_{n-j} U^j and A - M = beta_0 dt^nu K, each step is
+
+        U^n = A^{-1} M (U^{n-1} + H / beta_0) - H / beta_0,
+
+    the same recurrence with no product by K: one history contraction
+    over the stored U^j, one tridiagonal product with M and one dpttrs
+    solve.
     """
     u0 = np.asarray(u0_vec, dtype=float)
-    mass = sp.csc_matrix(mass)
-    stiff = sp.csc_matrix(stiff)
-    ndof = len(u0)
-    if mass.shape != (ndof, ndof) or stiff.shape != (ndof, ndof):
+    ndof = len(mass.diag)
+    if u0.shape != (ndof,) or len(stiff.diag) != ndof:
         raise ValueError("matrix shapes do not match u0_vec")
     beta = dg_weights(order, grid.n_steps)
-    dtn = grid.dt ** order.nu
+    c = beta[0] * grid.dt ** order.nu
     try:
-        solver = splu(mass + (beta[0] * dtn) * stiff)
-    except RuntimeError as exc:
+        solve = SymTridiagonal(mass.diag + c * stiff.diag,
+                               mass.off + c * stiff.off).solver()
+    except ValueError as exc:
         raise ValueError(f"singular stepping system: {exc}") from exc
-    return _march(beta, u0, grid.n_steps,
-                  lambda prev, hist: solver.solve(mass @ prev - dtn * (stiff @ hist)),
-                  _far_nodes(order, grid.n_steps))
+    b0 = beta[0]
+
+    def advance(prev, hist):
+        shift = hist / b0
+        return solve(mass.matvec(prev + shift)) - shift
+
+    return _march(beta, u0, grid.n_steps, advance, _far_nodes(order, grid.n_steps))

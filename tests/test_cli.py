@@ -369,6 +369,53 @@ def test_csv_workflows_do_not_load_quadpack(tmp_path):
                                         "contour 0 True"]
 
 
+def test_csv_workflows_do_not_load_sparse(tmp_path):
+    # the Galerkin solves use scipy.linalg's LAPACK wrappers, so no
+    # scipy.sparse module loads on import or in converge and phi.  A fresh
+    # interpreter, as above; each step reports whether any is loaded.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    run = (
+        "import sys\n"
+        "import fracdg.cli as cli\n"
+        "def report(step, rc):\n"
+        "    loaded = [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
+        "    print(step, rc, loaded, file=sys.stderr)\n"
+        "report('import', 0)\n"
+        "out = sys.argv[1]\n"
+        "report('converge', cli.main(['converge', '--quick', '--out', out]))\n"
+        "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src}, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stderr.splitlines() == ["import 0 []", "converge 0 []", "phi 0 []"]
+
+
+def test_converge_on_the_smallest_system(tmp_path, capsys):
+    # M = 4 subintervals, three DOF, is the smallest mesh converge accepts
+    assert main(["converge", "--M", "4", "--N", "2,4", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "error_table.csv")
+    assert [int(r[0]) for r in rows] == [2, 4]
+    assert all(np.isfinite(float(v)) and float(v) > 0.0 for r in rows for v in r[1::2])
+    capsys.readouterr()
+    assert main(["converge", "--M", "2", "--N", "2,4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_csv_cells_format_one_at_a_time(tmp_path):
+    # integers as %d, everything else as %.12e, nan as "nan"
+    rows = [(2, 0.5, float("nan"), np.int64(7), np.float64(-1e-300)),
+            (4, -3.25e7, 1.0, np.int64(-1), float("inf"))]
+    path = tmp_path / "cells.csv"
+    cli._write_csv(str(path), RunConfig(), list("abcde"), rows)
+    body = path.read_text().splitlines()[2:]
+    want = [",".join("%d" % v if isinstance(v, (int, np.integer)) else "%.12e" % v
+                     for v in row) for row in rows]
+    assert body == want
+    assert body[0].split(",")[2] == "nan"
+
+
 def test_converge_baseline_gate_fails_cleanly(tmp_path, monkeypatch, capsys):
     bogus = ((1.0, 1.0, 1.0, 1.0, 1.0), (0.2, 0.2, 0.2, 0.2))
     monkeypatch.setitem(cli._BASELINE, 0.6, bogus)

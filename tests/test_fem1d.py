@@ -9,12 +9,18 @@ from scipy.linalg import eigh
 from fracdg.exact import KAPPA
 from fracdg.fem1d import (
     Mesh1D,
+    SymTridiagonal,
     assemble,
     gauss_points,
     graded_mesh,
     l2_error_from_values,
     l2_project,
 )
+
+
+def dense(mat):
+    # the full matrix of a SymTridiagonal
+    return np.diag(mat.diag) + np.diag(mat.off, 1) + np.diag(mat.off, -1)
 
 
 def p1_function(mesh, coeffs):
@@ -64,8 +70,8 @@ def test_uniform_assembly_closed_forms():
     mesh = graded_mesh(8, 1.0)
     h = 0.25
     mats = assemble(KAPPA, mesh)
-    stiff = mats.stiff.toarray()
-    mass = mats.mass.toarray()
+    stiff = dense(mats.stiff)
+    mass = dense(mats.mass)
     assert np.allclose(np.diag(stiff), 2.0 * KAPPA / h, atol=1e-14)
     assert np.allclose(np.diag(stiff, 1), -KAPPA / h, atol=1e-14)
     assert np.allclose(np.diag(mass), 2.0 * h / 3.0, atol=1e-16)
@@ -85,7 +91,7 @@ def test_assembly_rejects_bad_diffusivity():
 def test_first_eigenvalue_converges_to_one():
     mesh = graded_mesh(128, 1.0)
     mats = assemble(KAPPA, mesh)
-    w = eigh(mats.stiff.toarray(), mats.mass.toarray(), eigvals_only=True)
+    w = eigh(dense(mats.stiff), dense(mats.mass), eigvals_only=True)
     assert abs(w[0] - 1.0) <= 1e-3
     assert abs(w[1] - 4.0) <= 1e-2
 
@@ -165,5 +171,45 @@ def test_mass_matrix_total_weight(m, gamma):
     want = 0.5 * (h[:-1] + h[1:])
     want[0] -= h[0] / 6.0
     want[-1] -= h[-1] / 6.0
-    got = np.asarray(mats.mass.sum(axis=1)).ravel()
+    got = dense(mats.mass).sum(axis=1)
     assert np.allclose(got, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([], []), ([1.0], [0.5]), ([1.0, 2.0], []), ([1.0, 2.0], [0.5, 0.5]),
+    ([[1.0, 2.0]], [0.5]), ([1.0, 2.0], [[0.5]])])
+def test_tridiagonal_rejects_mismatched_diagonals(diag, off):
+    with pytest.raises(ValueError):
+        SymTridiagonal(diag, off)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_tridiagonal_product_and_solve_match_dense(n):
+    rng = np.random.default_rng(n)
+    off = rng.standard_normal(n - 1)
+    diag = 2.0 + np.abs(np.concatenate([[0.0], off])) + np.abs(
+        np.concatenate([off, [0.0]]))  # diagonally dominant, so definite
+    mat = SymTridiagonal(diag, off)
+    v = rng.standard_normal(n)
+    assert np.allclose(mat.matvec(v), dense(mat) @ v, rtol=1e-15, atol=1e-15)
+    assert np.allclose(mat.solver()(v), np.linalg.solve(dense(mat), v),
+                       rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([0.0], []), ([-2.0], []), ([1.0, -1.0], [0.0]), ([1.0, 1.0], [1.0]),
+    ([1.0, 1.0, 1.0], [1.0, 1.0])])
+def test_tridiagonal_solver_rejects_indefinite(diag, off):
+    with pytest.raises(ValueError):
+        SymTridiagonal(diag, off).solver()
+
+
+@pytest.mark.parametrize("m", [2, 4])  # one DOF and three DOF
+def test_projection_on_smallest_meshes_matches_dense_solve(m):
+    # a constant's load vector is c times the hat integrals (h_i + h_{i+1})/2
+    mesh = graded_mesh(m, 2.0)
+    h = mesh.spacings
+    load = 0.25 * math.pi * 0.5 * (h[:-1] + h[1:])
+    want = np.linalg.solve(dense(assemble(1.0, mesh).mass), load)
+    got = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
+    assert np.allclose(got, want, rtol=1e-14, atol=0)

@@ -8,13 +8,23 @@ tridiagonal, and the mass and every M + c K with c >= 0 are positive
 definite, so products are three vector operations and solves are LAPACK's
 L D L^T kernels (dpttrf once, dpttrs per right-hand side).  Projection
 and error evaluation use fixed Gauss rules per element.
+
+The two kernels are scipy's f2py wrappers, taken from its compiled
+``scipy.linalg._flapack`` extension, which this module loads from scipy's
+install directory.  ``scipy.linalg.lapack`` only re-exports the same
+functions, and importing it runs the ``scipy.linalg`` package import,
+whose numpy namespace clone (numpy.f2py, numpy.testing, ...) would cost
+more set-up time than the rest of ``import fracdg.cli`` and about 20 MB.
 """
 
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Mesh1D",
@@ -26,6 +36,26 @@ __all__ = [
     "l2_error_from_values",
     "gauss_points",
 ]
+
+
+def _load_flapack():
+    # Finding scipy's spec imports nothing; if scipy.linalg is already
+    # imported, loading the extension returns the loaded module.
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; fracdg needs its LAPACK wrappers")
+    where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    finder = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 @dataclass(frozen=True)
@@ -145,7 +175,7 @@ def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:
 def _legendre_rule(order: int):
     # Reference nodes and weights on [-1, 1], shared by every call; read-only
     # so that no caller can alter the cached copy.
-    ref, wref = np.polynomial.legendre.leggauss(order)
+    ref, wref = leggauss(order)
     ref.flags.writeable = False
     wref.flags.writeable = False
     return ref, wref

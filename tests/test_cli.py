@@ -318,26 +318,90 @@ def test_reference_routes_agree(tmp_path, capsys):
                         (name, column)
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def quick_converge_files(out, first="", **env_extra):
+    # converge --quick in a fresh interpreter that runs `first` before
+    # importing fracdg, with no thread count pinned unless env_extra sets one
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
+    run = ("import sys\n{first}from fracdg.cli import main\n"
+           "sys.exit(main(['converge', '--quick', '--out', sys.argv[1]]))")
+    subprocess.run([sys.executable, "-c", run.format(first=first), str(out)],
+                   env={**env, "PYTHONPATH": SRC, **env_extra}, check=True,
+                   capture_output=True, timeout=300)
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+
 def test_files_do_not_depend_on_import_order(tmp_path):
     # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
     # Importing numpy first with two BLAS threads must not change a byte.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
-    env["PYTHONPATH"] = src
-    run = ("import sys\n{first}from fracdg.cli import main\n"
-           "sys.exit(main(['converge', '--quick', '--out', sys.argv[1]]))")
-    files = []
-    for name, first, extra in (("plain", "", {}),
-                               ("numpy_first", "import numpy\n",
-                                {"OPENBLAS_NUM_THREADS": "2"})):
-        out = tmp_path / name
-        subprocess.run([sys.executable, "-c", run.format(first=first), str(out)],
-                       env={**env, **extra}, check=True, capture_output=True,
-                       timeout=300)
-        files.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    files = [quick_converge_files(tmp_path / "plain"),
+             quick_converge_files(tmp_path / "numpy_first", "import numpy\n",
+                                  OPENBLAS_NUM_THREADS="2")]
     assert len(files[0]) == 5
     assert files[0] == files[1]
+
+
+def test_files_do_not_depend_on_scipy_linalg_loading_first(tmp_path):
+    # fem1d loads scipy's LAPACK extension itself; with scipy.linalg already
+    # imported it gets the loaded one, and the files must not change a byte.
+    files = [quick_converge_files(tmp_path / "plain"),
+             quick_converge_files(tmp_path / "scipy_first",
+                                  "import scipy.linalg\n")]
+    assert len(files[0]) == 5
+    assert files[0] == files[1]
+
+
+def run_steps_in_fresh_interpreter(tmp_path, report):
+    # Imports fracdg.cli in a fresh interpreter, so that no other test's
+    # imports count, then runs the quick CSV studies; `report(step, rc)` is
+    # a function body that prints one line to stderr after each step.
+    run = (
+        "import sys\n"
+        "import fracdg.cli as cli\n"
+        "def report(step, rc):\n" + report +
+        "report('import', 0)\n"
+        "out = sys.argv[1]\n"
+        "report('converge', cli.main(['converge', '--quick', '--out', out]))\n"
+        "report('modal', cli.main(['converge', '--quick', '--reference', 'modal',"
+        " '--out', out]))\n"
+        "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return done.stderr.splitlines()
+
+
+def test_csv_workflows_do_not_load_the_scipy_linalg_package(tmp_path):
+    # fem1d loads only scipy's _flapack extension: neither the scipy.linalg
+    # package nor the numpy modules its array-API layer pulls in may load.
+    report = (
+        "    heavy = ('scipy.linalg', 'numpy.f2py', 'numpy.testing')\n"
+        "    print(step, rc, [m for m in heavy if m in sys.modules],"
+        " file=sys.stderr)\n"
+    )
+    assert run_steps_in_fresh_interpreter(tmp_path, report) == [
+        "import 0 []", "converge 0 []", "modal 0 []", "phi 0 []"]
+
+
+def test_csv_workflows_import_nothing_of_their_own_after_set_up(tmp_path):
+    # Every numpy, scipy and fracdg module a quick study needs is loaded by
+    # `import fracdg.cli`, so no import lands inside a timed run.  argparse's
+    # gettext lookup loads the stdlib locale module on the first run.
+    report = (
+        "    global seen\n"
+        "    new = set(sys.modules) - seen\n"
+        "    seen |= new\n"
+        "    ours = sorted(m for m in new"
+        " if m.split('.')[0] in ('numpy', 'scipy', 'fracdg'))\n"
+        "    print(step, rc, ours, file=sys.stderr)\n"
+        "seen = set(sys.modules)\n"
+    )
+    assert run_steps_in_fresh_interpreter(tmp_path, report) == [
+        "import 0 []", "converge 0 []", "modal 0 []", "phi 0 []"]
 
 
 def test_csv_workflows_do_not_load_quadpack(tmp_path):

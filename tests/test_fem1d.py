@@ -1,11 +1,14 @@
 import math
+import re
+from importlib.machinery import ModuleSpec
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, lapack
 
+from fracdg import fem1d
 from fracdg.exact import KAPPA
 from fracdg.fem1d import (
     Mesh1D,
@@ -213,3 +216,41 @@ def test_projection_on_smallest_meshes_matches_dense_solve(m):
     want = np.linalg.solve(dense(assemble(1.0, mesh).mass), load)
     got = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 249, 999])
+def test_lapack_kernels_match_scipy_linalg(n):
+    # fem1d loads scipy's _flapack extension itself; its kernels must give
+    # the bits that scipy.linalg.lapack's give
+    rng = np.random.default_rng(n)
+    off = rng.standard_normal(n - 1)
+    diag = 2.0 + np.abs(np.concatenate([[0.0], off])) + np.abs(
+        np.concatenate([off, [0.0]]))  # diagonally dominant, so definite
+    b = rng.standard_normal(n)
+    got = fem1d.dpttrf(diag, off)
+    want = lapack.dpttrf(diag, off)
+    assert got[2] == want[2] == 0
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    x, info = fem1d.dpttrs(got[0], got[1], b)
+    y, info_want = lapack.dpttrs(want[0], want[1], b)
+    assert info == info_want == 0
+    assert x.tobytes() == y.tobytes()
+
+
+def test_lapack_kernels_report_the_same_pivot_on_an_indefinite_system():
+    diag = np.array([2.0, 1.0, -1.0, 3.0])
+    off = np.array([1.0, 0.5, 0.5])
+    info = fem1d.dpttrf(diag, off)[2]
+    assert info == lapack.dpttrf(diag, off)[2] == 3
+
+
+def test_missing_lapack_extension_names_the_directory(tmp_path, monkeypatch):
+    fake = ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(fem1d.importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        fem1d._load_flapack()
+    monkeypatch.setattr(fem1d.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        fem1d._load_flapack()

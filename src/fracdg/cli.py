@@ -43,7 +43,7 @@ from .special import (
     FractionalOrder,
     QuadratureError,
     symbol_asym_origin,
-    symbol_integral,
+    symbol_lattice,
     symbol_series,
 )
 from .stepping import TimeGrid, step_galerkin
@@ -394,13 +394,13 @@ def cmd_lemmas(args, config: RunConfig) -> int:
     worst = 0.0
     for nu in (0.25, 0.75):
         order = FractionalOrder(nu)
-        for re in (0.3, 1.0, 3.0, 8.0, 20.0):
+        for re in (0.3, 1.0, 3.0, 8.0):
             for im in (-2.5, 1.5):
                 z = complex(re, im)
                 a = symbol_series(order, z)
-                b = symbol_integral(order, z)
+                b = symbol_lattice(order, z)
                 worst = max(worst, abs(a - b) / abs(a))
-    _check("symbol series vs integral", worst, 1e-10, failures)
+    _check("symbol series vs lattice", worst, 1e-12, failures)
 
     worst = 0.0
     for nu in (0.25, 0.6, 0.9):

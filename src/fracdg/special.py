@@ -10,10 +10,9 @@ and the generating symbol of the piecewise-constant DG weights
 
     psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu),
 
-evaluated four independent ways (Dirichlet series, real-axis integral
-representation, the one-sided limits on the branch cut by Jonquiere's
-lattice sum, truncated expansions).  The redundant routes exist so that
-each can certify the others.
+evaluated three independent ways (Dirichlet series, Jonquiere's lattice
+sum on and off the branch cut, truncated expansion at the origin) so that
+each can certify the others; the quadpack integral form is a test oracle.
 """
 
 import cmath
@@ -43,7 +42,7 @@ __all__ = [
     "mittag_leffler_neg_with_error",
     "mittag_leffler_neg_array",
     "symbol_series",
-    "symbol_integral",
+    "symbol_lattice",
     "symbol_cut",
     "symbol_asym_origin",
 ]
@@ -63,7 +62,7 @@ class QuadratureError(RuntimeError):
 
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for the Euler-Maclaurin tails of
-# zeta(1 + nu) and of symbol_cut's lattice sum.
+# zeta(1 + nu) and of the lattice sum.
 _B2K = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -407,7 +406,7 @@ def symbol_series(order: FractionalOrder, z: complex) -> complex:
     """
     z = complex(z)
     if z.real <= 0.0:
-        raise ValueError("series form needs Re z > 0; use symbol_integral")
+        raise ValueError("series form needs Re z > 0; use symbol_lattice")
     nu = order.nu
     q = cmath.exp(-z)
     acc = 1.0 + 0.0j
@@ -434,78 +433,21 @@ def _one_m_exp(w: complex) -> complex:
     return complex(-math.expm1(-x) + 2.0 * ex * sh * sh, ex * math.sin(y))
 
 
-def symbol_integral(order: FractionalOrder, z: complex) -> complex:
-    """Integral form of the symbol on the strip |Im z| <= pi, z off (-inf, 0].
-
-    psi(z) = (sin(pi nu)/pi) int_0^inf s^{-nu}/(1 - e^{-z-s}) (1-e^{-s})/s ds,
-    for 0 < nu < 1.  The s^{-nu} endpoint factor is handled with a weighted
-    rule on [0, 1]; the algebraic tail is integrated directly.
-    """
-    z = complex(z)
-    nu = order.nu
-    if not 0.0 < nu < 1.0:
-        raise ValueError("integral form needs 0 < nu < 1")
-    if abs(z.imag) > math.pi + 1e-12:
-        raise ValueError(f"Im z = {z.imag} outside [-pi, pi]")
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise ValueError("z on the branch cut (-inf, 0]; use symbol_cut")
-
-    def smooth(s):
-        # (1-e^{-s})/s / (1 - e^{-z-s})
-        g = -math.expm1(-s) / s if s > 1e-8 else 1.0 - 0.5 * s
-        return g / _one_m_exp(z + s)
-
-    def tail(s):
-        return s ** (-nu - 1.0) * (-math.expm1(-s)) / _one_m_exp(z + s)
-
-    re0, e0 = _quad(lambda s: smooth(s).real, 0.0, 1.0,
-                   weight="alg", wvar=(-nu, 0.0), limit=400,
-                   epsabs=1e-12, epsrel=1e-11)
-    im0, e1 = _quad(lambda s: smooth(s).imag, 0.0, 1.0,
-                   weight="alg", wvar=(-nu, 0.0), limit=400,
-                   epsabs=1e-12, epsrel=1e-11)
-    re1, e2 = _quad(lambda s: tail(s).real, 1.0, math.inf, limit=400,
-                   epsabs=1e-12, epsrel=1e-11)
-    im1, e3 = _quad(lambda s: tail(s).imag, 1.0, math.inf, limit=400,
-                   epsabs=1e-12, epsrel=1e-11)
-    est = e0 + e1 + e2 + e3
-    if est > 1e-8:
-        raise QuadratureError("symbol integral did not converge", est)
-    pref = order.sin_pi / math.pi
-    return pref * complex(re0 + re1, im0 + im1)
-
-
-# symbol_cut sums k < _CUT_K directly and closes the tail with all seven
+# _lattice_half sums k < _CUT_K directly and closes the tail with all seven
 # terms of _B2K.  Against a 40-digit mpmath polylog (nu 0.02..0.999, s
-# 1e-4..300) that is 3.5e-15 relative for nu <= 0.9 and 1.7e-13 at 0.999;
-# B_2..B_10 alone leave 1.5e-12 there, and K = 6 is 5e-14 off at nu = 0.3.
+# 1e-4..300) symbol_cut is 3.5e-15 relative for nu <= 0.9 and 1.7e-13 at
+# 0.999; B_2..B_10 alone leave 1.5e-12 there; K = 6 is 5e-14 off at 0.3.
 _CUT_K = 12
 _TWO_PI_I = 2j * math.pi
 
 
-def symbol_cut(order: FractionalOrder, s: float, side: str = "+") -> complex:
-    """One-sided limit psi(s e^{+-i pi}) on the branch cut, s > 0, 0 < nu < 1.
-
-    Jonquiere's lattice sum for the polylogarithm gives
-    psi(z) = (e^z - 1) sum_{k in Z} (z + 2 pi i k)^{-1-nu}.  On the cut only
-    the k = 0 term is complex, so Im psi = -+ (1-e^{-s}) s^{-nu-1} sin(pi nu)
-    and Re psi = (1-e^{-s}) s^{-nu-1} cos(pi nu)
-                 + 2 expm1(-s) Re sum_{k>=1} (2 pi i k - s)^{-1-nu}.
-    One route serves every s > 0, finite down to the smallest double.
-    """
-    nu = order.nu
-    if not 0.0 < nu < 1.0:
-        raise ValueError("cut limits need 0 < nu < 1")
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"s={s} must be finite and positive")
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
-
+def _lattice_half(nu: float, z: complex) -> complex:
+    # sum_{k>=1} (z + 2 pi i k)^{-1-nu}, for Im z > -2 pi.
     p = -1.0 - nu
-    acc = sum((_TWO_PI_I * k - s) ** p for k in range(1, _CUT_K))
+    acc = sum((z + _TWO_PI_I * k) ** p for k in range(1, _CUT_K))
     # sum_{k>=K} f(k) = int_K^inf f + f(K)/2 - sum_j B_2j/(2j)! f^(2j-1)(K)
-    # for f(x) = w(x)^p, w(x) = 2 pi i x - s.
-    w = _TWO_PI_I * _CUT_K - s
+    # for f(x) = w(x)^p, w(x) = z + 2 pi i x.
+    w = z + _TWO_PI_I * _CUT_K
     wp = w ** p
     acc += w * wp / (_TWO_PI_I * nu) + 0.5 * wp
     ratio = _TWO_PI_I / w
@@ -517,7 +459,50 @@ def symbol_cut(order: FractionalOrder, s: float, side: str = "+") -> complex:
         term *= ratio * ratio
         rising *= (nu + 2 * j) * (nu + 2 * j + 1)
         fact *= (2 * j + 1) * (2 * j + 2)
+    return acc
 
+
+def symbol_lattice(order: FractionalOrder, z: complex) -> complex:
+    """Lattice-sum form of the symbol on the strip |Im z| <= pi, z off (-inf, 0].
+
+    Jonquiere's lattice sum for the polylogarithm gives, for 0 < nu < 1,
+    psi(z) = (e^z - 1) sum_{k in Z} (z + 2 pi i k)^{-1-nu}; the k < 0 half is
+    the k > 0 half at conj(z), conjugated.  A few ulps for Re z <= 3, 6e-13
+    at Re z = 8; further right e^z - 1 multiplies a sum that cancels to
+    about e^{-z}, and symbol_series is the route.
+    """
+    z = complex(z)
+    nu = order.nu
+    if not 0.0 < nu < 1.0:
+        raise ValueError("lattice sum needs 0 < nu < 1")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z={z} must be finite")
+    if abs(z.imag) > math.pi + 1e-12:
+        raise ValueError(f"Im z = {z.imag} outside [-pi, pi]")
+    if z.imag == 0.0 and z.real <= 0.0:
+        raise ValueError("z on the branch cut (-inf, 0]; use symbol_cut")
+    lattice = (z ** (-1.0 - nu) + _lattice_half(nu, z)
+               + _lattice_half(nu, z.conjugate()).conjugate())
+    return -_one_m_exp(-z) * lattice
+
+
+def symbol_cut(order: FractionalOrder, s: float, side: str = "+") -> complex:
+    """One-sided limit psi(s e^{+-i pi}) on the branch cut, s > 0, 0 < nu < 1.
+
+    symbol_lattice's sum at z = -s, where only the k = 0 term is complex:
+    Im psi = -+ (1-e^{-s}) s^{-nu-1} sin(pi nu) and
+    Re psi = (1-e^{-s}) s^{-nu-1} cos(pi nu) + 2 expm1(-s) Re _lattice_half(-s).
+    One route serves every s > 0, finite down to the smallest double.
+    """
+    nu = order.nu
+    if not 0.0 < nu < 1.0:
+        raise ValueError("cut limits need 0 < nu < 1")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"s={s} must be finite and positive")
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+
+    acc = _lattice_half(nu, -s)
     one_m = -math.expm1(-s)
     h = one_m / s * s ** -nu   # (1-e^{-s}) s^{-1-nu} without overflow
     re = h * math.sin(math.pi * (0.5 - nu)) - 2.0 * one_m * acc.real

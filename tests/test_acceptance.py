@@ -26,11 +26,11 @@ from fracdg.special import (
     FractionalOrder,
     mittag_leffler_neg_with_error,
     symbol_asym_origin,
-    symbol_integral,
     symbol_series,
 )
 from fracdg.stepping import TimeGrid, step_galerkin, step_spectral
 from fracdg.fem1d import assemble, graded_mesh
+from oracles import symbol_integral
 
 # Reference study at nu = 0.75, M = 1000, N doubling 80 -> 1280: weighted
 # errors and observed rates per alpha.  Rates are trusted to +-0.03 and

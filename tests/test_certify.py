@@ -89,6 +89,19 @@ def test_delta_contour_matches_direct_tightly():
                 assert gap <= 1e-13, (nu, mu, n)
 
 
+def test_delta_contour_matches_direct_relatively_at_large_rho():
+    # At rho = mu n^nu >= 20 delta is 1e-6..7e-5, so the CLI's
+    # max(1e-6, 1e-4 |delta|) agreement bound passes gaps as large as
+    # delta itself.  The worst relative gap measured here is 5.4e-9
+    # (nu = 0.9, mu = 4, n = 200).
+    for nu in (0.3, 0.5, 0.75, 0.9):
+        order = FractionalOrder(nu)
+        for mu, n in ((4.0, 200), (64.0, 50), (1.0, 400)):
+            direct = delta_direct(order, mu, n)
+            gap = abs(delta_contour(order, mu, n) - direct)
+            assert gap <= 2e-8 * abs(direct), (nu, mu, n)
+
+
 def test_delta_contour_validation():
     with pytest.raises(ValueError):
         delta_contour(FractionalOrder(1.0), 1.0, 1)

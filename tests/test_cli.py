@@ -546,6 +546,10 @@ def test_lemmas_quick(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "lemmas: all checks passed" in text
     assert text.count("PASS") >= 8
+    assert re.search(r"^check symbol series vs lattice: \S+ <= 1\.000e-12 PASS$",
+                     text, re.MULTILINE)
+    assert not [line for line in text.splitlines()
+                if "symbol" in line and "integral" in line]
     for name in ("lemma_scan_small.csv", "lemma_scan_large.csv"):
         header, rows = read_csv(out / name)
         assert header == ["nu", "max_value", "argmax_x"]

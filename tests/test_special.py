@@ -14,10 +14,11 @@ from fracdg.special import (
     mittag_leffler_neg_with_error,
     symbol_asym_origin,
     symbol_cut,
-    symbol_integral,
+    symbol_lattice,
     symbol_series,
     zeta_neg,
 )
+from oracles import symbol_integral
 
 # 17-digit reference values (independent multiprecision computation).
 GAMMA_1P5 = 0.88622692545275801
@@ -33,6 +34,23 @@ CUT_VALUES = {
     (0.5, 1e-5): 2.345736000898508e-06 - 316.2261848832783j,
     (0.1, 1.0): 0.9218564084647306 - 0.19533599517181305j,
     (0.9, 0.1): -7.179025366378876 - 2.3358695265018077j,
+}
+# symbol_cut's exact bits, float.hex of (Re, Im) psi_+(s): every kernel
+# value on the contour route depends on them, so a change to the lattice
+# sum that moves any bit must show here.
+CUT_BITS = {
+    (0.02, 1e-300): ("0x1.e751574f48ceap+19", "-0x1.ea8d09ffbf04ap+15"),
+    (0.02, 0.37): ("0x1.02cd1ab51d940p+0", "-0x1.b694c712f8b15p-5"),
+    (0.02, 300.0): ("0x1.c8802bf6eb9fep-1", "-0x1.879daafd1b3f8p-13"),
+    (0.5, 1e-09): ("0x1.01ead90896c97p-32", "-0x1.ee1b1b3953b20p+14"),
+    (0.5, 1.0): ("0x1.4dd11d6c5c54cp-3", "-0x1.43a54e4e98864p-1"),
+    (0.5, 45.0): ("0x1.843e03f29b867p-4", "-0x1.b2338ac535eacp-9"),
+    (0.9, 0.0001): ("-0x1.d9411dabd0b9bp+11", "-0x1.338a114491145p+10"),
+    (0.9, 3.7): ("-0x1.9b93773334640p-8", "-0x1.9b196e197dcd9p-6"),
+    (0.9, 300.0): ("0x1.51d98a2afe9aep-11", "-0x1.97990ba4b8d7fp-18"),
+    (0.999, 1e-300): ("-0x1.7f2ba9fb35076p+995", "-0x1.342a41afa4d4ep+987"),
+    (0.999, 0.01): ("-0x1.8c2c35cb01c9ap+6", "-0x1.3e9fecf10ac63p-2"),
+    (0.999, 19.4): ("0x1.aa5649c9d4800p-15", "-0x1.18eba415338a1p-17"),
 }
 
 
@@ -248,7 +266,9 @@ def symbol_asym_left(order, z):
     return order.sin_pi / (math.pi * nu) * (1j * math.pi - z) ** -nu
 
 
-def test_symbol_left_asymptote():
+@pytest.mark.parametrize("route", [symbol_integral, symbol_lattice],
+                         ids=["integral", "lattice"])
+def test_symbol_left_asymptote(route):
     # deep in the left strip the symbol approaches its limit form; the
     # relative remainder dies off quadratically in |Re z| (checked over
     # the range where the integral route is still trustworthy)
@@ -257,12 +277,76 @@ def test_symbol_left_asymptote():
         rel = []
         for re in (-15.0, -30.0, -60.0):
             z = complex(re, 0.5 * math.pi)
-            a = symbol_integral(order, z)
+            a = route(order, z)
             b = symbol_asym_left(order, z)
             rel.append(abs(a - b) / abs(b))
         assert rel[2] <= 1e-3
         for coarse, fine in zip(rel, rel[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.2)
+
+
+def psi_mp(mpmath, nu, z):
+    # psi(z) at 40 digits from the polylogarithm itself:
+    # psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu); psi_+(s) is taken
+    # just above the cut, at z = -s + 1e-35 i.
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(nu)
+        z = mpmath.mpc(z.real, z.imag)
+        return complex((mpmath.exp(z) - 1) * mpmath.polylog(-nu, mpmath.exp(-z))
+                       / mpmath.gamma(1 + nu))
+
+
+# Worst relative error measured on this grid (Re z <= 3 / Re z = 8):
+# 4.4e-15 / 4.7e-13 at nu = 0.25, 3.4e-14 / 4.9e-12 at nu = 0.02 and
+# 1.8e-13 (Re z <= -15) / 1.8e-14 at nu = 0.999.  A 40-point Im grid at
+# nu = 0.25 reaches 5.7e-13 at Re z = 8: for Re z > 0, e^z - 1 multiplies
+# a lattice sum that cancels to about e^{-z}.
+@pytest.mark.parametrize("nu, gate, gate8", [
+    (0.02, 1e-13, 1e-11), (0.25, 5e-15, 1e-12), (0.75, 5e-15, 1e-12),
+    (0.9, 5e-15, 1e-12), (0.999, 5e-13, 1e-12)])
+def test_lattice_matches_multiprecision_polylog(nu, gate, gate8):
+    mpmath = pytest.importorskip("mpmath")
+    order = FractionalOrder(nu)
+    points = [complex(re, im) for re in (-60.0, -15.0, -3.0, -1.0, 0.3, 1.0, 3.0, 8.0)
+              for im in (0.5, math.pi - 0.04)]
+    points += [r * cmath.exp(1j * a) for r in (1e-9, 1e-5, 1e-2) for a in (0.5, 3.0)]
+    for z in points:
+        want = psi_mp(mpmath, nu, z)
+        bound = (gate8 if z.real == 8.0 else gate) * abs(want)
+        # psi(conj z) = conj psi(z); the two halves of the sum swap roles
+        assert abs(symbol_lattice(order, z) - want) <= bound, z
+        assert abs(symbol_lattice(order, z.conjugate()) - want.conjugate()) <= bound, z
+
+
+def test_lattice_approaches_the_cut_limits():
+    # the gap to symbol_cut shrinks linearly with the distance eps * s to
+    # the cut, down to round-off; measured gap / eps at most 8 (nu = 0.999)
+    for nu in (0.02, 0.3, 0.75, 0.999):
+        order = FractionalOrder(nu)
+        for s in (1e-9, 1e-3, 0.5, 7.0, 45.0):
+            for side, sign in (("+", 1.0), ("-", -1.0)):
+                want = symbol_cut(order, s, side)
+                for eps in (1e-4, 1e-8, 1e-14):
+                    got = symbol_lattice(order, complex(-s, sign * eps * s))
+                    assert abs(got - want) <= 10.0 * eps * abs(want), (nu, s, side, eps)
+
+
+def test_lattice_rejects_bad_arguments():
+    order = FractionalOrder(0.5)
+    for bad in (0.0, -1e-300, -1.0, -50.0, complex(-2.0, -0.0),
+                complex(1.0, math.pi + 1e-9), complex(1.0, -4.0),
+                complex(math.nan, 0.5), complex(0.5, math.nan),
+                complex(math.inf, 0.5), complex(-math.inf, 0.5), complex(0.5, math.inf)):
+        with pytest.raises(ValueError):
+            symbol_lattice(order, bad)
+    with pytest.raises(ValueError):
+        symbol_lattice(FractionalOrder(1.0), 1.0 + 0.5j)
+
+
+def test_cut_bits_are_pinned():
+    for (nu, s), (re, im) in CUT_BITS.items():
+        got = symbol_cut(FractionalOrder(nu), s, "+")
+        assert (got.real.hex(), got.imag.hex()) == (re, im), (nu, s)
 
 
 def test_cut_reference_values():
@@ -308,16 +392,6 @@ def test_cut_rejects_bad_arguments():
         symbol_cut(FractionalOrder(1.0), 1.0, "+")
 
 
-def psi_cut_mp(mpmath, nu, s):
-    # psi_+(s) at 40 digits from the polylogarithm itself, just above the
-    # cut: psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu), z = -s + 1e-35 i.
-    with mpmath.workdps(40):
-        nu = mpmath.mpf(nu)
-        z = mpmath.mpc(-mpmath.mpf(s), mpmath.mpf("1e-35"))
-        return complex((mpmath.exp(z) - 1) * mpmath.polylog(-nu, mpmath.exp(-z))
-                       / mpmath.gamma(1 + nu))
-
-
 # Worst relative error measured over the s grid: 3.5e-15 for nu <= 0.9,
 # 2.1e-14 at 0.99, 1.7e-13 at 0.999, where the k = 0 term of the lattice
 # sum cancels the rest.
@@ -327,7 +401,7 @@ def test_cut_matches_multiprecision_polylog(nu, gate):
     mpmath = pytest.importorskip("mpmath")
     order = FractionalOrder(nu)
     for s in (1e-4, 0.01, 0.3, 1.0, 3.7, 19.4, 45.0, 300.0):
-        want = psi_cut_mp(mpmath, nu, s)
+        want = psi_mp(mpmath, nu, complex(-s, 1e-35))
         assert abs(symbol_cut(order, s, "+") - want) <= gate * abs(want), s
 
 

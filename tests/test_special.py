@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,36 @@ CUT_BITS = {
     (0.999, 1e-300): ("-0x1.7f2ba9fb35076p+995", "-0x1.342a41afa4d4ep+987"),
     (0.999, 0.01): ("-0x1.8c2c35cb01c9ap+6", "-0x1.3e9fecf10ac63p-2"),
     (0.999, 19.4): ("0x1.aa5649c9d4800p-15", "-0x1.18eba415338a1p-17"),
+}
+# mittag_leffler_neg_array's exact bits, float.hex of (value, estimate):
+# a Taylor, an asymptotic and one or two spectral points per order; at
+# (0.6, 5.0) the peak's right split -c + 2|d| clips to 42^nu, leaving a
+# piece of zero width.  A change to any branch that moves a bit shows here.
+ML_BITS = {
+    (0.1, 0.5): ("0x1.4f039d9bd1d37p-1", "0x1.ab19ebf01a8aap-52"),
+    (0.1, 1.05): ("0x1.e4b2a7cefec4ap-2", "0x1.2725dd1d243acp-60"),
+    (0.1, 40.0): ("0x1.76b144ecf88e8p-6", "0x1.aa2ff8e7c9b65p-61"),
+    (0.3, 0.7): ("0x1.18ff588feca71p-1", "0x1.91d759f17644bp-52"),
+    (0.3, 1.1): ("0x1.ba858c9fc5eb6p-2", "0x1.ecabb2edee522p-55"),
+    (0.3, 60.0): ("0x1.a0a511cc458f2p-7", "0x1.bcbb2a82f2d12p-66"),
+    (0.5, 0.25): ("0x1.8a6adcda2ea90p-1", "0x1.c8e8e583c6d6bp-52"),
+    (0.5, 1.2): ("0x1.839f500817f68p-2", "0x1.2725dd1d243acp-60"),
+    (0.5, 3.0): ("0x1.6e9827d229d2dp-3", "0x1.fb5ee81cbd0ffp-56"),
+    (0.5, 80.0): ("0x1.ce25e3cc3c588p-8", "0x1.a3fb8577e0764p-61"),
+    (0.6, 0.9): ("0x1.c633c6b585940p-2", "0x1.74970d7b1bfb0p-52"),
+    (0.6, 1.3): ("0x1.5cae6e6717017p-2", "0x1.2725dd1d243acp-60"),
+    (0.6, 5.0): ("0x1.859a4a7b86c36p-4", "0x1.555c06fce7b89p-56"),
+    (0.6, 200.0): ("0x1.28031dda621e4p-9", "0x1.05dfea5657242p-65"),
+    (0.75, 0.6): ("0x1.1a1151b546939p-1", "0x1.8f772f83688f2p-52"),
+    (0.75, 1.01): ("0x1.8f63d32bc1c51p-2", "0x1.3afe23e0d75f0p-54"),
+    (0.75, 300.0): ("0x1.e3abcbece2578p-11", "0x1.57a9601ae98bdp-61"),
+    (0.9, 0.4): ("0x1.54f3f565a4b79p-1", "0x1.ac6a27dfed9f1p-52"),
+    (0.9, 1.5): ("0x1.f1da92ffb8e55p-3", "0x1.545ba2d79824fp-54"),
+    (0.9, 2000.0): ("0x1.b93ea37d1c6c3p-15", "0x1.05dfea565723bp-62"),
+    (0.999, 0.8): ("0x1.cc20945a1ab17p-2", "0x1.767361413e40cp-52"),
+    (0.999, 1.000001): ("0x1.78c664d7a4e56p-2", "0x1.a77ab67dd70f1p-39"),
+    (0.999, 7.5): ("0x1.86e4e821ec04fp-11", "0x1.266d0999f2b21p-48"),
+    (0.999, 100000.0): ("0x1.57cd671938c7cp-27", "0x1.66f4776d8c0c6p-66"),
 }
 
 
@@ -196,18 +227,50 @@ def test_mittag_leffler_fixed_rule_matches_multiprecision(nu, monkeypatch):
             assert e <= 1e-13, s
 
 
-@pytest.mark.parametrize("nu", [0.3, 0.75])
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.75, 0.9])
 def test_mittag_leffler_array_point_does_not_depend_on_batch(nu, monkeypatch):
     order = FractionalOrder(nu)
+    # the uniform draw spans the spectral branch's s-range, which ends
+    # near s = 1.4 at nu = 0.1 and beyond s = 8 from nu = 0.75 on
+    hi = 1.4 if nu == 0.1 else 8.0
     rng = np.random.default_rng(11)
-    s = np.concatenate([rng.uniform(1.0, 8.0, 9000), 10.0 ** rng.uniform(-3.0, 4.0, 1000)])
+    s = np.concatenate([rng.uniform(1.0, hi, 9000), 10.0 ** rng.uniform(-3.0, 4.0, 1000)])
     rng.shuffle(s)
     fixed = spy(monkeypatch, "_ml_spectral_fixed")
     values, errors = mittag_leffler_neg_array(order, s)
-    assert len(fixed) > 2000   # many 64-point blocks of the fixed rule
+    assert len(fixed) > 2000   # many blocks of the fixed rule
     for i in rng.choice(s.size, 60, replace=False):
         value, error = mittag_leffler_neg_array(order, s[i:i + 1])
         assert value[0] == values[i] and error[0] == errors[i], s[i]
+    # a call that ends on a partly filled block
+    head = s[:100]
+    assert sum(x in fixed for x in head) % special._ML_BLOCK
+    value, error = mittag_leffler_neg_array(order, head)
+    assert np.array_equal(value, values[:100]) and np.array_equal(error, errors[:100])
+
+
+def test_mittag_leffler_fixed_rule_working_memory_is_bounded():
+    # the rule runs block by block on reused buffers: its working memory
+    # stays far below the 5,000 x 5 x 205 doubles (41 MB) of one pass
+    s = np.random.default_rng(3).uniform(1.0, 8.0, 5000)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        special._ml_spectral_fixed(0.9, s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+def test_ml_array_bits_are_pinned():
+    for (nu, s), (value, error) in ML_BITS.items():
+        got = mittag_leffler_neg_array(FractionalOrder(nu), np.array([s]))
+        assert (got[0][0].hex(), got[1][0].hex()) == (value, error), (nu, s)
 
 
 def test_symbol_series_reference_values():
@@ -341,6 +404,15 @@ def test_lattice_rejects_bad_arguments():
             symbol_lattice(order, bad)
     with pytest.raises(ValueError):
         symbol_lattice(FractionalOrder(1.0), 1.0 + 0.5j)
+
+
+def test_lattice_refuses_large_real_part():
+    # right of Re z = 8 the lattice sum cancels (no digit right at 40 + i,
+    # OverflowError at 710); the series is the route there
+    order = FractionalOrder(0.5)
+    for re in (8.5, 20.0, 40.0, 710.0):
+        with pytest.raises(ValueError, match="symbol_series"):
+            symbol_lattice(order, complex(re, 1.0))
 
 
 def test_cut_bits_are_pinned():

@@ -15,17 +15,19 @@ loop, which sums the stored trajectory.  The history sum goes in tiles
 of _TILE future steps: one pass over the stored rows at the start of a
 tile serves every step of the tile.
 
-Runs shorter than _SOE_FROM steps sum the whole history directly, an
-O(N^2) convolution.  Each step's sum gets its terms one at a time in
+Runs shorter than _SOE_FROM (512) steps sum the whole history directly,
+an O(N^2) convolution.  Each step's sum gets its terms one at a time in
 ascending j, a multiply then an add, so these trajectories are
 bit-identical to the plain per-step loop.  Longer runs keep the exact
 weights only for lags below _J0 and carry all older rows in a sum of
-exponentials, beta_j ~= sum_q w_q e^{-p_q j}, one running sum per node,
-so a step costs O(len(p)) rows and a run grows linearly in N.  Those
-trajectories move from the direct sum's by round-off, at most about
-5e-14 of the largest initial value in the tests.  Every contraction is
-an einsum in a fixed order, outside BLAS, so either way trajectories
-are the same from run to run and whatever the BLAS thread count.
+exponentials, beta_j ~= sum_q w_q e^{-p_q j}: a trapezoid rule in log p
+down to p = 1/N and a Gauss rule below it, 39 nodes at 512 steps and 48
+at 5,120.  With one running sum per node, a step costs O(len(p)) rows
+and a run grows about linearly in N.  Those trajectories move from the
+direct sum's by round-off, at most about 3e-15 of the largest initial
+value in the tests.  Every contraction is an einsum in a fixed order,
+outside BLAS, so either way trajectories are the same from run to run
+and whatever the BLAS thread count.
 """
 
 import math
@@ -64,24 +66,32 @@ class TimeGrid:
 
 
 def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
-    # (1+x)^nu - 2 + (1-x)^nu at x = 1/j, summed as the even binomial
-    # series 2*sum_k C(nu,2k) x^{2k}; five terms leave a relative error
-    # below (1/j)^10, i.e. < 1e-18 for j > 64.
+    # (1+x)^nu - 2 + (1-x)^nu at x = 1/j, j >= 2 ascending, summed as the
+    # even binomial series 2*sum_k C(nu,2k) x^{2k}.  Every term has the sign
+    # of nu(nu-1), which the first coefficient carries as an exact product,
+    # so nothing cancels; and |C(nu,2k)| falls with k, so after K terms the
+    # relative error is below x^{2K}/(1-x^2).  K(j) = ceil(28 ln 2/ln j)
+    # keeps x^{2K} <= 2^-56 (28 terms at j = 2), and at least five terms
+    # are taken, which leave a relative error below (1/j)^10 for j > 64.
+    # K falls as j rises, so term k is added to a prefix of j.
     x2 = (1.0 / j) ** 2
+    terms = np.maximum(5, np.ceil(28.0 * math.log(2.0) / np.log(j)))
     acc = np.zeros_like(x2)
     coeff = 1.0
-    for k in range(1, 6):
+    for k in range(1, int(np.max(terms, initial=0)) + 1):
         coeff *= (nu - (2 * k - 2)) * (nu - (2 * k - 1)) / ((2 * k - 1) * (2 * k))
-        acc = acc + coeff * x2 ** k
+        live = np.count_nonzero(terms >= k)
+        acc[:live] = acc[:live] + coeff * x2[:live] ** k
     return 2.0 * acc
 
 
 def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
     """Weights beta_0..beta_{n-1}; beta_j = ((j+1)^nu - 2 j^nu + (j-1)^nu)/Gamma(1+nu).
 
-    The second difference of j^nu is formed directly for small j and by
-    an even-power binomial series for large j, where naive subtraction
-    would lose about 2*log10(j) digits.
+    The second difference of j^nu is never formed by subtraction, which
+    would lose about 2*log10(j) digits: beta_1 is 2*expm1((nu-1) ln 2),
+    and every later weight is j^nu times an even-power binomial series
+    in 1/j.
     """
     try:
         n = operator.index(n)
@@ -94,12 +104,9 @@ def dg_weights(order: FractionalOrder, n: int) -> np.ndarray:
     beta[0] = 1.0 / order.gamma_1p
     if n == 1 or nu == 1.0:
         return beta  # nu = 1: exact second difference of j
-    cut = min(n - 1, 64)
-    j_small = np.arange(1, cut + 1, dtype=float)
-    beta[1:cut + 1] = (j_small + 1.0) ** nu - 2.0 * j_small ** nu + (j_small - 1.0) ** nu
-    if n - 1 > 64:
-        j_large = np.arange(65, n, dtype=float)
-        beta[65:] = j_large ** nu * _beta_series(nu, j_large)
+    beta[1] = 2.0 * math.expm1((nu - 1.0) * math.log(2.0))
+    j = np.arange(2, n, dtype=float)
+    beta[2:] = j ** nu * _beta_series(nu, j)
     beta[1:] /= order.gamma_1p
     return beta
 
@@ -136,17 +143,61 @@ _SOE_H = 0.25
 # small-p form c p^{2-nu}.  That form is off by O(p j) <= O(_SOE_P_LO), and
 # the weight error falls about 100-fold per decade of _SOE_P_LO: 3.7e-13
 # relative at 1e-6 (nu = 0.999, j = 5120), under the aliasing floor at
-# 1e-7.  1e-8 leaves a margin of about 100; the rule then has 109 nodes
-# at 1,024 steps and 116 at 5,120.
+# 1e-7.  1e-8 leaves a margin of about 100.
 _SOE_P_LO = 1e-8
+# Below p = 1/n_steps, e^{-p j} is close to a polynomial in p for every
+# lag j <= n_steps, so the rule's nodes there (about 75, the p = 0 node
+# included) are replaced by the _SOE_GAUSS-point Gauss rule of their
+# discrete measure (McLean, "Exponential sum approximations for
+# t^{-beta}", Springer 2018, shrinks this end of the sum the same way).
+# The Gauss rule is exact up to degree 2 _SOE_GAUSS - 1 in p, and its error
+# at p j <= 1 is below 1e-22 of that part of beta_j.  The sums then have
+# 39 nodes at 512 steps, 43 at 1,280, 45 at 2,560, 48 at 5,120 and 51 at
+# 10,240, every node above 0 and every weight of the sign of c.  Against
+# 40-digit second differences at nu in {0.1, 0.3, 0.5, 0.75, 0.95, 0.999}
+# and 16 <= j <= n_steps for n_steps from 512 to 10,240, they are within
+# 4.0e-15 relative, the aliasing floor.
+_SOE_GAUSS = 8
 # Runs of at least this many steps carry the far history in exponential
-# sums; shorter runs sum the whole history directly.  On a 2-vCPU Xeon the
-# sums were slower up to 512 steps and faster from 640-768 steps on
-# (step_galerkin at 249 and 999 DOF, step_spectral at 1, 39 and 249
-# columns); at 1,024 steps they took 0.60-0.90 of the direct time.  The
-# first power of two past the crossover also keeps the default study (at
-# most 640 steps) and the kernel scans on the direct sum, bit for bit.
-_SOE_FROM = 1024
+# sums; shorter runs sum the whole history directly.  Against the direct
+# sum, on a 2-vCPU Xeon (minimum of 7 in-process runs), the sums cost:
+# step_galerkin at 999 DOF, 0.78x at 256 steps, 0.67x at 384 and 0.54x at
+# 640 (0.099 -> 0.053 s); at 249 DOF, 1.24x at 256, 1.01x at 320 and 0.91x
+# at 512; at 39 DOF, 1.06x at 384 and 0.96x at 512; step_spectral at 39
+# columns, 1.09x at 384 and 0.92x at 512, and at 4,000 columns 0.46x at
+# 512.  512 is the first power of two at which the Galerkin runs and the
+# multi-column spectral runs were never slower (one column, which no
+# workflow runs this long, is within +-20% at 4 ms).  It stays above phi's
+# n_max = 200 and the quick study's 80 steps, which keep the direct sum bit
+# for bit; the default study's 640-step run takes the sums.
+_SOE_FROM = 512
+
+
+def _gauss_rule(p: np.ndarray, m: np.ndarray, size: int):
+    """Nodes and weights of the size-point Gauss rule of sum_k m_k delta(p - p_k), m_k > 0.
+
+    Lanczos on diag(p) from the start vector sqrt(m / sum m), with full
+    reorthogonalisation in two passes, gives the Jacobi matrix; its
+    eigenvalues are the nodes, and the squared first components of its
+    eigenvectors times sum m are the weights (Golub & Welsch, Math. Comp.
+    23 (1969) 221).
+    """
+    total = float(np.sum(m))
+    basis = np.zeros((size, len(p)))
+    diag = np.zeros(size)
+    off = np.zeros(size - 1)
+    v = np.sqrt(m / total)
+    for i in range(size):
+        basis[i] = v
+        r = p * v
+        diag[i] = v @ r
+        for _ in range(2):
+            r -= basis[:i + 1].T @ (basis[:i + 1] @ r)
+        if i + 1 < size:
+            off[i] = math.sqrt(r @ r)
+            v = r / off[i]
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, total * vecs[0] ** 2
 
 
 def _far_nodes(order: FractionalOrder, n_steps: int):
@@ -154,7 +205,8 @@ def _far_nodes(order: FractionalOrder, n_steps: int):
 
     None for runs shorter than _SOE_FROM, which sum their history
     directly, and at nu = 1, where every beta_j with j >= 1 is zero.
-    The first node is p = 0: it carries the rule's nodes below p_lo.
+    The first _SOE_GAUSS nodes are the Gauss rule that stands for the
+    trapezoid rule below p = 1/n_steps.
     """
     nu = order.nu
     if n_steps < _SOE_FROM or nu == 1.0:
@@ -164,11 +216,14 @@ def _far_nodes(order: FractionalOrder, n_steps: int):
     s_top = math.log(60.0 / (_J0 - 1))
     count = math.ceil((s_top - math.log(_SOE_P_LO / n_steps)) / h)
     p = np.exp(s_top - h * np.arange(count, -1, -1.0))
-    w = (c * h) * p ** -nu * (2.0 * np.sinh(0.5 * p)) ** 2
-    # h * sum_{k>=1} c (p_lo e^{-kh})^{2-nu}: the rule continued below p_lo
+    m = h * p ** -nu * (2.0 * np.sinh(0.5 * p)) ** 2  # w / c, all > 0
+    # h * sum_{k>=1} (p_lo e^{-kh})^{2-nu}: the rule continued below p_lo
     a = 2.0 - nu
-    w_zero = c * h * p[0] ** a / math.expm1(a * h)
-    return np.concatenate(([0.0], p)), np.concatenate(([w_zero], w))
+    m_zero = h * p[0] ** a / math.expm1(a * h)
+    low = p < 1.0 / n_steps
+    p_low, m_low = _gauss_rule(np.concatenate(([0.0], p[low])),
+                               np.concatenate(([m_zero], m[low])), _SOE_GAUSS)
+    return np.concatenate((p_low, p[~low])), c * np.concatenate((m_low, m[~low]))
 
 
 def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance,

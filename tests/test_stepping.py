@@ -55,8 +55,8 @@ def test_weights_magnitude_decreasing():
 
 
 def test_weights_series_branch_continuity():
-    # the closed-form difference and the binomial series must agree where
-    # the implementation switches between them
+    # the direct second difference, which loses about 2*log10(j) digits,
+    # still agrees with the series around j = 64
     for nu in (0.2, 0.5, 0.9):
         w = dg_weights(FractionalOrder(nu), 80)
         g = math.gamma(1.0 + nu)
@@ -419,17 +419,47 @@ def beta_multiprecision(mpmath, nu, j):
                      / mpmath.gamma(1 + nu))
 
 
-@pytest.mark.parametrize("n_steps", [stepping._SOE_FROM, 5120])
-@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.75, 0.95, 0.999])
+MP_ORDERS = [0.1, 0.3, 0.5, 0.75, 0.95, 0.999]
+
+
+@pytest.mark.parametrize("nu", MP_ORDERS)
+def test_weights_match_multiprecision(nu):
+    # every weight, beta_0 included; measured worst case 8.3e-16 relative
+    mpmath = pytest.importorskip("mpmath")
+    w = dg_weights(FractionalOrder(nu), 201)
+    with mpmath.workdps(40):
+        assert w[0] == pytest.approx(float(1 / mpmath.gamma(1 + mpmath.mpf(nu))),
+                                     rel=1e-14)
+    for j in range(1, 201):
+        want = beta_multiprecision(mpmath, nu, j)
+        assert abs(w[j] - want) <= 1e-14 * abs(want), j
+
+
+@pytest.mark.parametrize("n_steps", [stepping._SOE_FROM, 1024, 2560, 5120, 10240])
+@pytest.mark.parametrize("nu", MP_ORDERS)
 def test_far_weights_match_multiprecision(nu, n_steps):
-    # measured worst case 3.8e-15 relative (nu = 0.1, j = 177 of 5,120),
-    # the trapezoid rule's aliasing term at h = 1/4
+    # measured worst case 4.0e-15 relative (nu = 0.1, j = 138 of 10,240),
+    # the trapezoid rule's aliasing term at h = 1/4; the Gauss rule below
+    # p = 1/n_steps adds nothing visible
     mpmath = pytest.importorskip("mpmath")
     p, w = stepping._far_nodes(FractionalOrder(nu), n_steps)
     for j in np.unique(np.geomspace(stepping._J0, n_steps, 25).round()):
         far = float(np.sum(w * np.exp(-p * j)))
         want = beta_multiprecision(mpmath, nu, j)
         assert abs(far - want) <= 1e-14 * abs(want), j
+
+
+@pytest.mark.parametrize("nu", MP_ORDERS)
+def test_far_nodes_are_few_and_decaying(nu):
+    # 8 Gauss nodes below p = 1/n_steps and the trapezoid nodes above it:
+    # 39 at 512 steps, 48 at 5,120 and 51 at 10,240; every term decays, and
+    # all have the sign of c = nu (nu - 1) / (Gamma(2 - nu) Gamma(1 + nu)) < 0
+    order = FractionalOrder(nu)
+    for n_steps in (stepping._SOE_FROM, 1280, 2560, 5120, 10240):
+        p, w = stepping._far_nodes(order, n_steps)
+        assert len(p) == len(w) <= 51
+        assert np.all(p >= 0.0)
+        assert np.all(w < 0.0)
 
 
 def test_far_history_only_from_the_crossover():
@@ -449,7 +479,8 @@ def test_spectral_below_crossover_equals_plain_loop():
     assert np.array_equal(traj, plain_spectral(order, lams, u0, grid))
 
 
-SOE_LENGTHS = [stepping._SOE_FROM + k for k in (0, 1, 7, 8, 9)]
+# the crossover, and every tile-edge residue of a longer far-path run
+SOE_LENGTHS = [stepping._SOE_FROM] + [1024 + k for k in (0, 1, 7, 8, 9)]
 SOE_ORDERS = [0.1, 0.3, 0.75, 0.95]
 
 
@@ -464,9 +495,7 @@ def direct_sum(monkeypatch, n_steps, run):
 @pytest.mark.parametrize("n_steps", SOE_LENGTHS)
 @pytest.mark.parametrize("cols", [1, 2, 39, 249])
 def test_spectral_far_history_matches_direct_sum(cols, n_steps, nu, monkeypatch):
-    # measured worst case 9.3e-15 * max|u0| (nu = 0.1, every width); most
-    # of it is the direct sum's own weight error at 16 <= j <= 64, which
-    # against 40-digit weights is larger than the exponential sums' error
+    # measured worst case 2.9e-16 * max|u0|
     order = FractionalOrder(nu)
     grid = TimeGrid(1.0 / n_steps, n_steps)
     lams = (math.pi * np.arange(1, cols + 1)) ** 2
@@ -483,7 +512,7 @@ def test_spectral_far_history_matches_direct_sum(cols, n_steps, nu, monkeypatch)
 @pytest.mark.parametrize("nu", SOE_ORDERS)
 @pytest.mark.parametrize("n_steps", SOE_LENGTHS)
 def test_galerkin_far_history_matches_direct_sum(n_steps, nu, monkeypatch):
-    # 39 DOF; measured worst case 5.2e-14 * max|u0| (nu = 0.1)
+    # 39 DOF; measured worst case 2.5e-15 * max|u0| (nu = 0.1)
     order = FractionalOrder(nu)
     mesh = graded_mesh(40, 2.0)
     mats = assemble(4.0 / math.pi ** 2, mesh)
@@ -495,6 +524,24 @@ def test_galerkin_far_history_matches_direct_sum(n_steps, nu, monkeypatch):
 
     far = run()
     direct = direct_sum(monkeypatch, n_steps, run)
+    assert np.max(np.abs(far - direct)) <= 1e-13 * np.max(np.abs(u0))
+
+
+def test_galerkin_far_history_matches_direct_sum_at_default_size(monkeypatch):
+    # the default study's finest run: 999 DOF, 640 steps of 1/1280;
+    # measured 1.1e-15 * max|u0|
+    order = FractionalOrder(0.75)
+    mesh = graded_mesh(1000, 3.0)
+    mats = assemble(4.0 / math.pi ** 2, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
+    grid = TimeGrid(1.0 / 1280, 640)
+    assert stepping._far_nodes(order, grid.n_steps) is not None
+
+    def run():
+        return step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+
+    far = run()
+    direct = direct_sum(monkeypatch, grid.n_steps, run)
     assert np.max(np.abs(far - direct)) <= 1e-13 * np.max(np.abs(u0))
 
 

@@ -9,7 +9,9 @@ suprema Phi_1/Phi_2, checks the inequalities the bound's proof rests
 on, and turns per-run error samples into weighted convergence tables.
 The scan returns the rho = mu n^nu, delta and Mittag-Leffler error
 grids; the ratio to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is
-formed by the acceptance test of criterion 2.
+formed by the acceptance test of criterion 2.  Built-in checks are
+``Check`` records, which the command line prints and turns into its
+exit status; ``symbol_checks`` returns the symbol's identity checks.
 """
 
 import math
@@ -22,11 +24,15 @@ from .special import (
     QuadratureError,
     _quad,
     mittag_leffler_neg_array,
+    symbol_asym_origin,
     symbol_cut,
+    symbol_lattice,
+    symbol_series,
 )
 from .stepping import TimeGrid, step_spectral
 
 __all__ = [
+    "Check",
     "PhiSweep",
     "LemmaScan",
     "ErrorTable",
@@ -37,11 +43,25 @@ __all__ = [
     "lemma_integral_zero",
     "lemma_scan_bounds",
     "resolvent_ratio_max",
+    "symbol_checks",
     "weighted_error_table",
 ]
 
 # Error-estimate limit of the branch-cut quadrature in delta_contour.
 _KERNEL_QUAD_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Check:
+    """One built-in check; it passes when value <= bound, so NaN fails."""
+
+    label: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound
 
 
 def default_mu_grid() -> np.ndarray:
@@ -53,8 +73,8 @@ def delta_direct(order: FractionalOrder, mu: float, n: int) -> float:
     """Error kernel via the recurrence: U^n with dt=1, lam=mu, u0=1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
     u = step_spectral(order, [mu], [1.0], TimeGrid(1.0, n))[:, 0]
@@ -74,8 +94,8 @@ def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
     nu = order.nu
     if not 0.0 < nu < 1.0:
         raise ValueError("contour route needs 0 < nu < 1")
-    if mu <= 0.0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     phase = complex(math.cos(math.pi * nu), -math.sin(math.pi * nu))
@@ -262,6 +282,45 @@ def resolvent_ratio_max() -> float:
         ratio = (1.0 - nu) ** 2 * (1.0 + x * x) / (1.0 + 2.0 * x * c + x * x)
         worst = max(worst, float(ratio.max()))
     return worst
+
+
+def symbol_checks() -> list:
+    """The series against the lattice sum (relative gap), its 2 pi i
+    periodicity and conjugate symmetry, and the halving ratio 2^{2-nu} of
+    its gap to the origin expansion, as three checks."""
+    worst = 0.0
+    for nu in (0.25, 0.75):
+        order = FractionalOrder(nu)
+        for re in (0.3, 1.0, 3.0, 8.0):
+            for im in (-2.5, 1.5):
+                z = complex(re, im)
+                a = symbol_series(order, z)
+                worst = max(worst, abs(a - symbol_lattice(order, z)) / abs(a))
+    checks = [Check("symbol series vs lattice", worst, 1e-12)]
+
+    worst = 0.0
+    z = complex(1.2, 0.7)
+    for nu in (0.25, 0.6, 0.9):
+        order = FractionalOrder(nu)
+        base = symbol_series(order, z)
+        scale = max(1.0, abs(base))
+        worst = max(worst,
+                    abs(symbol_series(order, z + 2j * math.pi) - base) / scale,
+                    abs(symbol_series(order, z.conjugate()) - base.conjugate()) / scale)
+    checks.append(Check("symbol periodicity/conjugacy", worst, 1e-13))
+
+    worst = 0.0
+    z0 = 0.1 * complex(math.cos(0.4), math.sin(0.4))
+    for nu in (0.5, 0.75):
+        order = FractionalOrder(nu)
+        residuals = [abs(symbol_series(order, z0 / 2 ** k)
+                         - symbol_asym_origin(order, z0 / 2 ** k))
+                     for k in range(3)]
+        target = 2.0 ** (2.0 - nu)
+        for r0, r1 in zip(residuals, residuals[1:]):
+            worst = max(worst, abs(r0 / r1 / target - 1.0))
+    checks.append(Check("origin expansion halving ratio dev", worst, 0.15))
+    return checks
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Command-line front end for the convergence and certification workflows.
 
 Subcommands: ``converge`` (graded-mesh Galerkin run against the contour
-or modal reference, weighted error table plus per-step error curves),
-``phi`` (weighted suprema of the error kernel over an order grid),
-``delta`` (single kernel values by either route), and ``lemmas``
-(quadrature and symbol identity checks).  All data files are CSV with a
-header row and a metadata comment carrying the package version and a
-hash of the resolved configuration; identical configurations produce
-byte-identical files.
+or modal reference, weighted error table plus per-step error curves;
+checks that the weighted errors are finite and positive, and on the
+default study their baseline), ``phi`` (weighted suprema of the error
+kernel over an order grid; checks their bound and the kernel's sign),
+``delta`` (single kernel values by either route; checks agreement when
+both run), and ``lemmas`` (quadrature and symbol identity checks).  All
+data files are CSV with a header row and a metadata comment carrying the
+package version and a hash of the resolved configuration; identical
+configurations produce byte-identical files.
 
-Each subcommand takes only the flags it reads.
+Each subcommand takes only the flags it reads and returns its checks as
+``certify.Check`` records; ``main`` prints one line per record, then one
+summary line if there was any record.
 
 Exit status: 0 when every built-in check passes, 2 when a check fails or
 a quadrature does not converge, 1 on usage or configuration errors,
@@ -21,31 +25,27 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .certify import (
+    Check,
     ErrorTable,
     delta_contour,
     delta_direct,
-    resolvent_ratio_max,
     lemma_integral_zero,
     lemma_scan_bounds,
     phi_sweep,
+    resolvent_ratio_max,
+    symbol_checks,
     weighted_error_table,
 )
 from .exact import KAPPA, constant_data_transform, exact_field, quarter_pi_coefficients
 from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
 from .laplace import inverter, window_chain
-from .special import (
-    FractionalOrder,
-    QuadratureError,
-    symbol_asym_origin,
-    symbol_lattice,
-    symbol_series,
-)
+from .special import FractionalOrder, QuadratureError
 from .stepping import TimeGrid, step_galerkin
 
 __all__ = ["RunConfig", "run_convergence", "main"]
@@ -274,25 +274,11 @@ def _print_table(table: ErrorTable):
 # subcommands
 
 
-def _check(label: str, value: float, bound: float, failures: list) -> None:
-    ok = value <= bound
-    if not ok:
-        failures.append(label)
-    print(f"check {label}: {value:.3e} <= {bound:.3e} "
-          f"{'PASS' if ok else 'FAIL'}")
-
-
-def _is_baseline_config(config: RunConfig) -> bool:
-    return (config.nu == 0.75 and config.n_list == _DEFAULT_N
-            and config.m_intervals == 1000 and config.gamma == 3.0
-            and config.alphas == _DEFAULT_ALPHAS)
-
-
-def cmd_converge(args, config: RunConfig) -> int:
+def cmd_converge(args, config: RunConfig) -> list:
     if args.dry_run:
         for key, value in config.items():
             print(f"{key} = {value}")
-        return 0
+        return []
     os.makedirs(config.out_dir, exist_ok=True)
     table, samples = run_convergence(config)
     table_path = os.path.join(config.out_dir, "error_table.csv")
@@ -303,28 +289,23 @@ def cmd_converge(args, config: RunConfig) -> int:
     _print_table(table)
     print(f"wrote {table_path} and {len(samples)} curve files")
 
-    failures = []
-    for a in table.alphas:
-        errs = table.errors[a]
-        if not all(math.isfinite(e) and e > 0.0 for e in errs):
-            failures.append(f"errors[{a:.4f}] not finite/positive")
-    if _is_baseline_config(config):
+    bad = sum(not 0.0 < e < math.inf for errs in table.errors.values() for e in errs)
+    checks = [Check("non-finite or non-positive weighted errors", bad, 0)]
+    # The baseline holds for the default study by either reference route.
+    if replace(config, reference="transform", out_dir="out") == RunConfig():
         for a in table.alphas:
             base_e, base_r = _BASELINE[a]
             dev_e = max(abs(e / b - 1.0) for e, b in zip(table.errors[a], base_e))
-            _check(f"baseline errors[alpha={a:.4f}] rel dev", dev_e,
-                   _BASELINE_ERROR_SLACK, failures)
             dev_r = max(abs(r - b) for r, b in zip(table.rates[a], base_r))
-            _check(f"baseline rates[alpha={a:.4f}] abs dev", dev_r,
-                   _BASELINE_RATE_SLACK, failures)
-    if failures:
-        print(f"converge: {len(failures)} check(s) failed")
-        return 2
-    print("converge: all checks passed")
-    return 0
+            checks += [
+                Check(f"baseline errors[alpha={a:.4f}] rel dev", dev_e,
+                      _BASELINE_ERROR_SLACK),
+                Check(f"baseline rates[alpha={a:.4f}] abs dev", dev_r,
+                      _BASELINE_RATE_SLACK)]
+    return checks
 
 
-def cmd_phi(args, config: RunConfig) -> int:
+def cmd_phi(args, config: RunConfig) -> list:
     os.makedirs(config.out_dir, exist_ok=True)
     if args.nu is not None or args.quick:  # --quick alone: the default order
         grid = (config.nu,)
@@ -342,26 +323,15 @@ def cmd_phi(args, config: RunConfig) -> int:
         print(f"nu={nu:.2f}: phi1={phi1:.6f} phi2={phi2:.6f} "
               f"min_delta={min_delta:.2e} skipped={skipped}")
     print(f"wrote {path}")
-
-    failures = []
-    worst = max(max(r[1], r[2]) for r in rows)
-    _check("phi suprema", worst, 1.1, failures)
-    most_negative = min(r[3] for r in rows)
-    _check("kernel sign (negated floor)", -most_negative, 1e-12, failures)
-    if failures:
-        print(f"phi: {len(failures)} check(s) failed")
-        return 2
-    print("phi: all checks passed")
-    return 0
+    return [Check("phi suprema", max(max(r[1], r[2]) for r in rows), 1.1),
+            Check("kernel sign (negated floor)", -min(r[3] for r in rows), 1e-12)]
 
 
-def cmd_delta(args, config: RunConfig) -> int:
+def cmd_delta(args, config: RunConfig) -> list:
     order = FractionalOrder(config.nu)
     mu, n = args.mu, args.n
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     values = {}
     if args.oracle in ("direct", "both"):
         values["direct"] = delta_direct(order, mu, n)
@@ -369,72 +339,28 @@ def cmd_delta(args, config: RunConfig) -> int:
         values["contour"] = delta_contour(order, mu, n)
     for name, value in values.items():
         print(f"delta[{name}](nu={config.nu}, mu={mu}, n={n}) = {value:.12e}")
-    if len(values) == 2:
-        gap = abs(values["direct"] - values["contour"])
-        bound = max(1e-6, 1e-4 * abs(values["direct"]))
-        failures = []
-        _check("oracle agreement", gap, bound, failures)
-        if failures:
-            return 2
-    return 0
+    if len(values) < 2:
+        return []
+    gap = abs(values["direct"] - values["contour"])
+    return [Check("oracle agreement", gap, max(1e-6, 1e-4 * abs(values["direct"])))]
 
 
-def cmd_lemmas(args, config: RunConfig) -> int:
+def cmd_lemmas(args, config: RunConfig) -> list:
     os.makedirs(config.out_dir, exist_ok=True)
-    failures = []
-    for nu in (0.6, 0.75, 0.9):
-        value = abs(lemma_integral_zero(FractionalOrder(nu)))
-        _check(f"vanishing integral [nu={nu}]", value, 1e-8, failures)
-
+    checks = [Check(f"vanishing integral [nu={nu}]",
+                    abs(lemma_integral_zero(FractionalOrder(nu))), 1e-8)
+              for nu in (0.6, 0.75, 0.9)]
     small, large = lemma_scan_bounds()
-    _check("power-mean scan, nu < 1/2", small.overall_max, 3.0, failures)
-    _check("power-mean scan, nu > 1/2", large.overall_max, 3.0, failures)
-    _check("resolvent ratio scan", resolvent_ratio_max(), 1.0, failures)
-
-    worst = 0.0
-    for nu in (0.25, 0.75):
-        order = FractionalOrder(nu)
-        for re in (0.3, 1.0, 3.0, 8.0):
-            for im in (-2.5, 1.5):
-                z = complex(re, im)
-                a = symbol_series(order, z)
-                b = symbol_lattice(order, z)
-                worst = max(worst, abs(a - b) / abs(a))
-    _check("symbol series vs lattice", worst, 1e-12, failures)
-
-    worst = 0.0
-    for nu in (0.25, 0.6, 0.9):
-        order = FractionalOrder(nu)
-        z = complex(1.2, 0.7)
-        base = symbol_series(order, z)
-        scale = max(1.0, abs(base))
-        worst = max(worst,
-                    abs(symbol_series(order, z + 2j * math.pi) - base) / scale,
-                    abs(symbol_series(order, z.conjugate()) - base.conjugate()) / scale)
-    _check("symbol periodicity/conjugacy", worst, 1e-13, failures)
-
-    worst = 0.0
-    for nu in (0.5, 0.75):
-        order = FractionalOrder(nu)
-        z0 = 0.1 * complex(math.cos(0.4), math.sin(0.4))
-        residuals = [abs(symbol_series(order, z0 / 2 ** k)
-                         - symbol_asym_origin(order, z0 / 2 ** k))
-                     for k in range(3)]
-        target = 2.0 ** (2.0 - nu)
-        for r0, r1 in zip(residuals, residuals[1:]):
-            worst = max(worst, abs(r0 / r1 / target - 1.0))
-    _check("origin expansion halving ratio dev", worst, 0.15, failures)
-
+    checks += [Check("power-mean scan, nu < 1/2", small.overall_max, 3.0),
+               Check("power-mean scan, nu > 1/2", large.overall_max, 3.0),
+               Check("resolvent ratio scan", resolvent_ratio_max(), 1.0),
+               *symbol_checks()]
     for name, scan in (("lemma_scan_small.csv", small),
                        ("lemma_scan_large.csv", large)):
         path = os.path.join(config.out_dir, name)
         _write_csv(path, config, ["nu", "max_value", "argmax_x"],
                    [tuple(row) for row in scan.rows])
-    if failures:
-        print(f"lemmas: {len(failures)} check(s) failed")
-        return 2
-    print("lemmas: all checks passed")
-    return 0
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +440,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        return args.func(args, config)
-    except (ValueError, OSError) as exc:
+        checks = args.func(args, config)
+        for check in checks:
+            print(f"check {check.label}: {check.value:.3e} <= {check.bound:.3e} "
+                  f"{'PASS' if check.passed else 'FAIL'}")
+        failed = sum(not check.passed for check in checks)
+        if failed:
+            print(f"{args.command}: {failed} check(s) failed")
+            return 2
+        if checks:
+            print(f"{args.command}: all checks passed")
+        return 0
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, QuadratureError) else 1
 
 
 if __name__ == "__main__":

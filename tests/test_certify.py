@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdg.certify import (
+    Check,
     default_mu_grid,
     delta_contour,
     delta_direct,
@@ -14,6 +15,7 @@ from fracdg.certify import (
     lemma_integral_zero,
     lemma_scan_bounds,
     phi_sweep,
+    symbol_checks,
     weighted_error_table,
 )
 from fracdg.special import FractionalOrder
@@ -72,6 +74,14 @@ def test_delta_zero_eigenvalue_is_exact():
     assert delta_direct(FractionalOrder(0.5), 0.0, 7) == 0.0
 
 
+def test_delta_direct_validation():
+    for mu in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+            delta_direct(FractionalOrder(0.5), mu, 1)
+    with pytest.raises(ValueError):
+        delta_direct(FractionalOrder(0.5), 1.0, 0)
+
+
 def test_delta_contour_matches_direct_spot():
     order = FractionalOrder(0.5)
     got = delta_contour(order, 1.0, 1)
@@ -109,6 +119,9 @@ def test_delta_contour_validation():
         delta_contour(FractionalOrder(0.5), -1.0, 1)
     with pytest.raises(ValueError):
         delta_contour(FractionalOrder(0.5), 1.0, 0)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be finite and > 0"):
+            delta_contour(FractionalOrder(0.75), mu, 3)
 
 
 @given(nu=st.floats(0.1, 0.95), log_mu=st.floats(-8.0, 8.0),
@@ -243,3 +256,15 @@ def test_weighted_table_single_run_has_no_rates():
     table = weighted_error_table(synthetic_samples(1.0, (64,)), alphas=(0.5,))
     assert table.n_values == (64,)
     assert table.rates[0.5] == ()
+
+
+def test_check_passes_up_to_its_bound_and_fails_on_nan():
+    assert Check("x", 1.0, 1.0).passed
+    assert not Check("x", 1.0 + 1e-15, 1.0).passed
+    assert not Check("x", math.nan, 1.0).passed
+
+
+def test_symbol_checks_pass_at_their_bounds():
+    checks = symbol_checks()
+    assert [c.bound for c in checks] == [1e-12, 1e-13, 0.15]
+    assert all(c.passed for c in checks), checks

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fracdg.cli as cli
+from fracdg.certify import Check
 from fracdg.cli import RunConfig, main, run_convergence
 from fracdg.exact import constant_data_transform
 from fracdg.laplace import inverter, window_chain
@@ -178,6 +179,21 @@ def test_delta_both_routes_agree(capsys):
     assert "delta[contour]" in out
     assert "check oracle agreement" in out
     assert "PASS" in out
+
+
+def test_delta_disagreement_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "delta_contour", lambda order, mu, n: 1.0)
+    assert main(["delta", "--nu", "0.5", "--mu", "1.0", "--n", "1"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("check oracle agreement:")
+    assert out[-2].endswith("FAIL")
+    assert out[-1] == "delta: 1 check(s) failed"
+
+
+def test_delta_one_route_prints_no_check(capsys):
+    assert main(["delta", "--mu", "1", "--n", "50", "--oracle", "direct"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("delta[direct]")
 
 
 # -- converge subcommand -----------------------------------------------------
@@ -537,6 +553,15 @@ def test_phi_digest_covers_the_order_grid(tmp_path, capsys):
     assert (len(grid_lines), len(one_lines)) == (11, 3)
     assert META_RE.match(grid_lines[0]) and META_RE.match(one_lines[0])
     assert grid_lines[0] != one_lines[0]
+
+
+def test_lemmas_failing_symbol_check_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "symbol_checks",
+                        lambda: [Check("symbol stub", 1.0, 0.5)])
+    assert main(["lemmas", "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "check symbol stub: 1.000e+00 <= 5.000e-01 FAIL" in out
+    assert out[-1] == "lemmas: 1 check(s) failed"
 
 
 def test_lemmas_quick(tmp_path, capsys):

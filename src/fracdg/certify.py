@@ -22,6 +22,9 @@ import numpy as np
 from .special import (
     FractionalOrder,
     QuadratureError,
+    _TS_COARSE,
+    _TS_NODES,
+    _TS_WEIGHTS,
     _quad,
     mittag_leffler_neg_array,
     symbol_asym_origin,
@@ -102,7 +105,7 @@ def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
 
     def integrand(s):
         smn = s ** -nu
-        num = 1.0 + mu * symbol_cut(order, s, "+")
+        num = 1.0 + mu * symbol_cut(order, s)
         ref = 1.0 + mu * smn * phase
         bracket = 1.0 / (num.real * num.real + num.imag * num.imag) \
             - 1.0 / (ref.real * ref.real + ref.imag * ref.imag)
@@ -183,29 +186,34 @@ def phi_sweep(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> PhiSwee
                     skipped=int(np.count_nonzero(guarded)))
 
 
+def _moment_integrands(nu: float) -> np.ndarray:
+    # lemma_integral_zero's two integrands as rows, at the tanh-sinh nodes
+    # on [0, 1]; u = v^k in the second absorbs its u^{1-1/nu} weight.
+    p = -math.cos(math.pi * nu)  # in (0, 1)
+    k = nu / (2.0 * nu - 1.0)
+    x, u = _TS_NODES, _TS_NODES ** k
+    return np.stack([x ** (1.0 / nu) * (1.0 - p * x) / (x * x - 2.0 * p * x + 1.0) ** 2,
+                     k * (u - p) / (u * u - 2.0 * p * u + 1.0) ** 2])
+
+
 def lemma_integral_zero(order: FractionalOrder) -> float:
     """The vanishing moment int_0^inf (s^nu + s^{2nu} cos(pi nu)) / |s^nu + e^{i pi nu}|^4 ds.
 
     Exact value is 0 for 1/2 < nu < 1.  Substituting x = s^nu and folding
-    [1, inf) back onto (0, 1] by x -> 1/x gives two finite integrals whose
-    only singularity is the integrable u^{1-1/nu} weight at u = 0.
+    [1, inf) back onto (0, 1] by x -> 1/x gives two integrals; the second's
+    u^{1-1/nu} weight goes under u = v^{nu/(2nu-1)}.  The fixed tanh-sinh
+    rule of special sums both at once, its gap to the rule with step 2h is
+    the estimate, and above 1e-9 (nu >~ 0.996) QuadratureError is raised.
     """
     nu = order.nu
     if not 0.5 < nu < 1.0:
         raise ValueError(f"identity requires 1/2 < nu < 1, got {nu}")
-    p = -math.cos(math.pi * nu)  # in (0, 1)
-
-    def q(y):
-        return y * y - 2.0 * p * y + 1.0
-
-    v0, e0 = _quad(lambda x: x ** (1.0 / nu) * (1.0 - p * x) / q(x) ** 2,
-                   0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
-    v1, e1 = _quad(lambda u: (u - p) / q(u) ** 2,
-                   0.0, 1.0, weight="alg", wvar=(1.0 - 1.0 / nu, 0.0),
-                   limit=200, epsabs=1e-12, epsrel=1e-12)
-    if e0 + e1 > 1e-9:
-        raise QuadratureError("moment quadrature did not converge", e0 + e1)
-    return (v0 + v1) / nu
+    f = _moment_integrands(nu).sum(axis=0)
+    fine = np.multiply(f, _TS_WEIGHTS).sum()
+    est = abs(fine - np.multiply(f, _TS_COARSE).sum()) / nu
+    if est > 1e-9:
+        raise QuadratureError("moment quadrature did not converge", est)
+    return float(fine / nu)
 
 
 @dataclass(frozen=True)
@@ -219,14 +227,9 @@ class LemmaScan:
     overall_max: float
 
 
-def _stable_power_difference(b: np.ndarray, logx: np.ndarray) -> np.ndarray:
-    # (x^b - 1)/b elementwise with the b -> 0 limit log x, via expm1.
-    out = np.empty(np.broadcast(b, logx).shape)
-    bb, lx = np.broadcast_arrays(b, logx)
-    zero = bb == 0.0
-    out[zero] = lx[zero]
-    out[~zero] = np.expm1(bb[~zero] * lx[~zero]) / bb[~zero]
-    return out
+def _stable_power_difference(b: float, logx: np.ndarray) -> np.ndarray:
+    # (x^b - 1)/b with the b -> 0 limit log x, via expm1.
+    return logx if b == 0.0 else np.expm1(b * logx) / b
 
 
 def lemma_scan_bounds() -> tuple:
@@ -246,8 +249,7 @@ def lemma_scan_bounds() -> tuple:
     rows5 = np.empty((len(nu_small), 3))
     for i, nu in enumerate(nu_small):
         # f = x^nu (1 - x^{1-3nu})/(1-3nu) = -x^nu * ((x^b - 1)/b), b = 1-3nu
-        vals = x5 ** nu * -_stable_power_difference(
-            np.full_like(x5, 1.0 - 3.0 * nu), np.log(x5))
+        vals = x5 ** nu * -_stable_power_difference(1.0 - 3.0 * nu, np.log(x5))
         k = int(np.argmax(vals))
         rows5[i] = (nu, vals[k], x5[k])
 
@@ -255,8 +257,7 @@ def lemma_scan_bounds() -> tuple:
     rows6 = np.empty((len(nu_large), 3))
     for i, nu in enumerate(nu_large):
         # g = x^{nu-1} (x^{2-3nu} - 1)/(2-3nu)
-        vals = x6 ** (nu - 1.0) * _stable_power_difference(
-            np.full_like(x6, 2.0 - 3.0 * nu), np.log(x6))
+        vals = x6 ** (nu - 1.0) * _stable_power_difference(2.0 - 3.0 * nu, np.log(x6))
         k = int(np.argmax(vals))
         rows6[i] = (nu, vals[k], x6[k])
 

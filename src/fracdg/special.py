@@ -25,10 +25,11 @@ import numpy as np
 
 def _quad(f, a, b, **kw):
     # quadpack run with its warnings silenced; callers inspect the returned
-    # error estimate instead.  scipy.integrate is imported on first use:
-    # converge and phi make no quadpack call, and without it they load
-    # neither scipy.integrate nor the scipy.special and scipy.optimize it
-    # pulls in.
+    # error estimate instead.  Only the reference routes call it: the
+    # contour route of delta, the per-point Mittag-Leffler evaluator and
+    # the tests' oracles.  scipy.integrate is imported on first use, so
+    # converge, phi, lemmas and the direct delta route load neither it nor
+    # the scipy.special and scipy.optimize it pulls in.
     from scipy.integrate import IntegrationWarning, quad
 
     with warnings.catch_warnings():
@@ -521,30 +522,26 @@ def symbol_lattice(order: FractionalOrder, z: complex) -> complex:
     return -_one_m_exp(-z) * lattice
 
 
-def symbol_cut(order: FractionalOrder, s: float, side: str = "+") -> complex:
-    """One-sided limit psi(s e^{+-i pi}) on the branch cut, s > 0, 0 < nu < 1.
+def symbol_cut(order: FractionalOrder, s: float) -> complex:
+    """Limit psi(s e^{i pi}) from above on the branch cut, s > 0, 0 < nu < 1.
 
-    symbol_lattice's sum at z = -s, where only the k = 0 term is complex:
-    Im psi = -+ (1-e^{-s}) s^{-nu-1} sin(pi nu) and
+    The limit from below is its conjugate.  symbol_lattice's sum at
+    z = -s, where only the k = 0 term is complex:
+    Im psi = -(1-e^{-s}) s^{-nu-1} sin(pi nu) and
     Re psi = (1-e^{-s}) s^{-nu-1} cos(pi nu) + 2 expm1(-s) Re _lattice_half(-s).
     One route serves every s > 0, finite down to the smallest double.
     """
     nu = order.nu
     if not 0.0 < nu < 1.0:
-        raise ValueError("cut limits need 0 < nu < 1")
+        raise ValueError("cut limit needs 0 < nu < 1")
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"s={s} must be finite and positive")
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
 
     acc = _lattice_half(nu, -s)
     one_m = -math.expm1(-s)
     h = one_m / s * s ** -nu   # (1-e^{-s}) s^{-1-nu} without overflow
     re = h * math.sin(math.pi * (0.5 - nu)) - 2.0 * one_m * acc.real
-    im = -h * order.sin_pi
-    if side == "-":
-        im = -im
-    return complex(re, im)
+    return complex(re, -h * order.sin_pi)
 
 
 def symbol_asym_origin(order: FractionalOrder, z: complex) -> complex:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdg import certify, special
 from fracdg.certify import (
     Check,
     default_mu_grid,
@@ -18,7 +19,7 @@ from fracdg.certify import (
     symbol_checks,
     weighted_error_table,
 )
-from fracdg.special import FractionalOrder
+from fracdg.special import FractionalOrder, QuadratureError
 
 DELTA_1_HALF_MU1 = 0.042257519575574146
 # classical closed form (1+mu)^{-n} - e^{-n mu} at three spots
@@ -208,6 +209,58 @@ def test_lemma_integral_zero_inside_range():
         lemma_integral_zero(FractionalOrder(0.5))   # endpoint excluded
     with pytest.raises(ValueError):
         lemma_integral_zero(FractionalOrder(0.3))
+
+
+# Criterion 7 gates the moment at 1e-8; on the tanh-sinh rule it is round-off
+# (9e-17..1.5e-15 measured, step-2h gaps at most 2.4e-15) at these orders.
+MOMENT_ORDERS = (0.51, 0.6, 0.75, 0.9)
+
+
+def mp_moment_halves(mpmath, nu):
+    # The moment's two integrals on [0, 1] in 30 digits, without the
+    # package's substitution: the second's u^a weight, a = 1 - 1/nu, is
+    # integrated in closed form against g(0) and by quadrature against
+    # g(u) - g(0).
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(nu)
+        p = -mpmath.cos(mpmath.pi * nu)
+        a = 1 - 1 / nu
+
+        def q(y):
+            return y * y - 2 * p * y + 1
+
+        def g(u):
+            return (u - p) / q(u) ** 2
+
+        first = mpmath.quad(lambda x: x ** (1 / nu) * (1 - p * x) / q(x) ** 2, [0, 1])
+        second = g(0) / (a + 1) + mpmath.quad(lambda u: u ** a * (g(u) - g(0)), [0, 1])
+        return float(first), float(second)
+
+
+@pytest.mark.parametrize("nu", MOMENT_ORDERS)
+def test_moment_halves_match_multiprecision(nu):
+    mpmath = pytest.importorskip("mpmath")
+    halves = np.multiply(certify._moment_integrands(nu), special._TS_WEIGHTS).sum(axis=-1)
+    for got, want in zip(halves, mp_moment_halves(mpmath, nu)):
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("nu", MOMENT_ORDERS)
+def test_moment_vanishes_to_round_off(nu):
+    f = certify._moment_integrands(nu).sum(axis=0)
+    fine = np.multiply(f, special._TS_WEIGHTS).sum()
+    gap = abs(fine - np.multiply(f, special._TS_COARSE).sum()) / nu
+    assert gap <= 1e-14
+    assert abs(lemma_integral_zero(FractionalOrder(nu))) <= 1e-14
+
+
+def test_moment_near_one_raises():
+    # the integrands peak sharply at 1 as nu -> 1: the step-2h gap is
+    # 6.7e-10 at nu = 0.995 and 1.8e-6 at 0.999
+    assert abs(lemma_integral_zero(FractionalOrder(0.995))) <= 1e-9
+    with pytest.raises(QuadratureError) as info:
+        lemma_integral_zero(FractionalOrder(0.999))
+    assert info.value.achieved > 1e-9
 
 
 def test_lemma_scans_within_bounds():

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -351,124 +352,65 @@ def quick_converge_files(out, first="", **env_extra):
 
 
 def test_files_do_not_depend_on_import_order(tmp_path):
-    # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
-    # Importing numpy first with two BLAS threads must not change a byte.
-    files = [quick_converge_files(tmp_path / "plain"),
-             quick_converge_files(tmp_path / "numpy_first", "import numpy\n",
-                                  OPENBLAS_NUM_THREADS="2")]
-    assert len(files[0]) == 5
-    assert files[0] == files[1]
+    # fracdg pins OMP_NUM_THREADS only if it is imported before numpy, and
+    # fem1d loads scipy's LAPACK extension itself, getting the loaded one
+    # when scipy.linalg came first.  Neither numpy first with two BLAS
+    # threads nor scipy.linalg first may change a byte.
+    plain = quick_converge_files(tmp_path / "plain")
+    assert len(plain) == 5
+    assert quick_converge_files(tmp_path / "numpy_first", "import numpy\n",
+                                OPENBLAS_NUM_THREADS="2") == plain
+    assert quick_converge_files(tmp_path / "scipy_first",
+                                "import scipy.linalg\n") == plain
 
 
-def test_files_do_not_depend_on_scipy_linalg_loading_first(tmp_path):
-    # fem1d loads scipy's LAPACK extension itself; with scipy.linalg already
-    # imported it gets the loaded one, and the files must not change a byte.
-    files = [quick_converge_files(tmp_path / "plain"),
-             quick_converge_files(tmp_path / "scipy_first",
-                                  "import scipy.linalg\n")]
-    assert len(files[0]) == 5
-    assert files[0] == files[1]
-
-
-def run_steps_in_fresh_interpreter(tmp_path, report):
-    # Imports fracdg.cli in a fresh interpreter, so that no other test's
-    # imports count, then runs the quick CSV studies; `report(step, rc)` is
-    # a function body that prints one line to stderr after each step.
+def test_workflows_import_footprint(tmp_path):
+    # One fresh interpreter, so that no other test's imports count, imports
+    # fracdg.cli and runs each workflow in turn.  After each step it reports
+    # the exit status, the forbidden modules loaded, and the numpy, scipy
+    # and fracdg modules new since the step before.
+    # - fem1d loads only scipy's _flapack extension, not the scipy.linalg
+    #   package or the numpy modules its array-API layer pulls in.
+    # - The Galerkin solves need no scipy.sparse module.
+    # - scipy.integrate loads on the first quadpack call, which only delta's
+    #   contour route makes.
+    # - `import fracdg.cli` loads every module a workflow needs, so that no
+    #   import lands inside a timed run.  argparse's gettext lookup loads
+    #   the stdlib locale module on the first run, which is not counted.
     run = (
-        "import sys\n"
+        "import json, sys\n"
         "import fracdg.cli as cli\n"
-        "def report(step, rc):\n" + report +
+        "FORBIDDEN = ('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.integrate')\n"
+        "seen = set(sys.modules)\n"
+        "def report(step, rc):\n"
+        "    global seen\n"
+        "    loaded = sorted(m for m in sys.modules"
+        " if m in FORBIDDEN or m.startswith('scipy.sparse'))\n"
+        "    new = sorted(m for m in set(sys.modules) - seen"
+        " if m.split('.')[0] in ('numpy', 'scipy', 'fracdg'))\n"
+        "    seen = set(sys.modules)\n"
+        "    print(json.dumps([step, rc, loaded, new]), file=sys.stderr)\n"
         "report('import', 0)\n"
         "out = sys.argv[1]\n"
         "report('converge', cli.main(['converge', '--quick', '--out', out]))\n"
         "report('modal', cli.main(['converge', '--quick', '--reference', 'modal',"
         " '--out', out]))\n"
         "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
-                          env={**os.environ, "PYTHONPATH": SRC}, check=True,
-                          capture_output=True, text=True, timeout=300)
-    return done.stderr.splitlines()
-
-
-def test_csv_workflows_do_not_load_the_scipy_linalg_package(tmp_path):
-    # fem1d loads only scipy's _flapack extension: neither the scipy.linalg
-    # package nor the numpy modules its array-API layer pulls in may load.
-    report = (
-        "    heavy = ('scipy.linalg', 'numpy.f2py', 'numpy.testing')\n"
-        "    print(step, rc, [m for m in heavy if m in sys.modules],"
-        " file=sys.stderr)\n"
-    )
-    assert run_steps_in_fresh_interpreter(tmp_path, report) == [
-        "import 0 []", "converge 0 []", "modal 0 []", "phi 0 []"]
-
-
-def test_csv_workflows_import_nothing_of_their_own_after_set_up(tmp_path):
-    # Every numpy, scipy and fracdg module a quick study needs is loaded by
-    # `import fracdg.cli`, so no import lands inside a timed run.  argparse's
-    # gettext lookup loads the stdlib locale module on the first run.
-    report = (
-        "    global seen\n"
-        "    new = set(sys.modules) - seen\n"
-        "    seen |= new\n"
-        "    ours = sorted(m for m in new"
-        " if m.split('.')[0] in ('numpy', 'scipy', 'fracdg'))\n"
-        "    print(step, rc, ours, file=sys.stderr)\n"
-        "seen = set(sys.modules)\n"
-    )
-    assert run_steps_in_fresh_interpreter(tmp_path, report) == [
-        "import 0 []", "converge 0 []", "modal 0 []", "phi 0 []"]
-
-
-def test_csv_workflows_do_not_load_quadpack(tmp_path):
-    # scipy.integrate loads on the first quadpack call; the CSV workflows
-    # and the direct delta route make none.  A fresh interpreter, so that no other test's
-    # imports count; each step reports its exit status and whether
-    # scipy.integrate is loaded after it.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    run = (
-        "import sys\n"
-        "import fracdg.cli as cli\n"
-        "def report(step, rc):\n"
-        "    print(step, rc, 'scipy.integrate' in sys.modules, file=sys.stderr)\n"
-        "report('import', 0)\n"
-        "out = sys.argv[1]\n"
-        "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
-        "report('modal', cli.main(['converge', '--quick', '--reference', 'modal',"
-        " '--out', out]))\n"
+        "report('lemmas', cli.main(['lemmas', '--out', out]))\n"
         "report('direct', cli.main(['delta', '--nu', '0.5', '--mu', '0.3',"
         " '--n', '200', '--oracle', 'direct']))\n"
         "report('contour', cli.main(['delta', '--mu', '1', '--n', '50',"
         " '--oracle', 'contour']))\n"
     )
     done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
-                          env={**os.environ, "PYTHONPATH": src}, check=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True,
                           capture_output=True, text=True, timeout=300)
-    assert done.stderr.splitlines() == ["import 0 False", "phi 0 False",
-                                        "modal 0 False", "direct 0 False",
-                                        "contour 0 True"]
-
-
-def test_csv_workflows_do_not_load_sparse(tmp_path):
-    # the Galerkin solves use scipy.linalg's LAPACK wrappers, so no
-    # scipy.sparse module loads on import or in converge and phi.  A fresh
-    # interpreter, as above; each step reports whether any is loaded.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    run = (
-        "import sys\n"
-        "import fracdg.cli as cli\n"
-        "def report(step, rc):\n"
-        "    loaded = [m for m in sys.modules if m.startswith('scipy.sparse')]\n"
-        "    print(step, rc, loaded, file=sys.stderr)\n"
-        "report('import', 0)\n"
-        "out = sys.argv[1]\n"
-        "report('converge', cli.main(['converge', '--quick', '--out', out]))\n"
-        "report('phi', cli.main(['phi', '--quick', '--out', out]))\n"
-    )
-    done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
-                          env={**os.environ, "PYTHONPATH": src}, check=True,
-                          capture_output=True, text=True, timeout=300)
-    assert done.stderr.splitlines() == ["import 0 []", "converge 0 []", "phi 0 []"]
+    *steps, contour = [json.loads(line) for line in done.stderr.splitlines()]
+    assert steps == [[step, 0, [], []] for step in
+                     ("import", "converge", "modal", "phi", "lemmas", "direct")]
+    # quadpack loads scipy.integrate and whatever it pulls in
+    assert contour[:2] == ["contour", 0]
+    assert "scipy.integrate" in contour[2]
 
 
 def test_converge_on_the_smallest_system(tmp_path, capsys):

@@ -387,11 +387,12 @@ def test_lattice_approaches_the_cut_limits():
     for nu in (0.02, 0.3, 0.75, 0.999):
         order = FractionalOrder(nu)
         for s in (1e-9, 1e-3, 0.5, 7.0, 45.0):
-            for side, sign in (("+", 1.0), ("-", -1.0)):
-                want = symbol_cut(order, s, side)
+            above = symbol_cut(order, s)
+            # the limit from below is the conjugate
+            for sign, want in ((1.0, above), (-1.0, above.conjugate())):
                 for eps in (1e-4, 1e-8, 1e-14):
                     got = symbol_lattice(order, complex(-s, sign * eps * s))
-                    assert abs(got - want) <= 10.0 * eps * abs(want), (nu, s, side, eps)
+                    assert abs(got - want) <= 10.0 * eps * abs(want), (nu, s, sign, eps)
 
 
 def test_lattice_rejects_bad_arguments():
@@ -417,22 +418,14 @@ def test_lattice_refuses_large_real_part():
 
 def test_cut_bits_are_pinned():
     for (nu, s), (re, im) in CUT_BITS.items():
-        got = symbol_cut(FractionalOrder(nu), s, "+")
+        got = symbol_cut(FractionalOrder(nu), s)
         assert (got.real.hex(), got.imag.hex()) == (re, im), (nu, s)
 
 
 def test_cut_reference_values():
     for (nu, s), want in CUT_VALUES.items():
-        got = symbol_cut(FractionalOrder(nu), s, "+")
+        got = symbol_cut(FractionalOrder(nu), s)
         assert abs(got - want) <= 1e-10 * abs(want)
-
-
-def test_cut_sides_are_conjugate():
-    order = FractionalOrder(0.35)
-    for s in (1e-7, 1e-3, 0.5, 7.0):
-        plus = symbol_cut(order, s, "+")
-        minus = symbol_cut(order, s, "-")
-        assert minus == plus.conjugate()
 
 
 def test_cut_imaginary_part_closed_form():
@@ -440,7 +433,7 @@ def test_cut_imaginary_part_closed_form():
         order = FractionalOrder(nu)
         for s in (0.01, 0.3, 2.0, 20.0):
             want = -(-math.expm1(-s)) * s ** (-nu - 1.0) * order.sin_pi
-            got = symbol_cut(order, s, "+").imag
+            got = symbol_cut(order, s).imag
             assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -448,8 +441,8 @@ def test_cut_branch_crossover_is_seamless():
     # one route, the lattice sum, on both sides of s = 1e-5
     for nu in (0.25, 0.5, 0.9):
         order = FractionalOrder(nu)
-        lo = symbol_cut(order, 1e-5 * (1.0 - 1e-9), "+")
-        hi = symbol_cut(order, 1e-5 * (1.0 + 1e-9), "+")
+        lo = symbol_cut(order, 1e-5 * (1.0 - 1e-9))
+        hi = symbol_cut(order, 1e-5 * (1.0 + 1e-9))
         assert abs(lo - hi) <= 1e-8 * abs(hi)
 
 
@@ -457,11 +450,9 @@ def test_cut_rejects_bad_arguments():
     order = FractionalOrder(0.5)
     for bad in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            symbol_cut(order, bad, "+")
+            symbol_cut(order, bad)
     with pytest.raises(ValueError):
-        symbol_cut(order, 1.0, "x")
-    with pytest.raises(ValueError):
-        symbol_cut(FractionalOrder(1.0), 1.0, "+")
+        symbol_cut(FractionalOrder(1.0), 1.0)
 
 
 # Worst relative error measured over the s grid: 3.5e-15 for nu <= 0.9,
@@ -474,7 +465,7 @@ def test_cut_matches_multiprecision_polylog(nu, gate):
     order = FractionalOrder(nu)
     for s in (1e-4, 0.01, 0.3, 1.0, 3.7, 19.4, 45.0, 300.0):
         want = psi_mp(mpmath, nu, complex(-s, 1e-35))
-        assert abs(symbol_cut(order, s, "+") - want) <= gate * abs(want), s
+        assert abs(symbol_cut(order, s) - want) <= gate * abs(want), s
 
 
 def test_cut_finite_at_tiny_s():
@@ -483,7 +474,7 @@ def test_cut_finite_at_tiny_s():
     for nu in (0.02, 0.5, 0.999):
         order = FractionalOrder(nu)
         for s in (1e-300, 1e-20, 1e-9):
-            got = symbol_cut(order, s, "+")
+            got = symbol_cut(order, s)
             want = symbol_asym_origin(order, complex(-s, 0.0))
             assert cmath.isfinite(got)
             assert abs(got - want) <= 1e-12 * abs(want), (nu, s)
@@ -492,7 +483,7 @@ def test_cut_finite_at_tiny_s():
 @given(nu=st.floats(0.05, 0.95), s=st.floats(1e-6, 50.0))
 @settings(max_examples=60, deadline=None)
 def test_cut_total_on_positive_axis(nu, s):
-    got = symbol_cut(FractionalOrder(nu), s, "+")
+    got = symbol_cut(FractionalOrder(nu), s)
     assert math.isfinite(got.real) and math.isfinite(got.imag)
     assert got.imag < 0.0
 

@@ -351,41 +351,46 @@ def quick_converge_files(out, first="", **env_extra):
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
-def test_files_do_not_depend_on_import_order(tmp_path):
-    # fracdg pins OMP_NUM_THREADS only if it is imported before numpy, and
-    # fem1d loads scipy's LAPACK extension itself, getting the loaded one
-    # when scipy.linalg came first.  Neither numpy first with two BLAS
-    # threads nor scipy.linalg first may change a byte.
-    plain = quick_converge_files(tmp_path / "plain")
-    assert len(plain) == 5
+@pytest.fixture(scope="module")
+def plain_files(tmp_path_factory):
+    return quick_converge_files(tmp_path_factory.mktemp("plain"))
+
+
+def test_files_do_not_depend_on_import_order(plain_files, tmp_path):
+    # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
+    # Importing numpy first with two BLAS threads must not change a byte.
+    assert len(plain_files) == 5
     assert quick_converge_files(tmp_path / "numpy_first", "import numpy\n",
-                                OPENBLAS_NUM_THREADS="2") == plain
+                                OPENBLAS_NUM_THREADS="2") == plain_files
+
+
+def test_files_do_not_depend_on_scipy_linalg_loading_first(plain_files, tmp_path):
+    # fem1d loads scipy's LAPACK extension itself; with scipy.linalg already
+    # imported it gets the loaded one, and the files must not change a byte.
+    assert len(plain_files) == 5
     assert quick_converge_files(tmp_path / "scipy_first",
-                                "import scipy.linalg\n") == plain
+                                "import scipy.linalg\n") == plain_files
 
 
-def test_workflows_import_footprint(tmp_path):
+FOOTPRINT_STEPS = ("import", "converge", "modal", "phi", "lemmas", "direct")
+
+
+@pytest.fixture(scope="module")
+def footprint(tmp_path_factory):
     # One fresh interpreter, so that no other test's imports count, imports
-    # fracdg.cli and runs each workflow in turn.  After each step it reports
-    # the exit status, the forbidden modules loaded, and the numpy, scipy
-    # and fracdg modules new since the step before.
-    # - fem1d loads only scipy's _flapack extension, not the scipy.linalg
-    #   package or the numpy modules its array-API layer pulls in.
-    # - The Galerkin solves need no scipy.sparse module.
-    # - scipy.integrate loads on the first quadpack call, which only delta's
-    #   contour route makes.
-    # - `import fracdg.cli` loads every module a workflow needs, so that no
-    #   import lands inside a timed run.  argparse's gettext lookup loads
-    #   the stdlib locale module on the first run, which is not counted.
+    # fracdg.cli and runs each workflow in turn, delta's contour route last.
+    # After each step it reports the exit status, the listed modules loaded,
+    # and the numpy, scipy and fracdg modules new since the step before.
+    # Returns {step: (rc, loaded, new)}.
     run = (
         "import json, sys\n"
         "import fracdg.cli as cli\n"
-        "FORBIDDEN = ('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.integrate')\n"
+        "WATCHED = ('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.integrate')\n"
         "seen = set(sys.modules)\n"
         "def report(step, rc):\n"
         "    global seen\n"
         "    loaded = sorted(m for m in sys.modules"
-        " if m in FORBIDDEN or m.startswith('scipy.sparse'))\n"
+        " if m in WATCHED or m.startswith('scipy.sparse'))\n"
         "    new = sorted(m for m in set(sys.modules) - seen"
         " if m.split('.')[0] in ('numpy', 'scipy', 'fracdg'))\n"
         "    seen = set(sys.modules)\n"
@@ -402,15 +407,46 @@ def test_workflows_import_footprint(tmp_path):
         "report('contour', cli.main(['delta', '--mu', '1', '--n', '50',"
         " '--oracle', 'contour']))\n"
     )
-    done = subprocess.run([sys.executable, "-c", run, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", run,
+                           str(tmp_path_factory.mktemp("footprint"))],
                           env={**os.environ, "PYTHONPATH": SRC}, check=True,
                           capture_output=True, text=True, timeout=300)
-    *steps, contour = [json.loads(line) for line in done.stderr.splitlines()]
-    assert steps == [[step, 0, [], []] for step in
-                     ("import", "converge", "modal", "phi", "lemmas", "direct")]
-    # quadpack loads scipy.integrate and whatever it pulls in
-    assert contour[:2] == ["contour", 0]
-    assert "scipy.integrate" in contour[2]
+    rows = [json.loads(line) for line in done.stderr.splitlines()]
+    assert [row[0] for row in rows] == [*FOOTPRINT_STEPS, "contour"]
+    assert all(row[1] == 0 for row in rows)
+    return {step: (rc, loaded, new) for step, rc, loaded, new in rows}
+
+
+def test_csv_workflows_do_not_load_the_scipy_linalg_package(footprint):
+    # fem1d loads only scipy's _flapack extension: neither the scipy.linalg
+    # package nor the numpy modules its array-API layer pulls in may load.
+    heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing")
+    assert {step: [m for m in footprint[step][1] if m in heavy]
+            for step in FOOTPRINT_STEPS} == {step: [] for step in FOOTPRINT_STEPS}
+
+
+def test_csv_workflows_import_nothing_of_their_own_after_set_up(footprint):
+    # Every numpy, scipy and fracdg module a workflow needs is loaded by
+    # `import fracdg.cli`, so no import lands inside a timed run.  argparse's
+    # gettext lookup loads the stdlib locale module on the first run, which
+    # is not counted.
+    assert {step: footprint[step][2] for step in FOOTPRINT_STEPS} == \
+        {step: [] for step in FOOTPRINT_STEPS}
+
+
+def test_csv_workflows_do_not_load_quadpack(footprint):
+    # scipy.integrate loads on the first quadpack call; the CSV workflows,
+    # lemmas and the direct delta route make none, delta's contour route does.
+    assert {step: "scipy.integrate" in footprint[step][1]
+            for step in (*FOOTPRINT_STEPS, "contour")} == \
+        {**{step: False for step in FOOTPRINT_STEPS}, "contour": True}
+
+
+def test_csv_workflows_do_not_load_sparse(footprint):
+    # the Galerkin solves use scipy's LAPACK wrappers, so no scipy.sparse
+    # module loads on import or in any workflow before the contour route.
+    assert {step: [m for m in footprint[step][1] if m.startswith("scipy.sparse")]
+            for step in FOOTPRINT_STEPS} == {step: [] for step in FOOTPRINT_STEPS}
 
 
 def test_converge_on_the_smallest_system(tmp_path, capsys):

@@ -3,7 +3,7 @@
 delta(n, mu) = U^n - E_nu(-mu n^nu) is the per-mode discretization error
 with unit data and unit step (only mu = lam dt^nu enters, so this loses
 no generality).  The harness computes it by two independent routes (the
-recurrence itself, and adaptive quadrature of its branch-cut integral
+recurrence itself, and a fixed tanh-sinh rule on its branch-cut integral
 representation), scans it over a (mu, n) grid, extracts the weighted
 suprema Phi_1/Phi_2, checks the inequalities the bound's proof rests
 on, and turns per-run error samples into weighted convergence tables.
@@ -25,7 +25,6 @@ from .special import (
     _TS_COARSE,
     _TS_NODES,
     _TS_WEIGHTS,
-    _quad,
     mittag_leffler_neg_array,
     symbol_asym_origin,
     symbol_cut,
@@ -49,10 +48,6 @@ __all__ = [
     "symbol_checks",
     "weighted_error_table",
 ]
-
-# Error-estimate limit of the branch-cut quadrature in delta_contour.
-_KERNEL_QUAD_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Check:
@@ -92,7 +87,8 @@ def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
               [ |1 + mu psi_+(s)|^{-2} - |1 + mu s^{-nu} e^{-i pi nu}|^{-2} ] ds,
 
     independent of the recurrence.  Only 0 < nu < 1 (the cut vanishes at
-    nu = 1, where the kernel has an elementary closed form).
+    nu = 1, where the kernel has an elementary closed form).  A gap above
+    1e-9 to the tanh-sinh rule with step 2h raises QuadratureError.
     """
     nu = order.nu
     if not 0.0 < nu < 1.0:
@@ -101,25 +97,40 @@ def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    phase = complex(math.cos(math.pi * nu), -math.sin(math.pi * nu))
-
-    def integrand(s):
-        smn = s ** -nu
-        num = 1.0 + mu * symbol_cut(order, s)
-        ref = 1.0 + mu * smn * phase
-        bracket = 1.0 / (num.real * num.real + num.imag * num.imag) \
-            - 1.0 / (ref.real * ref.real + ref.imag * ref.imag)
-        return math.exp(-n * s) * mu * smn / s * bracket
-
+    cos = math.cos(math.pi * nu)
     upper = 45.0 / n
-    # The integrand is O(s^{nu-1}) at 0; split at the e^{-ns} knee so the
-    # generic rule resolves both scales.
-    pts = [p for p in (1.0 / n, 10.0 / n) if p < upper]
-    val, est = _quad(integrand, 0.0, upper, points=pts or None,
-                     limit=400, epsabs=0.1 * _KERNEL_QUAD_TOL, epsrel=1e-9)
-    if est > _KERNEL_QUAD_TOL:
+    # Pieces split at the e^{-ns} knees and, for nu > 1/2, at 1 and 16
+    # relative widths sin(pi nu)/nu around two peaks clamped to
+    # [45/n e^-600, 45/n]: where mu s^{-nu} = -cos(pi nu) (reference term)
+    # and 1 + mu Re psi_+(s) = 0 (cut term; -inf at 0, bisected in log s).
+    cuts = [0.0, 1.0 / n, 10.0 / n, upper]
+    if nu > 0.5:
+        lo, hi = math.log(upper) - 600.0, math.log(upper)
+        ref_peak = math.exp(min(max(math.log(mu / -cos) / nu, lo), hi))
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            above = 1.0 + mu * symbol_cut(order, math.exp(mid)).real > 0.0
+            lo, hi = (lo, mid) if above else (mid, hi)
+        cuts += [p * (1.0 + r * order.sin_pi / nu) for p in (ref_peak, math.exp(hi))
+                 for r in (-16.0, -1.0, 1.0, 16.0)]
+    cuts = np.array(sorted({min(max(c, 0.0), upper) for c in cuts}))
+    width = cuts[1:] - cuts[:-1]
+    # special's tanh-sinh rule without its end nodes (weights 4e-17): they
+    # are s = 0 or sit in a peak's rounding noise eps mu s^{-nu-1}.  Huge
+    # mu overflows to terms of 0, as they would be exactly.
+    s = (cuts[:-1, None] + width[:, None] * _TS_NODES[1:-1]).ravel()
+    smn = s ** -nu
+    with np.errstate(over="ignore"):
+        num = 1.0 + mu * symbol_cut(order, s)
+        ref = 1.0 + mu * smn * complex(cos, -order.sin_pi)
+        bracket = np.abs(num) ** -2.0 - np.abs(ref) ** -2.0
+    f = (np.exp(-n * s) * smn * (mu * bracket) / s).reshape(width.size, -1)
+    fine = (width * np.multiply(f, _TS_WEIGHTS[1:-1]).sum(axis=1)).sum()
+    coarse = (width * np.multiply(f, _TS_COARSE[1:-1]).sum(axis=1)).sum()
+    est = order.sin_pi / math.pi * abs(fine - coarse)
+    if not est <= 1e-9:
         raise QuadratureError("error-kernel quadrature did not converge", est)
-    return order.sin_pi / math.pi * val
+    return float(order.sin_pi / math.pi * fine)
 
 
 def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200):

@@ -5,13 +5,15 @@ or modal reference, weighted error table plus per-step error curves;
 checks that the weighted errors are finite and positive, and on the
 default study their baseline), ``phi`` (weighted suprema of the error
 kernel over an order grid; checks their bound and the kernel's sign),
-``delta`` (single kernel values by either route; checks agreement when
-both run), and ``lemmas`` (quadrature and symbol identity checks).  All
-data files are CSV with a header row and a metadata comment carrying the
-package version and a hash of the resolved configuration; identical
-configurations produce byte-identical files.
+``delta`` (single kernel values by the recurrence or by the tanh-sinh
+rule on the branch-cut integral; checks agreement when both run), and
+``lemmas`` (quadrature and symbol identity checks).  No workflow calls
+quadpack.  All data files are CSV with a header row and a metadata
+comment carrying the package version and a hash of the resolved
+configuration; identical configurations produce byte-identical files.
 
-Each subcommand takes only the flags it reads and returns its checks as
+Each subcommand takes only the flags it reads (one parser, built at
+import, where argparse loads stdlib locale) and returns its checks as
 ``certify.Check`` records; ``main`` prints one line per record, then one
 summary line if there was any record.
 
@@ -435,9 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = resolve_config(args)
         checks = args.func(args, config)

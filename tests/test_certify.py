@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,48 @@ def test_delta_contour_matches_direct_relatively_at_large_rho():
             direct = delta_direct(order, mu, n)
             gap = abs(delta_contour(order, mu, n) - direct)
             assert gap <= 2e-8 * abs(direct), (nu, mu, n)
+
+
+# (nu, log2 mu, n) where adaptive quadpack on the contour route did not
+# reach its 1e-9 estimate: 26 points of phi's grid (mu = 2^-18..2^20,
+# n in {1, 2, 4, 10, 50, 100, 200}, nu = 0.1..0.95), then three CLI points.
+CONTOUR_HARD_POINTS = (
+    [(0.8, -15, 1), (0.8, -15, 2), (0.8, -15, 4), (0.85, -15, 1),
+     (0.9, -18, 10), (0.9, -17, 4), (0.9, -16, 1), (0.9, -16, 2),
+     (0.9, -15, 1), (0.9, 2, 1)]
+    + [(0.95, j, n) for j, n in ((-18, 4), (-18, 10), (-17, 2), (-17, 4),
+                                 (-16, 1), (-16, 2), (-16, 4), (-15, 1),
+                                 (-15, 2), (-14, 1), (-1, 2), (0, 2),
+                                 (1, 1), (1, 2), (2, 1), (3, 1))]
+    + [(0.999, -2, 1), (0.99, -2, 1), (0.999, 0, 4)])
+
+
+def test_delta_contour_at_hard_points():
+    # Every point returns.  Where rho >= 1 the worst relative gap to the
+    # recurrence measured is 1.6e-15; where rho < 1, delta ~ mu^2 is as
+    # small as 2.6e-11 and the worst absolute gap is 8.0e-16.
+    for nu, j, n in CONTOUR_HARD_POINTS:
+        order, mu = FractionalOrder(nu), 2.0 ** j
+        got, direct = delta_contour(order, mu, n), delta_direct(order, mu, n)
+        if mu * n ** nu >= 1.0:
+            assert abs(got - direct) <= 1e-10 * abs(direct), (nu, j, n)
+        else:
+            assert abs(got - direct) <= 1e-14, (nu, j, n)
+
+
+def test_delta_contour_at_extreme_mu():
+    # The CLI takes any finite mu > 0.  At huge mu the products overflow to
+    # terms that are 0; at tiny mu a peak sits far below 1/n, where a rule
+    # end node would meet rounding noise of size eps mu s^{-nu-1} (this
+    # raised with an estimate of 6e70 at nu = 0.95, mu = 1e-100).  delta
+    # is below 1e-60 at all these points.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (0.3, 0.95, 0.999):
+            for mu in (1e-300, 1e-100, 1e100, 1e300, 1.7e308):
+                for n in (1, 1000):
+                    got = delta_contour(FractionalOrder(nu), mu, n)
+                    assert abs(got) <= 1e-14, (nu, mu, n)
 
 
 def test_delta_contour_validation():

@@ -372,20 +372,21 @@ def test_files_do_not_depend_on_scipy_linalg_loading_first(plain_files, tmp_path
                                 "import scipy.linalg\n") == plain_files
 
 
-FOOTPRINT_STEPS = ("import", "converge", "modal", "phi", "lemmas", "direct")
+FOOTPRINT_STEPS = ("import", "converge", "modal", "phi", "lemmas", "direct", "contour")
 
 
 @pytest.fixture(scope="module")
 def footprint(tmp_path_factory):
     # One fresh interpreter, so that no other test's imports count, imports
-    # fracdg.cli and runs each workflow in turn, delta's contour route last.
+    # fracdg.cli and runs each workflow in turn.
     # After each step it reports the exit status, the listed modules loaded,
     # and the numpy, scipy and fracdg modules new since the step before.
     # Returns {step: (rc, loaded, new)}.
     run = (
         "import json, sys\n"
         "import fracdg.cli as cli\n"
-        "WATCHED = ('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.integrate')\n"
+        "WATCHED = ('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'scipy.integrate',"
+        " 'locale')\n"
         "seen = set(sys.modules)\n"
         "def report(step, rc):\n"
         "    global seen\n"
@@ -412,7 +413,7 @@ def footprint(tmp_path_factory):
                           env={**os.environ, "PYTHONPATH": SRC}, check=True,
                           capture_output=True, text=True, timeout=300)
     rows = [json.loads(line) for line in done.stderr.splitlines()]
-    assert [row[0] for row in rows] == [*FOOTPRINT_STEPS, "contour"]
+    assert [row[0] for row in rows] == list(FOOTPRINT_STEPS)
     assert all(row[1] == 0 for row in rows)
     return {step: (rc, loaded, new) for step, rc, loaded, new in rows}
 
@@ -427,24 +428,29 @@ def test_csv_workflows_do_not_load_the_scipy_linalg_package(footprint):
 
 def test_csv_workflows_import_nothing_of_their_own_after_set_up(footprint):
     # Every numpy, scipy and fracdg module a workflow needs is loaded by
-    # `import fracdg.cli`, so no import lands inside a timed run.  argparse's
-    # gettext lookup loads the stdlib locale module on the first run, which
-    # is not counted.
+    # `import fracdg.cli`, so no import lands inside a timed run.  The
+    # parser is built at import too, and with it argparse's gettext lookup
+    # loads the stdlib locale module there.
     assert {step: footprint[step][2] for step in FOOTPRINT_STEPS} == \
         {step: [] for step in FOOTPRINT_STEPS}
 
 
+def test_parser_is_built_at_import(footprint):
+    # argparse's gettext lookup first-imports the stdlib locale module when
+    # the parser is built; `import fracdg.cli` builds it, once.
+    assert "locale" in footprint["import"][1]
+
+
 def test_csv_workflows_do_not_load_quadpack(footprint):
-    # scipy.integrate loads on the first quadpack call; the CSV workflows,
-    # lemmas and the direct delta route make none, delta's contour route does.
+    # scipy.integrate loads on the first quadpack call, and no workflow
+    # makes one: every CLI quadrature is special's fixed tanh-sinh rule.
     assert {step: "scipy.integrate" in footprint[step][1]
-            for step in (*FOOTPRINT_STEPS, "contour")} == \
-        {**{step: False for step in FOOTPRINT_STEPS}, "contour": True}
+            for step in FOOTPRINT_STEPS} == {step: False for step in FOOTPRINT_STEPS}
 
 
 def test_csv_workflows_do_not_load_sparse(footprint):
     # the Galerkin solves use scipy's LAPACK wrappers, so no scipy.sparse
-    # module loads on import or in any workflow before the contour route.
+    # module loads on import or in any workflow.
     assert {step: [m for m in footprint[step][1] if m.startswith("scipy.sparse")]
             for step in FOOTPRINT_STEPS} == {step: [] for step in FOOTPRINT_STEPS}
 

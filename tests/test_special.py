@@ -455,6 +455,28 @@ def test_cut_rejects_bad_arguments():
         symbol_cut(FractionalOrder(1.0), 1.0)
 
 
+# An array call takes numpy's expm1 and complex power, which differ from
+# math's in the last bit at a few per cent of points.  Worst relative gap
+# to the scalar calls on this grid: 5.9e-16 up to nu = 0.75, 1.5e-15 at
+# 0.9 and 9.6e-14 at 0.999, where the terms of Re psi cancel.
+@pytest.mark.parametrize("nu, gate", [(0.02, 1e-15), (0.3, 1e-15), (0.5, 1e-15),
+                                      (0.75, 1e-15), (0.9, 4e-15), (0.999, 5e-13)])
+def test_cut_array_matches_scalar_calls(nu, gate):
+    order = FractionalOrder(nu)
+    s = np.concatenate([np.logspace(-300.0, 1.65, 600), [45.0]])
+    got = symbol_cut(order, s)
+    assert got.shape == s.shape and got.dtype == complex
+    want = np.array([symbol_cut(order, float(x)) for x in s])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= gate
+
+
+def test_cut_array_rejects_any_bad_element():
+    order = FractionalOrder(0.5)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            symbol_cut(order, np.array([0.5, bad, 2.0]))
+
+
 # Worst relative error measured over the s grid: 3.5e-15 for nu <= 0.9,
 # 2.1e-14 at 0.99, 1.7e-13 at 0.999, where the k = 0 term of the lattice
 # sum cancels the rest.

@@ -184,38 +184,41 @@ def run_convergence(config: RunConfig):
     """Run the N chain and weight the error curves.
 
     Returns (table, samples) where samples maps N, in ascending order, to
-    its (t, error) arrays over the window (0, 1/2].  The runs go finest
-    first.  The reference is built once, after the finest stepping, for
-    the times from 1/max(N) on, which hold every coarser run's levels:
+    its (t, error) arrays over the window (0, 1/2].  The reference is built
+    once, for the times from 1/max(N) on, which hold every run's levels:
     the transform route's window chain is tuned to the same _CONTOUR_TOL
     throughout, and the modal route's one sine table serves every time.
+    The runs go finest first, in pairs (N, N/2); an odd last run goes
+    alone.  Both runs of a pair are stepped, then each reference call
+    serves both: level 2m of the finer run is level m of the other, at
+    the same time to the bit, as 1/(N/2) = 2 (1/N) exactly.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
     mats = assemble(KAPPA, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     pts, _, _ = gauss_points(mesh)
-    flat_x = pts.ravel()
+    reference = _reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
 
     samples = {}
-    reference = None
-    for n_steps in reversed(config.n_list):
-        dt = 1.0 / n_steps
-        half = n_steps // 2
-        solution = step_galerkin(order, mats.mass, mats.stiff,
-                                 TimeGrid(dt, half), u0)
-        times = dt * np.arange(1, half + 1)
-        if reference is None:
-            reference = _reference(config, order, flat_x, dt)
+    chain = config.n_list[::-1]
+    for first in range(0, len(chain), 2):
+        pair = chain[first:first + 2]
+        runs = [step_galerkin(order, mats.mass, mats.stiff, TimeGrid(1.0 / n, n // 2), u0)
+                for n in pair]
+        half = pair[0] // 2
+        times = (1.0 / pair[0]) * np.arange(1, half + 1)
+        errors = [np.empty(half // (s + 1)) for s in range(len(pair))]
         # The reference and the error norm take _LEVEL_CHUNK levels per
-        # call, so their temporaries stay small.
-        errors = np.empty(half)
+        # call, so their temporaries stay small; run s reads rows s::s+1.
         for lo in range(0, half, _LEVEL_CHUNK):
             hi = min(lo + _LEVEL_CHUNK, half)
-            ref = reference(times[lo:hi])
-            errors[lo:hi] = l2_error_from_values(
-                solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
-        samples[n_steps] = (times, errors)
+            ref = reference(times[lo:hi]).reshape((hi - lo,) + pts.shape)
+            for s, err in enumerate(errors):
+                a, b = lo // (s + 1), hi // (s + 1)
+                err[a:b] = l2_error_from_values(runs[s][a + 1:b + 1], mesh, ref[s::s + 1])
+        del runs  # before the next pair steps: at most two trajectories live
+        samples.update((n, (times[s::s + 1], errors[s])) for s, n in enumerate(pair))
     samples = dict(sorted(samples.items()))
     table = weighted_error_table(samples, config.alphas)
     return table, samples

@@ -7,7 +7,8 @@ stiffness matrices, each stored as its two diagonals: both are symmetric
 tridiagonal, and the mass and every M + c K with c >= 0 are positive
 definite, so products are three vector operations and solves are LAPACK's
 L D L^T kernels (dpttrf once, dpttrs per right-hand side).  Projection
-and error evaluation use fixed Gauss rules per element.
+and error evaluation use fixed Gauss rules per element, built once per
+mesh; the error norm forms its products one Gauss point at a time.
 
 The two kernels are scipy's f2py wrappers, taken from its compiled
 ``scipy.linalg._flapack`` extension, which this module loads from scipy's
@@ -19,7 +20,7 @@ more set-up time than the rest of ``import fracdg.cli`` and about 20 MB.
 
 import importlib.util
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -63,6 +64,8 @@ class Mesh1D:
     """Nodes -1 = x_0 < ... < x_M = 1, symmetric about 0, M even."""
 
     nodes: np.ndarray
+    # gauss_points' arrays by rule order, built on first use
+    _gauss: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.nodes, dtype=float)
@@ -184,18 +187,22 @@ def _legendre_rule(order: int):
 def gauss_points(mesh: Mesh1D, order: int = 4):
     """Gauss-Legendre points and weights on every element.
 
-    Returns (points, weights, local) each of shape (M, order); ``local``
-    holds the hat-function coordinates (x - x_i)/h_i in [0, 1].
+    Returns (points, weights, local) of shapes (M, order), (M, order) and
+    (1, order); ``local`` holds the hat-function coordinates (x - x_i)/h_i
+    in [0, 1].  Built once per mesh and order, and read-only.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    ref, wref = _legendre_rule(order)
-    a = mesh.nodes[:-1, None]
-    h = mesh.spacings[:, None]
-    local = 0.5 * (ref[None, :] + 1.0)
-    points = a + h * local
-    weights = 0.5 * h * wref[None, :]
-    return points, weights, local
+    if order not in mesh._gauss:
+        ref, wref = _legendre_rule(order)
+        a = mesh.nodes[:-1, None]
+        h = mesh.spacings[:, None]
+        local = 0.5 * (ref[None, :] + 1.0)
+        rule = (a + h * local, 0.5 * h * wref[None, :], local)
+        for array in rule:
+            array.flags.writeable = False
+        mesh._gauss[order] = rule
+    return mesh._gauss[order]
 
 
 def _padded(coeffs, mesh) -> np.ndarray:
@@ -230,8 +237,10 @@ def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):
 
     ref_values must match the layout of gauss_points(mesh)[0].
     Stacked levels are accepted: with coeffs of shape (L, M-1) and
-    ref_values of shape (L, M, 4) the result is an array of L norms,
-    each summed exactly as a call for that level alone would sum it.
+    ref_values of shape (L, M, 4), a strided view included, the result is
+    an array of L norms, each summed exactly as a call for that level
+    alone would sum it.  Each product a (1 - xi_g) or b xi_g is formed for
+    one Gauss point g over every level and element at once.
     """
     points, weights, local = gauss_points(mesh)
     vals = _padded(coeffs, mesh)
@@ -241,8 +250,11 @@ def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):
             f" for coefficients of shape {np.shape(coeffs)}"
         )
     # weights * (uh - ref)^2, formed in place to hold two level stacks only.
-    sq = vals[..., :-1, None] * (1.0 - local)
-    sq += vals[..., 1:, None] * local
+    sq, right = np.empty((2,) + ref_values.shape)
+    for g, xi in enumerate(local[0]):
+        np.multiply(vals[..., :-1], 1.0 - xi, out=sq[..., g])
+        np.multiply(vals[..., 1:], xi, out=right[..., g])
+    sq += right
     sq -= ref_values
     sq *= sq
     sq *= weights

@@ -142,7 +142,10 @@ def inverter(F, specs):
     times the table.  The table carries the factor step/pi and the k = 0
     half weight, and only Im(w @ T) is needed, so it is kept as the real
     stack [Re T; Im T] and w enters as [Im w, Re w]: half the work of the
-    complex product.  A time outside every window raises ValueError.
+    complex product.  A window holding one time still takes gemm, so a
+    time's bits do not depend on the others in the call when gemm's rows
+    do not (OpenBLAS's do for 8 or more values per time).  A time outside
+    every window raises ValueError.
     """
     if not specs:
         raise ValueError("inverter needs at least one contour window")
@@ -171,7 +174,10 @@ def inverter(F, specs):
             if not held.any():
                 continue
             weights = np.exp(flat[held, None] * z)
-            out[held] = np.concatenate([weights.imag, weights.real], axis=1) @ table
+            rows = np.concatenate([weights.imag, weights.real], axis=1)
+            if len(rows) == 1:  # numpy would hand it to gemv
+                rows = np.repeat(rows, 2, axis=0)
+            out[held] = (rows @ table)[:np.count_nonzero(held)]
             todo &= ~held
         if todo.any():
             raise ValueError(

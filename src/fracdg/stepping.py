@@ -73,15 +73,21 @@ def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
     # relative error is below x^{2K}/(1-x^2).  K(j) = ceil(28 ln 2/ln j)
     # keeps x^{2K} <= 2^-56 (28 terms at j = 2), and at least five terms
     # are taken, which leave a relative error below (1/j)^10 for j > 64.
-    # K falls as j rises, so term k is added to a prefix of j.
+    # The terms go in a table, a row per k and zero beyond K(j), summed row
+    # after row in ascending k by add.accumulate (add.reduce would sum a
+    # lone column pairwise).  K is five from j = 49 on: those j get their
+    # own five-row table.
     x2 = (1.0 / j) ** 2
     terms = np.maximum(5, np.ceil(28.0 * math.log(2.0) / np.log(j)))
-    acc = np.zeros_like(x2)
-    coeff = 1.0
-    for k in range(1, int(np.max(terms, initial=0)) + 1):
-        coeff *= (nu - (2 * k - 2)) * (nu - (2 * k - 1)) / ((2 * k - 1) * (2 * k))
-        live = np.count_nonzero(terms >= k)
-        acc[:live] = acc[:live] + coeff * x2[:live] ** k
+    k = np.arange(1.0, np.max(terms, initial=5) + 1)[:, None]
+    coeff = np.cumprod((nu - (2 * k - 2)) * (nu - (2 * k - 1)) / ((2 * k - 1) * (2 * k)))
+    acc = np.empty_like(x2)
+    split = np.count_nonzero(terms > 5)
+    for cols, rows in ((slice(0, split), len(k)), (slice(split, None), 5)):
+        table = np.power(x2[cols], k[:rows], where=k[:rows] <= terms[cols],
+                         out=np.zeros((rows, len(x2[cols]))))
+        table *= coeff[:rows, None]
+        acc[cols] = np.add.accumulate(table, axis=0, out=table)[-1]
     return 2.0 * acc
 
 
@@ -305,7 +311,9 @@ def step_spectral(order: FractionalOrder, eigenvalues, u0_coeffs,
         raise ValueError("eigenvalues must be finite and >= 0")
     beta = dg_weights(order, grid.n_steps)
     mu = lam * grid.dt ** order.nu
-    denom = 1.0 + beta[0] * mu
+    # beta_0 mu may overflow to inf, whose trajectory is the limit, zero
+    with np.errstate(over="ignore"):
+        denom = 1.0 + beta[0] * mu
     return _march(beta, u0, grid.n_steps, lambda prev, hist: (prev - mu * hist) / denom,
                   _far_nodes(order, grid.n_steps))
 

@@ -3,16 +3,20 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import fracdg.cli as cli
 from fracdg.certify import Check
+from fracdg.certify import weighted_error_table
 from fracdg.cli import RunConfig, main, run_convergence
-from fracdg.exact import constant_data_transform
+from fracdg.exact import KAPPA, constant_data_transform
+from fracdg.fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
 from fracdg.laplace import inverter, window_chain
-from fracdg.special import QuadratureError
+from fracdg.special import FractionalOrder, QuadratureError
+from fracdg.stepping import TimeGrid, step_galerkin
 
 META_RE = re.compile(r"^# fracdg v0\.1\.0 config=[0-9a-f]{12}$")
 
@@ -191,6 +195,17 @@ def test_delta_disagreement_exits_2(monkeypatch, capsys):
     assert out[-1] == "delta: 1 check(s) failed"
 
 
+@pytest.mark.parametrize("oracle", ["both", "direct"])
+def test_delta_with_an_overflowing_denominator_prints_zero(oracle, capsys):
+    # beta_0 mu overflows; the suite runs with RuntimeWarning as an error
+    argv = ["delta", "--nu", "0.3", "--mu", "1.7e308", "--n", "3", "--oracle", oracle]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "delta[direct](nu=0.3, mu=1.7e+308, n=3) = 0.000000000000e+00" in out
+    if oracle == "both":
+        assert out.splitlines()[-1] == "delta: all checks passed"
+
+
 def test_delta_one_route_prints_no_check(capsys):
     assert main(["delta", "--mu", "1", "--n", "50", "--oracle", "direct"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -305,6 +320,84 @@ def test_converge_shares_one_modal_reference(monkeypatch):
     assert list(samples) == list(config.n_list)
     assert len(built) == 1
     assert fields_built == [cli._MODE_CAP]
+
+
+def one_run_at_a_time(config):
+    # The convergence loop with each run stepped and measured alone: its
+    # own reference calls, _LEVEL_CHUNK of its levels at a time.
+    order = FractionalOrder(config.nu)
+    mesh = graded_mesh(config.m_intervals, config.gamma)
+    mats = assemble(KAPPA, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)
+    pts = gauss_points(mesh)[0]
+    samples, reference = {}, None
+    for n_steps in reversed(config.n_list):
+        dt = 1.0 / n_steps
+        half = n_steps // 2
+        solution = step_galerkin(order, mats.mass, mats.stiff, TimeGrid(dt, half), u0)
+        times = dt * np.arange(1, half + 1)
+        if reference is None:
+            reference = cli._reference(config, order, pts.ravel(), dt)
+        errors = np.empty(half)
+        for lo in range(0, half, cli._LEVEL_CHUNK):
+            hi = min(lo + cli._LEVEL_CHUNK, half)
+            ref = reference(times[lo:hi])
+            errors[lo:hi] = l2_error_from_values(
+                solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
+        samples[n_steps] = (times, errors)
+    return dict(sorted(samples.items()))
+
+
+@pytest.mark.parametrize("reference", ["transform", "modal"])
+@pytest.mark.parametrize("n_list", [
+    (160,), (80, 160), (20, 40, 80), (10, 20, 40, 80, 160),
+])
+def test_paired_runs_equal_one_run_at_a_time_bitwise(n_list, reference):
+    # (20, 40, 80): the N = 40 run has 20 levels, which _LEVEL_CHUNK does
+    # not divide, and N = 20 goes alone
+    config = RunConfig(n_list=n_list, m_intervals=cli._QUICK_M, reference=reference)
+    table, samples = run_convergence(config)
+    expected = one_run_at_a_time(config)
+    assert list(samples) == list(expected) == list(n_list)
+    for n_steps, (times, errors) in samples.items():
+        assert np.array_equal(times, expected[n_steps][0])
+        assert np.array_equal(errors, expected[n_steps][1])
+    assert table == weighted_error_table(expected, config.alphas)
+
+
+def test_pairs_share_one_reference_call_per_chunk(monkeypatch):
+    # Only the finer run of each pair calls the reference: 80 + 20 levels
+    # of the quick chain, not 80 + 40 + 20 + 10.
+    levels, reference = [], cli._reference
+
+    def counted_reference(*args):
+        evaluate = reference(*args)
+
+        def counted(t):
+            levels.append(np.size(t))
+            return evaluate(t)
+        return counted
+
+    monkeypatch.setattr(cli, "_reference", counted_reference)
+    run_convergence(RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
+                              reference="modal"))
+    assert levels == [16] * 5 + [16, 4]
+
+
+def test_at_most_two_trajectories_live_at_once(monkeypatch):
+    live, seen, step = [], [], cli.step_galerkin
+
+    def tracked(*args, **kwargs):
+        seen.append(sum(ref() is not None for ref in live))
+        trajectory = step(*args, **kwargs)
+        live.append(weakref.ref(trajectory))
+        return trajectory
+
+    monkeypatch.setattr(cli, "step_galerkin", tracked)
+    run_convergence(RunConfig(n_list=(10, 20, 40, 80, 160), m_intervals=cli._QUICK_M))
+    # a pair's second run starts beside the first; the next pair starts alone
+    assert seen == [0, 1, 0, 1, 0]
+    assert all(ref() is None for ref in live)
 
 
 def test_reference_routes_agree(tmp_path, capsys):

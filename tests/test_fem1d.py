@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh, lapack
 
 from fracdg import fem1d
@@ -161,6 +162,52 @@ def test_stacked_levels_equal_single_calls_bitwise():
         assert l2_error_from_values(c, mesh, r) == e
     with pytest.raises(ValueError):
         l2_error_from_values(coeffs, mesh, refs[:6])
+
+
+def broadcast_error(coeffs, mesh, ref_values):
+    # the error norm with its two products broadcast over the Gauss axis
+    _, weights, local = gauss_points(mesh)
+    c = np.asarray(coeffs, dtype=float)
+    pad = np.zeros(c.shape[:-1] + (1,))
+    vals = np.concatenate([pad, c, pad], axis=-1)
+    sq = vals[..., :-1, None] * (1.0 - local)
+    sq += vals[..., 1:, None] * local
+    sq -= ref_values
+    sq *= sq
+    sq *= weights
+    return np.sqrt(np.sum(sq, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("levels", [1, 7, 16])
+def test_error_products_per_gauss_point_equal_the_broadcast_bitwise(levels):
+    mesh = graded_mesh(250, 3.0)
+    pts = gauss_points(mesh)[0]
+    rng = np.random.default_rng(levels)
+    coeffs = rng.standard_normal((levels, mesh.n_intervals - 1))
+    refs = rng.standard_normal((2 * levels,) + pts.shape)
+    for ref in (refs[:levels], refs[1::2], refs[::2]):
+        got = l2_error_from_values(coeffs, mesh, ref)
+        assert np.array_equal(got, broadcast_error(coeffs, mesh, ref))
+    one = l2_error_from_values(coeffs[0], mesh, refs[1])
+    assert isinstance(one, float) and one == broadcast_error(coeffs[0], mesh, refs[1])
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_gauss_data_is_cached_read_only_and_equal_to_a_fresh_build(order):
+    mesh = graded_mesh(40, 3.0)
+    rule = gauss_points(mesh, order)
+    assert gauss_points(mesh, order) is rule
+    ref, wref = leggauss(order)
+    h = mesh.spacings[:, None]
+    local = 0.5 * (ref[None, :] + 1.0)
+    fresh = (mesh.nodes[:-1, None] + h * local, 0.5 * h * wref[None, :], local)
+    for cached, built in zip(rule, fresh):
+        assert not cached.flags.writeable
+        assert cached.shape == built.shape and np.array_equal(cached, built)
+    with pytest.raises(ValueError):
+        rule[0][0, 0] = 0.0
+    # each mesh builds its own
+    assert gauss_points(graded_mesh(40, 3.0), order) is not rule
 
 
 @given(m=st.sampled_from([8, 16, 32]), gamma=st.floats(1.0, 5.0))

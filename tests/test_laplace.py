@@ -207,3 +207,19 @@ def test_inverter_batch_matches_one_time_at_a_time(transform):
     single = np.stack([evaluate(t) for t in times])
     assert batch.shape == single.shape
     assert np.max(np.abs(batch - single)) <= 1e-14
+
+
+def test_inverter_gives_each_time_the_same_bits_whatever_the_call_holds():
+    # A window that holds one time of the call still takes a matrix
+    # product, so a time's value does not depend on the other times (with
+    # a BLAS whose gemm rows do not depend on each other, as OpenBLAS's do
+    # for this many values per time).
+    rates = np.geomspace(0.5, 50.0, 16)
+    chain = window_chain(1.0 / 160.0, 0.5)
+    evaluate = inverter(lambda z: 1.0 / (z + rates), chain)
+    times = np.arange(1, 81) / 160.0
+    batch = evaluate(times)
+    assert np.array_equal(np.stack([evaluate(t) for t in times]), batch)
+    assert np.array_equal(evaluate(times[1::2]), batch[1::2])
+    for lo in range(0, 80, 16):
+        assert np.array_equal(evaluate(times[lo:lo + 16]), batch[lo:lo + 16])

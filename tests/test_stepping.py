@@ -80,6 +80,27 @@ def test_weights_reject_non_integer_count(n):
         dg_weights(FractionalOrder(0.5), n)
 
 
+def per_term_beta_series(nu, j):
+    # the even binomial series with one pass per term k, each over the
+    # prefix of j that still takes it
+    x2 = (1.0 / j) ** 2
+    terms = np.maximum(5, np.ceil(28.0 * math.log(2.0) / np.log(j)))
+    acc = np.zeros_like(x2)
+    coeff = 1.0
+    for k in range(1, int(np.max(terms, initial=0)) + 1):
+        coeff *= (nu - (2 * k - 2)) * (nu - (2 * k - 1)) / ((2 * k - 1) * (2 * k))
+        live = np.count_nonzero(terms >= k)
+        acc[:live] = acc[:live] + coeff * x2[:live] ** k
+    return 2.0 * acc
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.75, 0.999])
+@pytest.mark.parametrize("n", [2, 3, 4, 49, 50, 51, 80, 2560])
+def test_beta_series_table_equals_the_per_term_loop_bitwise(nu, n):
+    j = np.arange(2, n, dtype=float)
+    assert np.array_equal(stepping._beta_series(nu, j), per_term_beta_series(nu, j))
+
+
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 5)
@@ -137,6 +158,16 @@ def test_mode_trajectory_decays(nu, log_mu):
     floor = 1e-13 * u[0]
     assert np.all(u >= -floor)
     assert np.all(np.diff(u) <= floor)
+
+
+@pytest.mark.parametrize("n_steps", [3, 600])
+def test_spectral_overflowing_denominator_gives_the_zero_trajectory(n_steps):
+    # beta_0 mu overflows to inf: no warning (the suite runs with
+    # RuntimeWarning as an error), and the mode is zero after row 0
+    order = FractionalOrder(0.3)
+    u = step_spectral(order, [1.7e308, 1.0], [1.0, 1.0], TimeGrid(1.0, n_steps))
+    assert np.all(u[1:, 0] == 0.0)
+    assert np.array_equal(u[:, 1], one_mode(order, 1.0, 1.0, TimeGrid(1.0, n_steps)))
 
 
 def test_spectral_matches_scalar_path():

@@ -59,9 +59,12 @@ _flapack = _load_flapack()
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """Nodes -1 = x_0 < ... < x_M = 1, symmetric about 0, M even."""
+    """Nodes -1 = x_0 < ... < x_M = 1, symmetric about 0, M even.
+
+    Meshes compare and hash by the values of their nodes.
+    """
 
     nodes: np.ndarray
     # gauss_points' arrays by rule order, built on first use
@@ -78,6 +81,12 @@ class Mesh1D:
             raise ValueError("nodes must be strictly increasing")
         if not np.allclose(x + x[::-1], 0.0, atol=1e-14):
             raise ValueError("mesh must be symmetric about 0")
+
+    def __eq__(self, other):
+        return isinstance(other, Mesh1D) and np.array_equal(self.nodes, other.nodes)
+
+    def __hash__(self):
+        return hash(tuple(self.nodes.tolist()))
 
     @property
     def n_intervals(self) -> int:

@@ -5,8 +5,8 @@ negative arguments through the functional equation, the one-parameter
 Mittag-Leffler function E_nu(-s) on the negative real axis (over arrays
 for every workflow, and per point as the reference the array evaluator
 is checked against: the same series branches, with quadpack where the
-array evaluator takes a fixed tanh-sinh rule),
-and the generating symbol of the piecewise-constant DG weights
+array evaluator takes one fixed tanh-sinh rule whose nodes all points of
+a call share), and the generating symbol of the piecewise-constant DG weights
 
     psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu),
 
@@ -309,71 +309,80 @@ def _tanh_sinh_rule(h, tmax):
 # and the nodes there are the endpoints to double precision.
 _TS_NODES, _TS_WEIGHTS, _TS_COARSE = _tanh_sinh_rule(1.0 / 32.0, 3.2)
 
-# Points per block of _ml_spectral_fixed.  Its two work buffers are
-# 16 x 5 x 205 doubles, 131 KB each (52 KB with the 2 pieces of nu <= 1/2),
-# so a block runs in L2.  On phi's spectral points 8 is about 15% slower
-# and 32 or 64 about 3% faster (2 ms of a 0.16 s run) at 2-4x the buffers.
+# Points per block of _ml_spectral_fixed for a rule of at most 4 pieces:
+# its two work buffers are then 16 x 4 x 205 doubles, 105 KB each (52 KB
+# with the 2 pieces of nu <= 1/2), under glibc's 128 KB mmap threshold, so
+# they are not mapped and faulted in anew, and a block runs in L2.  A rule
+# with more pieces takes proportionally fewer points per block.
 _ML_BLOCK = 16
 
 
 def _ml_spectral_fixed(nu, s):
     # _ml_spectral_quad's integral on every point at once, by the fixed
-    # tanh-sinh rule on each piece of [0, 42^nu] between the split points:
-    # u = 1, where exp(-u^{1/nu}) turns sharply for small nu, and for
-    # nu > 1/2 quadpack's three points around the Lorentzian peak at
-    # u = -c, clipped to the interval (a clipped piece has zero width).
-    # The estimate is the gap to the rule with step 2h, plus
-    # _ml_spectral_quad's 1e-18 floor.  Sums are elementwise products
-    # reduced along the last axis, never BLAS, so a point's value does
-    # not depend on the other points in the call.
+    # tanh-sinh rule on each piece between split points.  The estimate is
+    # the gap to the rule with step 2h, plus _ml_spectral_quad's 1e-18
+    # floor.  Sums are elementwise products reduced along the last axis,
+    # never BLAS, so a point's value does not depend on the other points.
     #
-    # Blocks of points run in place on two work buffers made once per
-    # call.  For nu <= 1/2 (cos(pi nu) >= 0; at nu = 1/2 it is 6e-17) the
-    # splits are 0, 1, 42^nu for every s, so the nodes u and the factor
-    # exp(-u^{1/nu}) are computed once and each block forms only the
-    # rational factor.  Every point keeps the operations of the plain
-    # elementwise formula, so its bits do not depend on the blocking.
-    c = s * math.cos(math.pi * nu)
-    d = s * math.sin(math.pi * nu)
-    pref = d / (nu * math.pi)
+    # nu > 1/2 (c = cos(pi nu) < 0, d = sin(pi nu)): with u = s v,
+    #   E_nu(-s) = (d/(nu pi)) int_0^{42^nu} exp(-s^{1/nu} v^{1/nu}) / ((v + c)^2 + d^2) dv,
+    # where 42^nu >= 42^nu/s adds only terms below exp(-42 s^{1/nu}).  The
+    # peak sits at v = -c with width d for every s, so the splits are
+    # per-order constants: quadpack's -c/2, -c, -c + 2d and, for a narrow
+    # peak, -c - 4^k d (k >= 0) and -c + 4^k d (k >= 1) up to 4^k d = 1/4
+    # (4 pieces up to nu = 0.92, 7 at 0.99, 11 at 0.999; k < 26 reaches 1/4
+    # from d = 5.7e-16 at the largest double nu < 1).  The nodes, v^{1/nu}
+    # and the rational factor times the fine and coarse weights are made
+    # once per call; a point costs one product with s^{1/nu}, one exp and
+    # the two sums.  Nodes held as x = v + c spare 1/(x^2 + d^2) the
+    # cancellation in v + c.
+    #
+    # nu <= 1/2 (c >= 0; at nu = 1/2 it is 6e-17) stays in u, where the
+    # splits 0, 1 and 42^nu hold for every s (in v the knee of exp(-u^{1/nu})
+    # at u = 1 would move to 1/s): the nodes u and exp(-u^{1/nu}) are made
+    # once and each point forms the rational factor.
     inv_nu = 1.0 / nu
-    dd = d * d
-    umax = 42.0 ** nu   # > 1
-    shared = math.cos(math.pi * nu) >= 0.0
-    if shared:
-        cuts = np.array([[0.0, 1.0, umax]])
+    top = 42.0 ** nu
+    cos, sin = math.cos(math.pi * nu), math.sin(math.pi * nu)
+    if cos >= 0.0:
+        c, d = s * cos, s * sin
+        pref, dd = d / (nu * math.pi), d * d
+        cuts = np.array([[0.0, 1.0, top]])
         width = cuts[:, 1:] - cuts[:, :-1]
         nodes = cuts[:, :-1, None] + width[..., None] * _TS_NODES
         factor = np.exp(-(nodes ** inv_nu))
     else:
-        cuts = np.stack([np.zeros_like(s), np.ones_like(s), np.full_like(s, umax),
-                         -0.5 * c, -c, -c + 2.0 * np.abs(d)], axis=1)
-        np.clip(cuts, 0.0, umax, out=cuts)
-        cuts.sort(axis=1)
-    u = np.empty((min(s.size, _ML_BLOCK), cuts.shape[1] - 1, _TS_NODES.size))
+        rungs = [sin * 4.0 ** k for k in range(26) if sin * 4.0 ** k <= 0.25]
+        cuts = np.sort([cos, 0.5 * cos, 0.0, 2.0 * sin, top + cos,
+                        *np.negative(rungs), *rungs[1:]])
+        width = np.diff(cuts)[:, None]
+        nodes = (cuts[:-1, None] + width * _TS_NODES).reshape(1, -1)
+        neg_w = -((nodes - cos) ** inv_nu)
+        lorentz = 1.0 / (nodes * nodes + sin * sin)
+        fine_w = lorentz * (width * _TS_WEIGHTS).reshape(1, -1)
+        coarse_w = lorentz * (width * _TS_COARSE).reshape(1, -1)
+        a = s ** inv_nu
+        pref = np.full_like(s, sin / (nu * math.pi))
+    block = _ML_BLOCK * 4 // max(4, width.size)
+    u = np.empty((min(s.size, block), *nodes.shape[1:]))
     f = np.empty_like(u)
     val, err = np.empty(s.size), np.empty(s.size)
-    for lo in range(0, s.size, _ML_BLOCK):
-        hi = min(lo + _ML_BLOCK, s.size)
+    for lo in range(0, s.size, block):
+        hi = min(lo + block, s.size)
         blk = slice(lo, hi)
         ub, fb = u[:hi - lo], f[:hi - lo]
-        if shared:
+        if cos >= 0.0:
             np.add(nodes, c[blk, None, None], out=ub)
-            wb = width
+            np.square(ub, out=ub)
+            np.add(ub, dd[blk, None, None], out=ub)
+            np.divide(factor, ub, out=fb)
+            fine = (width * np.multiply(fb, _TS_WEIGHTS, out=ub).sum(axis=-1)).sum(axis=-1)
+            coarse = (width * np.multiply(fb, _TS_COARSE, out=ub).sum(axis=-1)).sum(axis=-1)
         else:
-            wb = cuts[blk, 1:] - cuts[blk, :-1]
-            np.multiply(wb[..., None], _TS_NODES, out=ub)
-            np.add(ub, cuts[blk, :-1, None], out=ub)
-            np.power(ub, inv_nu, out=fb)
-            np.negative(fb, out=fb)
+            np.multiply(a[blk, None], neg_w, out=fb)
             np.exp(fb, out=fb)
-            np.add(ub, c[blk, None, None], out=ub)
-            factor = fb
-        np.square(ub, out=ub)
-        np.add(ub, dd[blk, None, None], out=ub)
-        np.divide(factor, ub, out=fb)
-        fine = (wb * np.multiply(fb, _TS_WEIGHTS, out=ub).sum(axis=-1)).sum(axis=-1)
-        coarse = (wb * np.multiply(fb, _TS_COARSE, out=ub).sum(axis=-1)).sum(axis=-1)
+            fine = np.multiply(fb, fine_w, out=ub).sum(axis=-1)
+            coarse = np.multiply(fb, coarse_w, out=ub).sum(axis=-1)
         val[blk] = pref[blk] * fine
         err[blk] = pref[blk] * np.abs(fine - coarse) + 1e-18
     return val, err
@@ -387,10 +396,11 @@ def mittag_leffler_neg_array(order: FractionalOrder, s):
     integral only where the asymptotic estimate exceeds 1e-13.  Both
     series run over the whole array, one term at a time, and give the
     per-point evaluator's values and estimates.  The spectral integral
-    takes a fixed tanh-sinh rule over all its points at once instead of
-    quadpack per point; its values agree with quadpack's to a few 1e-16
-    and its estimate is the gap to the rule with twice the step.  Each
-    point's result is independent of the other points in the call.
+    takes a fixed tanh-sinh rule over all its points at once, on nodes
+    they share, instead of quadpack per point; its values agree with
+    quadpack's to a few 1e-16 and its estimate is the gap to the rule with
+    twice the step.  Each point's result is independent of the other
+    points in the call.
     Returns (values, errors), each with the shape of s.
     """
     s = np.asarray(s, dtype=float)

@@ -70,6 +70,17 @@ def test_mesh_type_validation():
         Mesh1D(np.array([-0.9, -0.5, 0.0, 0.5, 0.9]))  # wrong span
 
 
+def test_meshes_compare_and_hash_by_node_values():
+    a, b = graded_mesh(40, 3.0), graded_mesh(40, 3.0)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != graded_mesh(40, 2.0) and a != graded_mesh(42, 3.0)
+    assert (a == a.nodes) is False
+    signed = Mesh1D(np.array([-1.0, -0.0, 1.0]))
+    assert signed == Mesh1D(np.array([-1.0, 0.0, 1.0]))
+    assert hash(signed) == hash(Mesh1D(np.array([-1.0, 0.0, 1.0])))
+
+
 def test_uniform_assembly_closed_forms():
     mesh = graded_mesh(8, 1.0)
     h = 0.25

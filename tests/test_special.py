@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdg import special
+from fracdg import certify, special
 from fracdg.special import (
     FractionalOrder,
     QuadratureError,
@@ -54,9 +54,10 @@ CUT_BITS = {
     (0.999, 19.4): ("0x1.aa5649c9d4800p-15", "-0x1.18eba415338a1p-17"),
 }
 # mittag_leffler_neg_array's exact bits, float.hex of (value, estimate):
-# a Taylor, an asymptotic and one or two spectral points per order; at
-# (0.6, 5.0) the peak's right split -c + 2|d| clips to 42^nu, leaving a
-# piece of zero width.  A change to any branch that moves a bit shows here.
+# a Taylor, an asymptotic and one or two spectral points per order.  At
+# (0.6, 5.0) the peak's right split s(2d - c) would lie beyond 42^nu in u;
+# in v = u/s, where the rule runs, every split lies inside [0, 42^nu].  A
+# change to any branch that moves a bit shows here.
 ML_BITS = {
     (0.1, 0.5): ("0x1.4f039d9bd1d37p-1", "0x1.ab19ebf01a8aap-52"),
     (0.1, 1.05): ("0x1.e4b2a7cefec4ap-2", "0x1.2725dd1d243acp-60"),
@@ -69,18 +70,18 @@ ML_BITS = {
     (0.5, 3.0): ("0x1.6e9827d229d2dp-3", "0x1.fb5ee81cbd0ffp-56"),
     (0.5, 80.0): ("0x1.ce25e3cc3c588p-8", "0x1.a3fb8577e0764p-61"),
     (0.6, 0.9): ("0x1.c633c6b585940p-2", "0x1.74970d7b1bfb0p-52"),
-    (0.6, 1.3): ("0x1.5cae6e6717017p-2", "0x1.2725dd1d243acp-60"),
-    (0.6, 5.0): ("0x1.859a4a7b86c36p-4", "0x1.555c06fce7b89p-56"),
+    (0.6, 1.3): ("0x1.5cae6e6717016p-2", "0x1.06f11eca1f54dp-54"),
+    (0.6, 5.0): ("0x1.859a4a7b86c35p-4", "0x1.2725dd1d243acp-60"),
     (0.6, 200.0): ("0x1.28031dda621e4p-9", "0x1.05dfea5657242p-65"),
     (0.75, 0.6): ("0x1.1a1151b546939p-1", "0x1.8f772f83688f2p-52"),
-    (0.75, 1.01): ("0x1.8f63d32bc1c51p-2", "0x1.3afe23e0d75f0p-54"),
+    (0.75, 1.01): ("0x1.8f63d32bc1c50p-2", "0x1.2725dd1d243acp-60"),
     (0.75, 300.0): ("0x1.e3abcbece2578p-11", "0x1.57a9601ae98bdp-61"),
     (0.9, 0.4): ("0x1.54f3f565a4b79p-1", "0x1.ac6a27dfed9f1p-52"),
-    (0.9, 1.5): ("0x1.f1da92ffb8e55p-3", "0x1.545ba2d79824fp-54"),
+    (0.9, 1.5): ("0x1.f1da92ffb8e56p-3", "0x1.2725dd1d243acp-60"),
     (0.9, 2000.0): ("0x1.b93ea37d1c6c3p-15", "0x1.05dfea565723bp-62"),
     (0.999, 0.8): ("0x1.cc20945a1ab17p-2", "0x1.767361413e40cp-52"),
-    (0.999, 1.000001): ("0x1.78c664d7a4e56p-2", "0x1.a77ab67dd70f1p-39"),
-    (0.999, 7.5): ("0x1.86e4e821ec04fp-11", "0x1.266d0999f2b21p-48"),
+    (0.999, 1.000001): ("0x1.78c664d7a4ee1p-2", "0x1.2725dd1d243acp-60"),
+    (0.999, 7.5): ("0x1.86e4e821ec05cp-11", "0x1.2725dd1d243acp-60"),
     (0.999, 100000.0): ("0x1.57cd671938c7cp-27", "0x1.66f4776d8c0c6p-66"),
 }
 
@@ -221,10 +222,23 @@ def test_mittag_leffler_fixed_rule_matches_multiprecision(nu, monkeypatch):
     values, errors = mittag_leffler_neg_array(order, sample)
     for s, v, e in zip(sample, values, errors):
         assert abs(v - ml_talbot(mpmath, nu, s)) <= max(e, 4 * special._EPS), s
-        if nu <= 0.99:
-            # the Lorentzian peak at nu = 0.999 is too sharp for the
-            # fixed splits; the estimate says so
-            assert e <= 1e-13, s
+        assert e <= 1e-13, s
+
+
+@pytest.mark.parametrize("nu", [0.51, 0.6, 0.75, 0.9, 0.95, 0.99, 0.999])
+def test_mittag_leffler_phi_spectral_points_match_multiprecision(nu, monkeypatch):
+    # the spectral points phi's scan actually makes, from narrow peaks
+    # (nu = 0.999, 11 pieces) to s far from 1 just above nu = 1/2
+    mpmath = pytest.importorskip("mpmath")
+    fixed = spy(monkeypatch, "_ml_spectral_fixed")
+    certify.delta_scan(FractionalOrder(nu))
+    points = np.array(sorted(fixed))
+    values, errors = mittag_leffler_neg_array(FractionalOrder(nu), points)
+    assert points.size > 100 and errors.max() <= 1e-13
+    pick = {*np.linspace(0, points.size - 1, 7).round().astype(int), int(errors.argmax())}
+    for i in sorted(pick):
+        gap = abs(values[i] - ml_talbot(mpmath, nu, points[i]))
+        assert gap <= max(errors[i], 4 * special._EPS), points[i]
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.75, 0.9])

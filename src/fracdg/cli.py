@@ -3,7 +3,10 @@
 Subcommands: ``converge`` (graded-mesh Galerkin run against the contour
 or modal reference, weighted error table plus per-step error curves;
 checks that the weighted errors are finite and positive, and on the
-default study their baseline), ``phi`` (weighted suprema of the error
+default study their baseline; the data and mesh are even in x, so it
+solves the even half x >= 0, with the centre node free, and counts that
+half twice in the error norm, while ``--M`` still counts the
+subintervals of (-1, 1)), ``phi`` (weighted suprema of the error
 kernel over an order grid; checks their bound and the kernel's sign),
 ``delta`` (single kernel values by the recurrence or by the tanh-sinh
 rule on the branch-cut integral; checks agreement when both run), and
@@ -45,7 +48,7 @@ from .certify import (
     weighted_error_table,
 )
 from .exact import KAPPA, constant_data_transform, exact_field, quarter_pi_coefficients
-from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
+from .fem1d import assemble, fold_even, graded_mesh, l2_project
 from .laplace import inverter, window_chain
 from .special import FractionalOrder, QuadratureError
 from .stepping import TimeGrid, step_galerkin
@@ -184,27 +187,32 @@ def run_convergence(config: RunConfig):
     """Run the N chain and weight the error curves.
 
     Returns (table, samples) where samples maps N, in ascending order, to
-    its (t, error) arrays over the window (0, 1/2].  The reference is built
-    once, for the times from 1/max(N) on, which hold every run's levels:
-    the transform route's window chain is tuned to the same _CONTOUR_TOL
-    throughout, and the modal route's one sine table serves every time.
-    The runs go finest first, in pairs (N, N/2); an odd last run goes
-    alone.  Both runs of a pair are stepped, then each reference call
-    serves both: level 2m of the finer run is level m of the other, at
-    the same time to the bit, as 1/(N/2) = 2 (1/N) exactly.
+    its (t, error) arrays over the window (0, 1/2].  The data pi/4 and the
+    graded mesh are even in x, and so is every Galerkin solution: the runs
+    step the system folded onto x >= 0 (fem1d.fold_even, M/2 DOFs with the
+    centre node free), the reference is evaluated at the Gauss points of
+    x >= 0 only, and the error norm counts that half twice.  The reference
+    is built once, for the times from 1/max(N) on, which hold every run's
+    levels: the transform route's window chain is tuned to the same
+    _CONTOUR_TOL throughout, and the modal route's one sine table serves
+    every time.  The runs go finest first, in pairs (N, N/2); an odd last
+    run goes alone.  Both runs of a pair are stepped, then each reference
+    call serves both: level 2m of the finer run is level m of the other,
+    at the same time to the bit, as 1/(N/2) = 2 (1/N) exactly.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
-    mats = assemble(KAPPA, mesh)
-    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
-    pts, _, _ = gauss_points(mesh)
+    even = fold_even(assemble(KAPPA, mesh), mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[even.dofs]
+    pts = even.points
     reference = _reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
 
     samples = {}
     chain = config.n_list[::-1]
     for first in range(0, len(chain), 2):
         pair = chain[first:first + 2]
-        runs = [step_galerkin(order, mats.mass, mats.stiff, TimeGrid(1.0 / n, n // 2), u0)
+        runs = [step_galerkin(order, even.mats.mass, even.mats.stiff,
+                              TimeGrid(1.0 / n, n // 2), u0)
                 for n in pair]
         half = pair[0] // 2
         times = (1.0 / pair[0]) * np.arange(1, half + 1)
@@ -216,7 +224,7 @@ def run_convergence(config: RunConfig):
             ref = reference(times[lo:hi]).reshape((hi - lo,) + pts.shape)
             for s, err in enumerate(errors):
                 a, b = lo // (s + 1), hi // (s + 1)
-                err[a:b] = l2_error_from_values(runs[s][a + 1:b + 1], mesh, ref[s::s + 1])
+                err[a:b] = even.error(runs[s][a + 1:b + 1], ref[s::s + 1])
         del runs  # before the next pair steps: at most two trajectories live
         samples.update((n, (times[s::s + 1], errors[s])) for s, n in enumerate(pair))
     samples = dict(sorted(samples.items()))
@@ -407,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="n_list", type=_list_of(int, "integers"), metavar="LIST",
                    help="comma-separated doubling chain of step counts")
     p.add_argument("--M", dest="m_intervals", type=int, metavar="INT",
-                   help="number of spatial subintervals (even)")
+                   help="number of spatial subintervals of (-1, 1) (even)")
     p.add_argument("--gamma", type=float, help="mesh grading exponent")
     p.add_argument("--alpha", dest="alphas", type=_list_of(float, "numbers"),
                    metavar="LIST", help="comma-separated error weights")

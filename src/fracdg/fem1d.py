@@ -10,6 +10,10 @@ L D L^T kernels (dpttrf once, dpttrs per right-hand side).  Projection
 and error evaluation use fixed Gauss rules per element, built once per
 mesh; the error norm forms its products one Gauss point at a time.
 
+``fold_even`` restricts the system of a mesh that mirrors exactly about 0
+to even fields, on the DOFs of x >= 0 with the centre node free; its
+error norm integrates over x >= 0 and counts that half twice.
+
 The two kernels are scipy's f2py wrappers, taken from its compiled
 ``scipy.linalg._flapack`` extension, which this module loads from scipy's
 install directory.  ``scipy.linalg.lapack`` only re-exports the same
@@ -31,8 +35,10 @@ __all__ = [
     "Mesh1D",
     "SymTridiagonal",
     "FemMatrices",
+    "EvenHalf",
     "graded_mesh",
     "assemble",
+    "fold_even",
     "l2_project",
     "l2_error_from_values",
     "gauss_points",
@@ -183,6 +189,58 @@ def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:
                        stiff=SymTridiagonal(main_k, off_k))
 
 
+@dataclass(frozen=True, eq=False)
+class EvenHalf:
+    """The system of a symmetric mesh folded onto its even half, x >= 0.
+
+    ``mats`` acts on the M/2 DOFs ``dofs`` of the full interior vector;
+    ``points`` are the Gauss points of the M/2 elements in [0, 1], the
+    layout ``error`` takes reference values in.
+    """
+
+    mesh: Mesh1D
+    mats: FemMatrices
+    dofs: slice
+    points: np.ndarray
+
+    def error(self, coeffs, ref_values):
+        """L2 norm over (-1, 1) of (even P1 field - even reference).
+
+        coeffs holds the field's values on ``dofs``, stacked levels as for
+        l2_error_from_values; the norm is sqrt(2 * (its square over x >= 0)).
+        """
+        return l2_error_from_values(coeffs, self.mesh, ref_values, half=True)
+
+
+def fold_even(mats: FemMatrices, mesh: Mesh1D) -> EvenHalf:
+    """Fold the system assembled on ``mesh`` onto its even fields.
+
+    Keeps the DOFs from the centre node, which stays free, to the last
+    interior node, and halves the centre's mass and stiffness diagonal
+    entries, which is exact in floating point.  As the two elements at the
+    centre have equal widths, the centre's two off-diagonal entries are
+    equal, and the folded system is the full one's equations for the kept
+    DOFs with the centre row halved.  Raises ValueError unless the nodes
+    mirror exactly about 0, with a centre node at 0 (graded_mesh's do),
+    or unless ``mats`` has the mesh's interior size.
+    """
+    if not np.array_equal(mesh.nodes, -mesh.nodes[::-1]):
+        raise ValueError("folding needs nodes that mirror exactly about 0, "
+                         "with a centre node at 0")
+    ndof = mesh.n_intervals - 1
+    if not len(mats.mass.diag) == len(mats.stiff.diag) == ndof:
+        raise ValueError(f"matrices do not fit a mesh with {ndof} interior nodes")
+    half = mesh.n_intervals // 2
+
+    def fold(mat):
+        diag = mat.diag[half - 1:].copy()
+        diag[0] *= 0.5
+        return SymTridiagonal(diag, mat.off[half - 1:])
+
+    return EvenHalf(mesh, FemMatrices(fold(mats.mass), fold(mats.stiff)),
+                    slice(half - 1, None), gauss_points(mesh)[0][half:])
+
+
 @lru_cache(maxsize=None)
 def _legendre_rule(order: int):
     # Reference nodes and weights on [-1, 1], shared by every call; read-only
@@ -214,15 +272,17 @@ def gauss_points(mesh: Mesh1D, order: int = 4):
     return mesh._gauss[order]
 
 
-def _padded(coeffs, mesh) -> np.ndarray:
-    # Interior coefficients (last axis) with the two boundary zeros added.
+def _padded(coeffs, mesh, half=False) -> np.ndarray:
+    # Interior coefficients (last axis) with the boundary zeros added; with
+    # half, the coefficients from the centre node on and the zero at x = 1.
     c = np.asarray(coeffs, dtype=float)
-    if c.shape[-1:] != (mesh.n_intervals - 1,):
+    count = mesh.n_intervals // 2 if half else mesh.n_intervals - 1
+    if c.shape[-1:] != (count,):
         raise ValueError(
-            f"expected {mesh.n_intervals - 1} interior coefficients, got {c.shape}"
+            f"expected {count} {'half' if half else 'interior'} coefficients, got {c.shape}"
         )
     pad = np.zeros(c.shape[:-1] + (1,))
-    return np.concatenate([pad, c, pad], axis=-1)
+    return np.concatenate([c, pad] if half else [pad, c, pad], axis=-1)
 
 
 def l2_project(f, mesh: Mesh1D) -> np.ndarray:
@@ -241,7 +301,8 @@ def l2_project(f, mesh: Mesh1D) -> np.ndarray:
     return mass.solver()(load)
 
 
-def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):
+def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray,
+                         half: bool = False):
     """L2 norm of (P1 field - reference) given reference values.
 
     ref_values must match the layout of gauss_points(mesh)[0].
@@ -250,9 +311,17 @@ def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):
     an array of L norms, each summed exactly as a call for that level
     alone would sum it.  Each product a (1 - xi_g) or b xi_g is formed for
     one Gauss point g over every level and element at once.
+
+    With half, field and reference are even: coeffs holds the M/2 values
+    from the centre node on (EvenHalf.dofs), ref_values the layout of the
+    last M/2 rows of the rule (EvenHalf.points), and the norm over (-1, 1)
+    is sqrt(2 * (the sum over those elements)).
     """
     points, weights, local = gauss_points(mesh)
-    vals = _padded(coeffs, mesh)
+    if half:
+        cut = mesh.n_intervals // 2
+        points, weights = points[cut:], weights[cut:]
+    vals = _padded(coeffs, mesh, half)
     if ref_values.shape != vals.shape[:-1] + points.shape:
         raise ValueError(
             f"ref_values shape {ref_values.shape} != quadrature {points.shape}"
@@ -267,5 +336,6 @@ def l2_error_from_values(coeffs, mesh: Mesh1D, ref_values: np.ndarray):
     sq -= ref_values
     sq *= sq
     sq *= weights
-    err = np.sqrt(np.sum(sq, axis=(-2, -1)))
+    total = np.sum(sq, axis=(-2, -1))
+    err = np.sqrt(2.0 * total if half else total)
     return float(err) if err.ndim == 0 else err

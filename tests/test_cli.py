@@ -13,7 +13,14 @@ from fracdg.certify import Check
 from fracdg.certify import weighted_error_table
 from fracdg.cli import RunConfig, main, run_convergence
 from fracdg.exact import KAPPA, constant_data_transform
-from fracdg.fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
+from fracdg.fem1d import (
+    assemble,
+    fold_even,
+    gauss_points,
+    graded_mesh,
+    l2_error_from_values,
+    l2_project,
+)
 from fracdg.laplace import inverter, window_chain
 from fracdg.special import FractionalOrder, QuadratureError
 from fracdg.stepping import TimeGrid, step_galerkin
@@ -323,18 +330,20 @@ def test_converge_shares_one_modal_reference(monkeypatch):
 
 
 def one_run_at_a_time(config):
-    # The convergence loop with each run stepped and measured alone: its
-    # own reference calls, _LEVEL_CHUNK of its levels at a time.
+    # The convergence loop with each run stepped and measured alone, on
+    # the folded system: its own reference calls at the Gauss points of
+    # x >= 0, _LEVEL_CHUNK of its levels at a time.
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
-    mats = assemble(KAPPA, mesh)
-    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)
-    pts = gauss_points(mesh)[0]
+    even = fold_even(assemble(KAPPA, mesh), mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)[even.dofs]
+    pts = even.points
     samples, reference = {}, None
     for n_steps in reversed(config.n_list):
         dt = 1.0 / n_steps
         half = n_steps // 2
-        solution = step_galerkin(order, mats.mass, mats.stiff, TimeGrid(dt, half), u0)
+        solution = step_galerkin(order, even.mats.mass, even.mats.stiff,
+                                 TimeGrid(dt, half), u0)
         times = dt * np.arange(1, half + 1)
         if reference is None:
             reference = cli._reference(config, order, pts.ravel(), dt)
@@ -342,10 +351,47 @@ def one_run_at_a_time(config):
         for lo in range(0, half, cli._LEVEL_CHUNK):
             hi = min(lo + cli._LEVEL_CHUNK, half)
             ref = reference(times[lo:hi])
-            errors[lo:hi] = l2_error_from_values(
-                solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
+            errors[lo:hi] = even.error(
+                solution[lo + 1:hi + 1], ref.reshape((hi - lo,) + pts.shape))
         samples[n_steps] = (times, errors)
     return dict(sorted(samples.items()))
+
+
+def full_domain_run(config):
+    # The convergence loop on the whole of (-1, 1), with no use of the
+    # field's symmetry: every interior DOF stepped, the reference at every
+    # Gauss point, one call per run.
+    order = FractionalOrder(config.nu)
+    mesh = graded_mesh(config.m_intervals, config.gamma)
+    mats = assemble(KAPPA, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)
+    pts = gauss_points(mesh)[0]
+    reference = cli._reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
+    samples = {}
+    for n_steps in config.n_list:
+        half = n_steps // 2
+        solution = step_galerkin(order, mats.mass, mats.stiff,
+                                 TimeGrid(1.0 / n_steps, half), u0)
+        times = (1.0 / n_steps) * np.arange(1, half + 1)
+        ref = reference(times).reshape((half,) + pts.shape)
+        samples[n_steps] = (times, l2_error_from_values(solution[1:], mesh, ref))
+    return samples
+
+
+@pytest.mark.parametrize("reference", ["transform", "modal"])
+def test_folded_study_matches_the_full_domain_run(reference):
+    # The fold moves the errors by the stepping's own round-off only: the
+    # full-domain trajectory is even to about 1e-14 of max|U|, against
+    # errors near 1e-4 of it.
+    config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
+                       reference=reference)
+    _, samples = run_convergence(config)
+    expected = full_domain_run(config)
+    assert list(samples) == list(expected)
+    for n_steps, (times, errors) in samples.items():
+        assert np.array_equal(times, expected[n_steps][0])
+        gap = np.max(np.abs(errors / expected[n_steps][1] - 1.0))
+        assert gap <= 1e-10, (n_steps, gap)
 
 
 @pytest.mark.parametrize("reference", ["transform", "modal"])
@@ -385,18 +431,21 @@ def test_pairs_share_one_reference_call_per_chunk(monkeypatch):
 
 
 def test_at_most_two_trajectories_live_at_once(monkeypatch):
-    live, seen, step = [], [], cli.step_galerkin
+    live, seen, widths, step = [], [], [], cli.step_galerkin
 
     def tracked(*args, **kwargs):
         seen.append(sum(ref() is not None for ref in live))
         trajectory = step(*args, **kwargs)
         live.append(weakref.ref(trajectory))
+        widths.append(trajectory.shape[1])
         return trajectory
 
     monkeypatch.setattr(cli, "step_galerkin", tracked)
     run_convergence(RunConfig(n_list=(10, 20, 40, 80, 160), m_intervals=cli._QUICK_M))
     # a pair's second run starts beside the first; the next pair starts alone
     assert seen == [0, 1, 0, 1, 0]
+    # each steps the even half: the centre node and the M/2 - 1 to its right
+    assert widths == [cli._QUICK_M // 2] * 5
     assert all(ref() is None for ref in live)
 
 

@@ -11,10 +11,13 @@ from scipy.linalg import eigh, lapack
 
 from fracdg import fem1d
 from fracdg.exact import KAPPA
+from fracdg.special import FractionalOrder
+from fracdg.stepping import TimeGrid, step_galerkin
 from fracdg.fem1d import (
     Mesh1D,
     SymTridiagonal,
     assemble,
+    fold_even,
     gauss_points,
     graded_mesh,
     l2_error_from_values,
@@ -219,6 +222,72 @@ def test_gauss_data_is_cached_read_only_and_equal_to_a_fresh_build(order):
         rule[0][0, 0] = 0.0
     # each mesh builds its own
     assert gauss_points(graded_mesh(40, 3.0), order) is not rule
+
+
+def test_fold_keeps_the_centre_on_and_halves_its_diagonal_entries():
+    mesh = graded_mesh(40, 3.0)
+    mats = assemble(KAPPA, mesh)
+    even = fold_even(mats, mesh)
+    centre = mesh.n_intervals // 2 - 1
+    assert mesh.nodes[centre + 1] == 0.0
+    assert even.dofs == slice(centre, None) and even.mesh is mesh
+    for full, folded in ((mats.mass, even.mats.mass), (mats.stiff, even.mats.stiff)):
+        assert len(folded.diag) == mesh.n_intervals // 2
+        assert folded.diag[0] == 0.5 * full.diag[centre]
+        assert np.array_equal(folded.diag[1:], full.diag[centre + 1:])
+        assert np.array_equal(folded.off, full.off[centre:])
+    assert np.array_equal(even.points, gauss_points(mesh)[0][mesh.n_intervals // 2:])
+    assert not even.points.flags.writeable
+
+
+@pytest.mark.parametrize("m, gamma, nu, n_steps, dt", [
+    (40, 3.0, 0.75, 160, 1.0 / 320),     # 39 DOF, direct history sum
+    (250, 3.0, 0.3, 2560, 1.0 / 5120),   # 249 DOF, far sums
+    (1000, 3.0, 0.75, 640, 1.0 / 1280),  # 999 DOF, far sums
+    (4, 1.0, 0.5, 20, 1.0 / 40),         # 3 DOF, two of them kept
+])
+def test_folded_trajectory_is_the_right_half_of_the_full_one(m, gamma, nu, n_steps, dt):
+    # The converge study's data pi/4, stepped on both systems.
+    order = FractionalOrder(nu)
+    mesh = graded_mesh(m, gamma)
+    mats = assemble(KAPPA, mesh)
+    even = fold_even(mats, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
+    grid = TimeGrid(dt, n_steps)
+    full = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    folded = step_galerkin(order, even.mats.mass, even.mats.stiff, grid, u0[even.dofs])
+    assert folded.shape == (n_steps + 1, m // 2)
+    gap = np.max(np.abs(folded - full[:, even.dofs]))
+    assert gap <= 1e-12 * np.max(np.abs(u0)), gap
+
+
+def test_half_norm_equals_the_norm_of_the_mirrored_field():
+    mesh = graded_mesh(40, 3.0)
+    even = fold_even(assemble(KAPPA, mesh), mesh)
+    rng = np.random.default_rng(11)
+    half = rng.standard_normal((5, mesh.n_intervals // 2))
+    mirrored = np.concatenate([half[:, :0:-1], half], axis=1)
+    f = lambda x: np.cos(0.5 * math.pi * x) + x ** 2
+    levels = np.arange(1.0, 6.0)[:, None, None]
+    got = even.error(half, levels * f(even.points))
+    want = l2_error_from_values(mirrored, mesh, levels * f(gauss_points(mesh)[0]))
+    assert got.shape == (5,)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    one = even.error(half[2], levels[2] * f(even.points))
+    assert isinstance(one, float) and one == got[2]
+    with pytest.raises(ValueError):
+        even.error(mirrored, levels * f(even.points))
+
+
+def test_fold_rejects_meshes_that_do_not_mirror_exactly():
+    nodes = graded_mesh(8, 2.0).nodes.copy()
+    nodes[1:-1] += 4e-15  # within Mesh1D's symmetry tolerance; no node at 0
+    shifted = Mesh1D(nodes)
+    with pytest.raises(ValueError, match="mirror exactly"):
+        fold_even(assemble(KAPPA, shifted), shifted)
+    mesh = graded_mesh(8, 2.0)
+    with pytest.raises(ValueError, match="interior nodes"):
+        fold_even(assemble(KAPPA, graded_mesh(10, 2.0)), mesh)
 
 
 @given(m=st.sampled_from([8, 16, 32]), gamma=st.floats(1.0, 5.0))

@@ -8,8 +8,10 @@ representation), scans it over a (mu, n) grid, extracts the weighted
 suprema Phi_1/Phi_2, checks the inequalities the bound's proof rests
 on, and turns per-run error samples into weighted convergence tables.
 The scan returns the rho = mu n^nu, delta and Mittag-Leffler error
-grids; the ratio to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is
-formed by the acceptance test of criterion 2.  Built-in checks are
+grids.  A scan or sweep over several orders steps them all in one
+spectral run and gives each order the bits of its own.  The ratio
+to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is formed by the
+acceptance test of criterion 2.  Built-in checks are
 ``Check`` records, which the command line prints and turns into its
 exit status; ``symbol_checks`` returns the symbol's identity checks.
 """
@@ -133,24 +135,34 @@ def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
     return float(order.sin_pi / math.pi * fine)
 
 
-def delta_scan(order: FractionalOrder, mu_grid=None, n_max: int = 200):
+def delta_scan(order, mu_grid=None, n_max: int = 200):
     """The kernel over (mu_grid) x (1..n_max) as grids (rho, delta, ml_err).
 
     Each grid has shape (len(mu_grid), n_max); row i, column n-1 holds
     mu_grid[i] and step n.  One spectral run with dt = 1 and the mu
     values as eigenvalues gives every trajectory; each mu's row is the
-    same bits as a scan of that mu alone.
+    same bits as a scan of that mu alone.  order may also be a sequence
+    of orders, which share that one run: the call then returns an
+    iterator that makes the orders' (rho, delta, ml_err) one at a time,
+    each the same bits as that order's own scan, so a caller that takes
+    them in turn holds one order's grids at once.
     """
-    if mu_grid is None:
-        mu_grid = default_mu_grid()
-    mu_grid = np.asarray(mu_grid, dtype=float)
+    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
     if len(mu_grid) == 0 or np.any(mu_grid <= 0.0):
         raise ValueError("mu_grid must be nonempty and positive")
-    u = step_spectral(order, mu_grid, np.ones(len(mu_grid)),
+    single = isinstance(order, FractionalOrder)
+    orders = (order,) if single else tuple(order)
+    u = step_spectral(orders, mu_grid, np.ones(len(mu_grid)),
                       TimeGrid(dt=1.0, n_steps=n_max))
-    rho = mu_grid[:, None] * np.arange(1, n_max + 1, dtype=float) ** order.nu
-    exact, ml_err = mittag_leffler_neg_array(order, rho)
-    return rho, u[1:].T - exact, ml_err
+    ns = np.arange(1, n_max + 1, dtype=float)
+
+    def scans():
+        for o, traj in zip(orders, u):
+            rho = mu_grid[:, None] * ns ** o.nu
+            exact, ml_err = mittag_leffler_neg_array(o, rho)
+            yield rho, traj[1:].T - exact, ml_err
+
+    return next(scans()) if single else scans()
 
 
 @dataclass(frozen=True)
@@ -179,11 +191,21 @@ def _first_max(w, keep):
     return w.flat[int(np.argmax(w))]
 
 
-def phi_sweep(order: FractionalOrder, mu_grid=None, n_max: int = 200) -> PhiSweep:
-    """Compute (Phi_1, Phi_2) from a fresh grid scan."""
+def phi_sweep(order, mu_grid=None, n_max: int = 200):
+    """Compute (Phi_1, Phi_2) from a fresh grid scan.
+
+    A sequence of orders shares one delta_scan and gives one PhiSweep per
+    order, each equal to that order's own sweep.
+    """
     mu = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    rho, delta, ml_err = delta_scan(order, mu, n_max)
-    nu = order.nu
+    single = isinstance(order, FractionalOrder)
+    orders = (order,) if single else tuple(order)
+    sweeps = [_sweep(o.nu, mu, n_max, *scan)
+              for o, scan in zip(orders, delta_scan(orders, mu, n_max))]
+    return sweeps[0] if single else sweeps
+
+
+def _sweep(nu, mu, n_max, rho, delta, ml_err):
     # Powers are taken once per grid value with scalar pow and broadcast:
     # numpy's vectorised pow can differ from scalar pow in the last bit.
     ns = np.arange(1, n_max + 1, dtype=float)

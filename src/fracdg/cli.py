@@ -324,10 +324,8 @@ def cmd_phi(args, config: RunConfig) -> list:
         grid = (config.nu,)
     else:
         grid = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    rows = []
-    for nu in grid:
-        sweep = phi_sweep(FractionalOrder(nu))
-        rows.append((nu, sweep.phi1, sweep.phi2, sweep.min_delta, sweep.skipped))
+    sweeps = phi_sweep([FractionalOrder(nu) for nu in grid])
+    rows = [(nu, s.phi1, s.phi2, s.min_delta, s.skipped) for nu, s in zip(grid, sweeps)]
 
     path = os.path.join(config.out_dir, "phi_sweep.csv")
     _write_csv(path, config, ["nu", "phi1", "phi2", "min_delta", "skipped"], rows,

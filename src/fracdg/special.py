@@ -3,10 +3,11 @@
 Everything here is double precision and deliberately boring: zeta at small
 negative arguments through the functional equation, the one-parameter
 Mittag-Leffler function E_nu(-s) on the negative real axis (over arrays
-for every workflow, and per point as the reference the array evaluator
-is checked against: the same series branches, with quadpack where the
-array evaluator takes one fixed tanh-sinh rule whose nodes all points of
-a call share), and the generating symbol of the piecewise-constant DG weights
+for every workflow, its two series from fracdg.mlseries, and per point
+as the reference the array evaluator is checked against: the same series
+branches, with quadpack where the array evaluator takes one fixed
+tanh-sinh rule whose nodes all points of a call share), and the
+generating symbol of the piecewise-constant DG weights
 
     psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu),
 
@@ -21,6 +22,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .mlseries import asym_array, taylor_array
 
 
 def _quad(f, a, b, **kw):
@@ -227,71 +230,6 @@ def mittag_leffler_neg_with_error(order: FractionalOrder, s: float):
     return _ml_spectral_quad(nu, s)
 
 
-def _ml_taylor_array(nu, s):
-    # _ml_taylor on every point at once.  The arrays hold only the points
-    # still summing; a point leaves at the term where the scalar loop breaks.
-    val, err = np.empty(s.size), np.empty(s.size)
-    idx = np.arange(s.size)
-    logs = np.log(s)
-    acc = np.ones(s.size)
-    mx = np.ones(s.size)
-    at = np.full(s.size, math.inf)
-    for k in range(1, 400):
-        if not idx.size:
-            break
-        t = np.exp(k * logs - math.lgamma(1.0 + nu * k))
-        if k % 2:
-            t = -t
-        acc += t
-        prev, at = at, np.abs(t)
-        np.maximum(mx, at, out=mx)
-        done = (at < 1e-17 * np.abs(acc)) & (at < prev)
-        if np.count_nonzero(done):
-            out = idx[done]
-            val[out] = acc[done]
-            err[out] = _EPS * (mx[done] + np.abs(acc[done])) + at[done]
-            keep = ~done
-            idx, logs, acc, mx, at = idx[keep], logs[keep], acc[keep], mx[keep], at[keep]
-    val[idx] = acc
-    err[idx] = _EPS * (mx + np.abs(acc)) + at
-    return val, err
-
-
-def _ml_asym_array(nu, s):
-    # _ml_asym on every point at once, with the same smallest-term stop.
-    val, err = np.empty(s.size), np.empty(s.size)
-    idx = np.arange(s.size)
-    logs = np.log(s)
-    acc = np.zeros(s.size)
-    prev = np.full(s.size, math.inf)
-    for k in range(1, 400):
-        if not idx.size:
-            break
-        mag = np.exp(math.lgamma(nu * k) - k * logs) / math.pi
-        t = mag * math.sin(math.pi * nu * k)
-        if k % 2 == 0:
-            t = -t
-        grown = mag > prev
-        if np.count_nonzero(grown):
-            out = idx[grown]
-            val[out] = acc[grown]
-            err[out] = prev[grown]
-            keep = ~grown
-            idx, logs, acc, mag, t = idx[keep], logs[keep], acc[keep], mag[keep], t[keep]
-        acc += t
-        prev = mag
-        done = mag < 1e-18
-        if np.count_nonzero(done):
-            out = idx[done]
-            val[out] = acc[done]
-            err[out] = mag[done]
-            keep = ~done
-            idx, logs, acc, prev = idx[keep], logs[keep], acc[keep], prev[keep]
-    val[idx] = acc
-    err[idx] = math.inf
-    return val, err
-
-
 def _tanh_sinh_rule(h, tmax):
     # Tanh-sinh rule on [0, 1] (Takahasi & Mori, Publ. RIMS 9 (1974) 721):
     # nodes (1 + tanh(pi/2 sinh t))/2 at t = k h, |t| <= tmax.  The even-k
@@ -321,7 +259,12 @@ def _ml_spectral_fixed(nu, s):
     # _ml_spectral_quad's integral on every point at once, by the fixed
     # tanh-sinh rule on each piece between split points.  The estimate is
     # the gap to the rule with step 2h, plus _ml_spectral_quad's 1e-18
-    # floor.  Sums are elementwise products reduced along the last axis,
+    # floor, plus round-off c eps |value|, which that gap cannot see: both
+    # rules share the nodes and the constants.  c = log2(nodes) counts the
+    # pairwise sums of positive terms, and pi nu |cot(pi nu)| the rounding
+    # of pi nu in sin(pi nu), whose relative error grows as 1/(1 - nu)
+    # (109 eps at nu = 0.999, where it is most of the error at large s).
+    # Sums are elementwise products reduced along the last axis,
     # never BLAS, so a point's value does not depend on the other points.
     #
     # nu > 1/2 (c = cos(pi nu) < 0, d = sin(pi nu)): with u = s v,
@@ -363,6 +306,7 @@ def _ml_spectral_fixed(nu, s):
         coarse_w = lorentz * (width * _TS_COARSE).reshape(1, -1)
         a = s ** inv_nu
         pref = np.full_like(s, sin / (nu * math.pi))
+    roundoff = (math.log2(nodes.size) + math.pi * nu * abs(cos / sin)) * _EPS
     block = _ML_BLOCK * 4 // max(4, width.size)
     u = np.empty((min(s.size, block), *nodes.shape[1:]))
     f = np.empty_like(u)
@@ -384,7 +328,7 @@ def _ml_spectral_fixed(nu, s):
             fine = np.multiply(fb, fine_w, out=ub).sum(axis=-1)
             coarse = np.multiply(fb, coarse_w, out=ub).sum(axis=-1)
         val[blk] = pref[blk] * fine
-        err[blk] = pref[blk] * np.abs(fine - coarse) + 1e-18
+        err[blk] = pref[blk] * np.abs(fine - coarse) + 1e-18 + roundoff * np.abs(val[blk])
     return val, err
 
 
@@ -394,12 +338,14 @@ def mittag_leffler_neg_array(order: FractionalOrder, s):
     Point by point this takes the branches of mittag_leffler_neg_with_error:
     Taylor series for s <= 1, asymptotic series beyond, and the spectral
     integral only where the asymptotic estimate exceeds 1e-13.  Both
-    series run over the whole array, one term at a time, and give the
-    per-point evaluator's values and estimates.  The spectral integral
-    takes a fixed tanh-sinh rule over all its points at once, on nodes
-    they share, instead of quadpack per point; its values agree with
-    quadpack's to a few 1e-16 and its estimate is the gap to the rule with
-    twice the step.  Each point's result is independent of the other
+    series run over the whole array in fracdg.mlseries, one term at a
+    time until at most a few hundred points are still summing, which
+    finish in blocks of terms; either way they give the per-point
+    evaluator's values and estimates.  The spectral integral takes a fixed tanh-sinh rule over
+    all its points at once, on nodes they share, instead of quadpack per
+    point; its values agree with quadpack's to a few 1e-16, and its
+    estimate is the gap to the rule with twice the step plus a bound on
+    the round-off.  Each point's result is independent of the other
     points in the call.
     Returns (values, errors), each with the shape of s.
     """
@@ -414,9 +360,9 @@ def mittag_leffler_neg_array(order: FractionalOrder, s):
     else:
         val, err = np.empty(flat.size), np.empty(flat.size)
         small = (flat > 0.0) & (flat <= 1.0)
-        val[small], err[small] = _ml_taylor_array(nu, flat[small])
+        val[small], err[small] = taylor_array(nu, flat[small])
         large = np.flatnonzero(flat > 1.0)
-        v, e = _ml_asym_array(nu, flat[large])
+        v, e = asym_array(nu, flat[large])
         spectral = ~(e <= 1e-13)
         v[spectral], e[spectral] = _ml_spectral_fixed(nu, flat[large[spectral]])
         val[large], err[large] = v, e

@@ -246,6 +246,22 @@ def test_phi_sweep_equals_point_loop(nu, mu_grid, n_max):
     assert (sweep.phi1, sweep.phi2, sweep.skipped) == (phi1, phi2, skipped)
 
 
+def test_phi_sweep_over_the_order_grid_equals_single_orders():
+    # phi's nine orders share one time loop; each sweep keeps its bits
+    orders = [FractionalOrder(round(0.1 * k, 1)) for k in range(1, 10)]
+    assert phi_sweep(orders) == [phi_sweep(order) for order in orders]
+
+
+def test_delta_scan_over_orders_equals_single_scans():
+    orders = [FractionalOrder(0.3), FractionalOrder(1.0), FractionalOrder(0.75)]
+    mu = 2.0 ** np.arange(-6, 7)
+    scans = list(delta_scan(orders, mu, 30))
+    assert len(scans) == len(orders)
+    for order, scan in zip(orders, scans):
+        for grid, single in zip(scan, delta_scan(order, mu, 30)):
+            assert np.array_equal(grid, single)
+
+
 def test_lemma_integral_zero_inside_range():
     assert abs(lemma_integral_zero(FractionalOrder(0.75))) <= 1e-8
     with pytest.raises(ValueError):

@@ -2,8 +2,9 @@ import importlib
 
 import pytest
 
-MODULES = ("fracdg", "fracdg.special", "fracdg.laplace", "fracdg.stepping",
-           "fracdg.exact", "fracdg.fem1d", "fracdg.certify", "fracdg.cli")
+MODULES = ("fracdg", "fracdg.special", "fracdg.mlseries", "fracdg.laplace",
+           "fracdg.stepping", "fracdg.exact", "fracdg.fem1d", "fracdg.certify",
+           "fracdg.cli")
 
 
 @pytest.mark.parametrize("name", MODULES)

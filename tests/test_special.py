@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdg import certify, special
+from fracdg import certify, mlseries, special
 from fracdg.special import (
     FractionalOrder,
     QuadratureError,
@@ -60,28 +60,28 @@ CUT_BITS = {
 # change to any branch that moves a bit shows here.
 ML_BITS = {
     (0.1, 0.5): ("0x1.4f039d9bd1d37p-1", "0x1.ab19ebf01a8aap-52"),
-    (0.1, 1.05): ("0x1.e4b2a7cefec4ap-2", "0x1.2725dd1d243acp-60"),
+    (0.1, 1.05): ("0x1.e4b2a7cefec4ap-2", "0x1.2482eea7fb8a8p-50"),
     (0.1, 40.0): ("0x1.76b144ecf88e8p-6", "0x1.aa2ff8e7c9b65p-61"),
     (0.3, 0.7): ("0x1.18ff588feca71p-1", "0x1.91d759f17644bp-52"),
-    (0.3, 1.1): ("0x1.ba858c9fc5eb6p-2", "0x1.ecabb2edee522p-55"),
+    (0.3, 1.1): ("0x1.ba858c9fc5eb6p-2", "0x1.12635d2a9fca0p-50"),
     (0.3, 60.0): ("0x1.a0a511cc458f2p-7", "0x1.bcbb2a82f2d12p-66"),
     (0.5, 0.25): ("0x1.8a6adcda2ea90p-1", "0x1.c8e8e583c6d6bp-52"),
-    (0.5, 1.2): ("0x1.839f500817f68p-2", "0x1.2725dd1d243acp-60"),
-    (0.5, 3.0): ("0x1.6e9827d229d2dp-3", "0x1.fb5ee81cbd0ffp-56"),
+    (0.5, 1.2): ("0x1.839f500817f68p-2", "0x1.a51f196edf3a0p-51"),
+    (0.5, 3.0): ("0x1.6e9827d229d2dp-3", "0x1.ad7114dbb777bp-52"),
     (0.5, 80.0): ("0x1.ce25e3cc3c588p-8", "0x1.a3fb8577e0764p-61"),
     (0.6, 0.9): ("0x1.c633c6b585940p-2", "0x1.74970d7b1bfb0p-52"),
-    (0.6, 1.3): ("0x1.5cae6e6717016p-2", "0x1.06f11eca1f54dp-54"),
-    (0.6, 5.0): ("0x1.859a4a7b86c35p-4", "0x1.2725dd1d243acp-60"),
+    (0.6, 1.3): ("0x1.5cae6e6717016p-2", "0x1.e171949ed7575p-51"),
+    (0.6, 5.0): ("0x1.859a4a7b86c35p-4", "0x1.f786d9aed4536p-53"),
     (0.6, 200.0): ("0x1.28031dda621e4p-9", "0x1.05dfea5657242p-65"),
     (0.75, 0.6): ("0x1.1a1151b546939p-1", "0x1.8f772f83688f2p-52"),
-    (0.75, 1.01): ("0x1.8f63d32bc1c50p-2", "0x1.2725dd1d243acp-60"),
+    (0.75, 1.01): ("0x1.8f63d32bc1c50p-2", "0x1.2cb89ff2ba685p-50"),
     (0.75, 300.0): ("0x1.e3abcbece2578p-11", "0x1.57a9601ae98bdp-61"),
     (0.9, 0.4): ("0x1.54f3f565a4b79p-1", "0x1.ac6a27dfed9f1p-52"),
-    (0.9, 1.5): ("0x1.f1da92ffb8e56p-3", "0x1.2725dd1d243acp-60"),
+    (0.9, 1.5): ("0x1.f1da92ffb8e56p-3", "0x1.1e43e321b0ebbp-50"),
     (0.9, 2000.0): ("0x1.b93ea37d1c6c3p-15", "0x1.05dfea565723bp-62"),
     (0.999, 0.8): ("0x1.cc20945a1ab17p-2", "0x1.767361413e40cp-52"),
-    (0.999, 1.000001): ("0x1.78c664d7a4ee1p-2", "0x1.2725dd1d243acp-60"),
-    (0.999, 7.5): ("0x1.86e4e821ec05cp-11", "0x1.2725dd1d243acp-60"),
+    (0.999, 1.000001): ("0x1.78c664d7a4ee1p-2", "0x1.73ad9c058c96dp-44"),
+    (0.999, 7.5): ("0x1.86e4e821ec05cp-11", "0x1.83e853a6adc11p-53"),
     (0.999, 100000.0): ("0x1.57cd671938c7cp-27", "0x1.66f4776d8c0c6p-66"),
 }
 
@@ -221,7 +221,7 @@ def test_mittag_leffler_fixed_rule_matches_multiprecision(nu, monkeypatch):
     sample = points[np.linspace(0, points.size - 1, 6).round().astype(int)]
     values, errors = mittag_leffler_neg_array(order, sample)
     for s, v, e in zip(sample, values, errors):
-        assert abs(v - ml_talbot(mpmath, nu, s)) <= max(e, 4 * special._EPS), s
+        assert abs(v - ml_talbot(mpmath, nu, s)) <= e, s
         assert e <= 1e-13, s
 
 
@@ -238,15 +238,28 @@ def test_mittag_leffler_phi_spectral_points_match_multiprecision(nu, monkeypatch
     pick = {*np.linspace(0, points.size - 1, 7).round().astype(int), int(errors.argmax())}
     for i in sorted(pick):
         gap = abs(values[i] - ml_talbot(mpmath, nu, points[i]))
-        assert gap <= max(errors[i], 4 * special._EPS), points[i]
+        assert gap <= errors[i], points[i]
 
 
-@pytest.mark.parametrize("nu", [0.1, 0.3, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("nu", [0.99, 0.999])
+def test_mittag_leffler_spectral_estimate_covers_round_off(nu):
+    # near nu = 1 the rounding of pi nu in sin(pi nu) moves the value by up
+    # to 110 eps relative at large s (nu = 0.999), which the gap between two
+    # rules on the same nodes and constants cannot see; the estimate counts it
+    mpmath = pytest.importorskip("mpmath")
+    s = np.geomspace(1.0 + 1e-6, 40.0, 16)
+    values, errors = special._ml_spectral_fixed(nu, s)
+    for x, v, e in zip(s, values, errors):
+        assert abs(v - ml_talbot(mpmath, nu, x)) <= e, x
+
+
+@pytest.mark.parametrize("nu", [0.05, 0.1, 0.3, 0.5, 0.75, 0.9])
 def test_mittag_leffler_array_point_does_not_depend_on_batch(nu, monkeypatch):
     order = FractionalOrder(nu)
     # the uniform draw spans the spectral branch's s-range, which ends
-    # near s = 1.4 at nu = 0.1 and beyond s = 8 from nu = 0.75 on
-    hi = 1.4 if nu == 0.1 else 8.0
+    # near s = 1.2 at nu = 0.05, 1.4 at nu = 0.1 and beyond s = 8 from
+    # nu = 0.75 on
+    hi = {0.05: 1.2, 0.1: 1.4}.get(nu, 8.0)
     rng = np.random.default_rng(11)
     s = np.concatenate([rng.uniform(1.0, hi, 9000), 10.0 ** rng.uniform(-3.0, 4.0, 1000)])
     rng.shuffle(s)
@@ -261,6 +274,16 @@ def test_mittag_leffler_array_point_does_not_depend_on_batch(nu, monkeypatch):
     assert sum(x in fixed for x in head) % special._ML_BLOCK
     value, error = mittag_leffler_neg_array(order, head)
     assert np.array_equal(value, values[:100]) and np.array_equal(error, errors[:100])
+    # batches just below and just above the size at which the series go
+    # on in blocks of terms, of Taylor points (s <= 1, whose tails are
+    # longest at small nu) and of points beyond s = 1
+    tail = mlseries._TAIL_POINTS
+    for batch in (rng.uniform(0.0, 1.0, tail + 1), 10.0 ** rng.uniform(0.0, 1.0, tail + 1)):
+        for part in (batch[:tail - 1], batch):
+            values, errors = mittag_leffler_neg_array(order, part)
+            for i, x in enumerate(part):
+                value, error = mittag_leffler_neg_array(order, part[i:i + 1])
+                assert value[0] == values[i] and error[0] == errors[i], x
 
 
 def test_mittag_leffler_fixed_rule_working_memory_is_bounded():

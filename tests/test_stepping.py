@@ -292,15 +292,27 @@ def test_galerkin_round_off_against_longdouble():
 
 def test_spectral_columns_equal_scalar_runs_bitwise():
     # the kernel scan's 39-point mu grid with dt = 1, so lam = mu; the
-    # second grid is past the far-history crossover
+    # second grid is past the far-history crossover, where each order has
+    # its own far nodes (nu = 1 none).  A call over several orders gives
+    # each order's run alone.
     mus = 2.0 ** np.arange(-18, 21, dtype=float)
+    orders = [FractionalOrder(nu) for nu in (0.3, 0.75, 1.0)]
     for grid in (TimeGrid(1.0, 200), TimeGrid(1.0, stepping._SOE_FROM + 9)):
-        for nu in (0.3, 0.75):
-            order = FractionalOrder(nu)
+        multi = step_spectral(orders, mus, np.ones(mus.size), grid)
+        assert multi.shape == (len(orders), grid.n_steps + 1, mus.size)
+        for order, block in zip(orders, multi):
             traj = step_spectral(order, mus, np.ones(mus.size), grid)
+            assert np.array_equal(block, traj)
+            if order.nu == 1.0:
+                continue
             for k, mu in enumerate(mus):
                 u = one_mode(order, mu, 1.0, grid)
                 assert np.array_equal(traj[:, k], u)
+
+
+def test_spectral_rejects_an_empty_order_grid():
+    with pytest.raises(ValueError):
+        step_spectral([], [1.0], [1.0], TimeGrid(1.0, 4))
 
 
 def ordered_galerkin(order, mass, stiff, grid, u0):

@@ -61,8 +61,10 @@ _DEFAULT_ALPHAS = (0.6, 0.7, 0.8125)
 # Small preset for the error-curve figures: 20 steps, 80 subintervals.
 _QUICK_N = (20, 40, 80, 160)
 _QUICK_M = 80
-# Time levels per error-norm call.
-_LEVEL_CHUNK = 16
+# Reference values per call of the reference and of the error norm, which
+# bounds their temporaries: 16 levels of the default study's 500 elements
+# times 4 Gauss points.
+_REFERENCE_VALUES = 16 * 2000
 # Accuracy of the contour windows of the transform reference.
 _CONTOUR_TOL = 1e-13
 # Modes of the pi/4 data in the modal reference.  By the tail bound the
@@ -195,10 +197,12 @@ def run_convergence(config: RunConfig):
     is built once, for the times from 1/max(N) on, which hold every run's
     levels: the transform route's window chain is tuned to the same
     _CONTOUR_TOL throughout, and the modal route's one sine table serves
-    every time.  The runs go finest first, in pairs (N, N/2); an odd last
-    run goes alone.  Both runs of a pair are stepped, then each reference
-    call serves both: level 2m of the finer run is level m of the other,
-    at the same time to the bit, as 1/(N/2) = 2 (1/N) exactly.
+    every time.  The whole chain steps in one step_galerkin call, finest
+    first, and every run is held until the end.  Then one pass over the
+    finest run's levels, _REFERENCE_VALUES reference values per call,
+    serves every run: with N_s = N / 2^s, level m of run s is level 2^s m
+    of the finest, at the same time to the bit, as 1/N_s = 2^s (1/N)
+    exactly.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
@@ -207,26 +211,25 @@ def run_convergence(config: RunConfig):
     pts = even.points
     reference = _reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
 
-    samples = {}
     chain = config.n_list[::-1]
-    for first in range(0, len(chain), 2):
-        pair = chain[first:first + 2]
-        runs = [step_galerkin(order, even.mats.mass, even.mats.stiff,
-                              TimeGrid(1.0 / n, n // 2), u0)
-                for n in pair]
-        half = pair[0] // 2
-        times = (1.0 / pair[0]) * np.arange(1, half + 1)
-        errors = [np.empty(half // (s + 1)) for s in range(len(pair))]
-        # The reference and the error norm take _LEVEL_CHUNK levels per
-        # call, so their temporaries stay small; run s reads rows s::s+1.
-        for lo in range(0, half, _LEVEL_CHUNK):
-            hi = min(lo + _LEVEL_CHUNK, half)
-            ref = reference(times[lo:hi]).reshape((hi - lo,) + pts.shape)
-            for s, err in enumerate(errors):
-                a, b = lo // (s + 1), hi // (s + 1)
-                err[a:b] = even.error(runs[s][a + 1:b + 1], ref[s::s + 1])
-        del runs  # before the next pair steps: at most two trajectories live
-        samples.update((n, (times[s::s + 1], errors[s])) for s, n in enumerate(pair))
+    grids = [TimeGrid(1.0 / n, n // 2) for n in chain]
+    stacked = step_galerkin(order, even.mats.mass, even.mats.stiff, grids, u0)
+    runs = np.split(stacked, np.cumsum([g.n_steps + 1 for g in grids[:-1]]))
+    half = grids[0].n_steps
+    times = grids[0].dt * np.arange(1, half + 1)
+    errors = [np.empty(g.n_steps) for g in grids]
+    chunk = max(1, _REFERENCE_VALUES // pts.size)
+    for lo in range(0, half, chunk):
+        hi = min(lo + chunk, half)
+        ref = reference(times[lo:hi]).reshape((hi - lo,) + pts.shape)
+        for s, (run, err) in enumerate(zip(runs, errors)):
+            # levels a..b of run s are the finest run's levels 2^s a..2^s b
+            stride = 2 ** s
+            a, b = lo // stride + 1, hi // stride
+            if a <= b:
+                err[a - 1:b] = even.error(run[a:b + 1], ref[stride * a - lo - 1::stride])
+    samples = {n: (times[2 ** s - 1::2 ** s], err)
+               for s, (n, err) in enumerate(zip(chain, errors))}
     samples = dict(sorted(samples.items()))
     table = weighted_error_table(samples, config.alphas)
     return table, samples

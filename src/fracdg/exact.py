@@ -27,6 +27,10 @@ __all__ = [
 
 KAPPA = 4.0 / math.pi ** 2
 
+# Times per (time x mode) block of exact_field's evaluator, which bounds
+# its temporaries whatever the call holds.
+_TIME_BLOCK = 16
+
 
 def quarter_pi_coefficients(count: int) -> np.ndarray:
     """Sine coefficients of the constant pi/4: 1/m for odd m, 0 for even m."""
@@ -42,7 +46,7 @@ def exact_field(order: FractionalOrder, coefficients, x_points):
     modes with a nonzero coefficient serves every time.  The evaluator
     takes a time or an array of times, all >= 0, and returns shape
     ``t.shape + (len(x_points),)``; at t = 0 it is the partial sine sum of
-    the data.
+    the data.  It works through the times in blocks of _TIME_BLOCK.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.ndim != 1 or len(coefficients) < 1:
@@ -59,10 +63,14 @@ def exact_field(order: FractionalOrder, coefficients, x_points):
         times = np.asarray(t, dtype=float)
         if not np.all(times >= 0.0):
             raise ValueError(f"t={times[~(times >= 0.0)].flat[0]} must be nonnegative")
-        s = np.outer(times.ravel() ** order.nu, lam)
-        weights = mittag_leffler_neg_array(order, s)[0]
-        weights *= coefficients[live]
-        return (weights @ table).reshape(times.shape + x.shape)
+        flat = times.ravel()
+        out = np.empty((flat.size, x.size))
+        for lo in range(0, flat.size, _TIME_BLOCK):
+            s = np.outer(flat[lo:lo + _TIME_BLOCK] ** order.nu, lam)
+            weights = mittag_leffler_neg_array(order, s)[0]
+            weights *= coefficients[live]
+            out[lo:lo + _TIME_BLOCK] = weights @ table
+        return out.reshape(times.shape + x.shape)
 
     return evaluate
 

@@ -11,13 +11,16 @@ orders at once, each order's columns a group with its own weights, and
 the Galerkin matrix form
 (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j,
 which step_galerkin runs on the tridiagonal M and K with LAPACK's
-kernels, in a form that needs no product by K.  Both run in one time
-loop, which sums the stored trajectory.  The history sum goes in tiles
-of _TILE future steps: one pass over the stored rows at the start of a
-tile serves every step of the tile.  The per-step work runs once over
-all columns; the per-tile contractions run per group, so each order's
-columns are the bits of its own run, and phi's nine orders take 200
-steps instead of 1,800.
+kernels, in a form that needs no product by K, for one time grid or a
+chain of them, finest first, as the blocks of one block-diagonal
+system.  Both run in one time loop, which sums the stored trajectory.
+The history sum goes in tiles of _TILE future steps: one pass over the
+stored rows at the start of a tile serves every step of the tile.  The
+per-step work runs once over the columns of every group still stepping;
+the per-tile contractions run per group, so each order's or grid's
+columns are the bits of its own run.  phi's nine orders take 200 loop
+iterations instead of 1,800, and converge's chain N = 640..5,120 takes
+2,560 instead of 4,800.
 
 Runs shorter than _SOE_FROM (512) steps sum the whole history directly,
 an O(N^2) convolution.  Each step's sum gets its terms one at a time in
@@ -236,30 +239,34 @@ def _far_nodes(order: FractionalOrder, n_steps: int):
     return np.concatenate((p_low, p[~low])), c * np.concatenate((m_low, m[~low]))
 
 
-def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance,
-           far=None) -> np.ndarray:
+def _march(beta: np.ndarray, u0: np.ndarray, steps, advance, far=None) -> np.ndarray:
     """The one time loop: u[n] = advance(u[n-1], hist), u[0] = u0.
 
-    The columns fall into len(beta) groups of equal width, in order: group
-    g has the weights beta[g] (a 1-D beta is one group) and far[g] (far
-    None: every group sums directly).  hist = sum_{j=1}^{n-1} beta_{n-j}
-    u[j] over the stored trajectory, with each column's own group's
-    weights, an empty sum (zeros) at n = 1.  Steps go in tiles of _TILE.
-    At the start n0 of a tile, one einsum per group fills acc[i] with the
-    terms j < n0 of step n0 + i, for every i at once.  Its weight block
-    T[i, j] = beta_{n0+i-j} is a reversed column slice of a
-    Fortran-ordered Hankel table, so einsum runs with j outermost, then
-    i, then the columns, and adds each term to each acc[i, k] as a
-    separate multiply and add, in ascending j, outside BLAS.  After step
-    n = n0 + i, its row u[n] times each column's head of weights is added
-    to the later rows of acc, the terms j = n that those steps still
-    lack, which continues the ascending order.  The table and acc always
-    have _TILE rows (the weights are padded with zeros past
-    beta_{n_steps-1}), so einsum's innermost loop never becomes a blocked
-    reduction over j, even on one column.  The advance and the in-tile
-    adds run once over all columns; the tile's einsums run per group, the
-    same calls a one-group run makes, so each group's columns are the
-    bits of its run alone.
+    The columns of u0 fall into groups of equal width, in order.  Group g
+    steps steps[g] times (an int steps: every group that many), and the
+    counts never increase, so the groups still stepping at any n are the
+    leading ones; advance gets their columns side by side.  Group g has
+    the weights beta[g] (a 1-D beta is every group's) and far[g] (far None:
+    every group sums directly).  hist = sum_{j=1}^{n-1} beta_{n-j} u[j]
+    over the group's stored trajectory, an empty sum (zeros) at n = 1.
+    The result holds the groups' trajectories one after another, shape
+    (sum of (steps[g] + 1), width), each sized to its own steps.
+
+    Steps go in tiles of _TILE.  At the start n0 of a tile, one einsum
+    per group fills acc[i] with the terms j < n0 of step n0 + i, for every
+    i at once.  Its weight block T[i, j] = beta_{n0+i-j} is a reversed
+    column slice of a Fortran-ordered Hankel table, so einsum runs with j
+    outermost, then i, then the columns, and adds each term to each
+    acc[i, k] as a separate multiply and add, in ascending j, outside
+    BLAS.  After step n = n0 + i, its row u[n] times each column's head of
+    weights is added to the later rows of acc, the terms j = n that those
+    steps still lack, which continues the ascending order.  The table and
+    acc always have _TILE rows (the weights are padded with zeros past
+    the last one given), so einsum's innermost loop never becomes a
+    blocked reduction over j, even on one column.  The advance and the
+    in-tile adds run once over the live columns; the tile's einsums run
+    per group, the same calls a one-group run makes, so each group's
+    trajectory is the bits of its run alone.
 
     far[g] = (p, w) from _far_nodes switches group g's rows
     j <= n0 - _J0 to exponential sums: S[q] = sum_{j <= n0-_J0}
@@ -272,22 +279,25 @@ def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance,
     """
     tile = _TILE
     beta = np.atleast_2d(beta)
-    groups = len(beta)
+    steps = [steps] * len(beta) if np.ndim(steps) == 0 else list(steps)
+    groups = len(steps)
     width = len(u0) // groups
-    padded = np.zeros((groups, beta.shape[1] + tile))
+    top = steps[0]
+    padded = np.zeros((len(beta), beta.shape[1] + tile))
     padded[:, :beta.shape[1]] = beta
     # head[r, k] = beta_r of column k's group
-    head = np.repeat(padded[:, :tile].T, width, axis=1)
+    head = np.repeat(np.broadcast_to(padded[:, :tile], (groups, tile)).T, width, axis=1)
     # hankels[g, i, m] = beta_{m+i} of group g; each hankels[g] is
     # Fortran-ordered: each column is contiguous
-    hankels = padded[:, np.add.outer(np.arange(n_steps), np.arange(tile))]
-    hankels = hankels.transpose(0, 2, 1)
-    u = np.zeros((n_steps + 1, len(u0)))
-    u[0] = u0
-    acc = np.empty((tile, len(u0)))
+    hankels = padded[:, np.add.outer(np.arange(top), np.arange(tile))]
+    hankels = np.broadcast_to(hankels.transpose(0, 2, 1), (groups, tile, top))
+    ends = np.cumsum([n + 1 for n in steps])
+    u = np.zeros((ends[-1], width))
     parts = []
     for g, hankel in enumerate(hankels):
         cols = slice(g * width, (g + 1) * width)
+        traj = u[ends[g] - steps[g] - 1:ends[g]]
+        traj[0] = u0[cols]
         soe = None
         if far is not None and far[g] is not None:
             p, w = far[g]
@@ -298,30 +308,41 @@ def _march(beta: np.ndarray, u0: np.ndarray, n_steps: int, advance,
             soe = (np.asfortranarray(w * np.exp(-np.outer(lags, p))),
                    np.asfortranarray(np.exp(-np.outer(p, _J0 + tile - 1 - lags))),
                    np.exp(-tile * p)[:, None], np.zeros((len(p), width)))
-        parts.append((cols, hankel, soe))
-    for n0 in range(1, n_steps + 1, tile):
-        for cols, hankel, soe in parts:
+        parts.append((traj, cols, hankel, soe))
+    acc = np.empty((tile, len(u0)))
+    # the live groups' columns of u[n-1], of acc and of head
+    row, acc_live, head_live = u0, acc, head
+    live = going = groups  # groups stepping at n; with steps left at n0
+    for n0 in range(1, top + 1, tile):
+        for traj, cols, hankel, soe in parts[:going]:
             lo = 1 if soe is None else max(1, n0 - _J0 + 1)
-            np.einsum("ij,jk->ik", hankel[:, n0 - lo:0:-1], u[lo:n0, cols],
+            np.einsum("ij,jk->ik", hankel[:, n0 - lo:0:-1], traj[lo:n0],
                       out=acc[:, cols])
             if soe is not None:
                 to_acc, _, _, far_sums = soe
                 acc[:, cols] += np.einsum("iq,qk->ik", to_acc, far_sums)
-        for i in range(min(tile, n_steps + 1 - n0)):
+        for i in range(min(tile, top + 1 - n0)):
             n = n0 + i
-            u[n] = advance(u[n - 1], acc[i])
+            if steps[live - 1] < n:
+                live = sum(m >= n for m in steps)
+                k = live * width
+                row, acc_live, head_live = row[:k], acc[:, :k], head[:, :k]
+            row = advance(row, acc_live[i])
             if i + 1 < tile:
-                acc[i + 1:] += head[1:tile - i] * u[n]
+                acc_live[i + 1:] += head_live[1:tile - i] * row
+            for traj, cols, _, _ in parts[:live]:
+                traj[n] = row[cols]
         # rows first..first+tile-1 reach lag _J0 at the next tile
+        going = sum(n >= n0 + tile for n in steps)
         first = n0 - _J0 + 1
         skip = max(0, 1 - first)
-        for cols, _, soe in parts:
+        for traj, _, _, soe in parts[:going]:
             if soe is not None:
                 _, to_far, decay, far_sums = soe
                 far_sums *= decay
                 if skip < tile:
                     far_sums += np.einsum("qr,rk->qk", to_far[:, skip:],
-                                          u[first + skip:first + tile, cols])
+                                          traj[first + skip:first + tile])
     return u
 
 
@@ -354,11 +375,22 @@ def step_spectral(order, eigenvalues, u0_coeffs, grid: TimeGrid) -> np.ndarray:
     u = _march(beta, np.tile(u0, len(orders)), n,
                lambda prev, hist: (prev - mu * hist) / denom,
                [_far_nodes(o, n) for o in orders])
-    return u if single else u.reshape(n + 1, len(orders), lam.size).transpose(1, 0, 2)
+    return u if single else u.reshape(len(orders), n + 1, lam.size)
+
+
+def _leading_blocks(blocks):
+    """The block-diagonal matrices of blocks[:1], blocks[:2], ... blocks[:]."""
+    ndof = len(blocks[0].diag)
+    diag = np.concatenate([b.diag for b in blocks])
+    off = np.zeros(len(diag) - 1)
+    for s, b in enumerate(blocks):
+        off[s * ndof:(s + 1) * ndof - 1] = b.off
+    return [SymTridiagonal(diag[:k], off[:k - 1])
+            for k in range(ndof, len(diag) + 1, ndof)]
 
 
 def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
-                  stiff: SymTridiagonal, grid: TimeGrid, u0_vec) -> np.ndarray:
+                  stiff: SymTridiagonal, grid, u0_vec) -> np.ndarray:
     """Coefficient trajectories, shape (n_steps+1, ndof); row 0 is u0_vec.
 
     Factors A = M + beta_0 dt^nu K once (LAPACK dpttrf) and raises
@@ -370,22 +402,48 @@ def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
     the same recurrence with no product by K: one history contraction
     over the stored U^j, one tridiagonal product with M and one dpttrs
     solve.
+
+    grid may also be a sequence of TimeGrids, finest first (step counts
+    that never increase).  The runs then step in the one time loop as the
+    blocks of one block-diagonal system, whose off-diagonal is zero
+    between blocks, so the factorization, the solve and the product by M
+    give each block the bits of its own run.  The beta_j do not depend on
+    dt, so one table serves every run; each run keeps its own far-history
+    nodes.  A run leaves the loop after its own steps, and the solve and
+    the product then take the leading blocks only.  The result holds the
+    runs' trajectories one after another, shape
+    (sum of (n_steps+1), ndof), each the same bits as its own call.
     """
+    grids = (grid,) if isinstance(grid, TimeGrid) else tuple(grid)
+    if not grids:
+        raise ValueError("need at least one time grid")
+    steps = [g.n_steps for g in grids]
+    if any(b > a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"time grids must go finest first, got step counts {steps}")
     u0 = np.asarray(u0_vec, dtype=float)
     ndof = len(mass.diag)
     if u0.shape != (ndof,) or len(stiff.diag) != ndof:
         raise ValueError("matrix shapes do not match u0_vec")
-    beta = dg_weights(order, grid.n_steps)
-    c = beta[0] * grid.dt ** order.nu
-    try:
-        solve = SymTridiagonal(mass.diag + c * stiff.diag,
-                               mass.off + c * stiff.off).solver()
-    except ValueError as exc:
-        raise ValueError(f"singular stepping system: {exc}") from exc
+    beta = dg_weights(order, steps[0])
     b0 = beta[0]
+    blocks = []
+    for g in grids:
+        c = b0 * g.dt ** order.nu
+        block = SymTridiagonal(mass.diag + c * stiff.diag, mass.off + c * stiff.off)
+        try:
+            block.solver()
+        except ValueError as exc:
+            raise ValueError(f"singular stepping system at dt={g.dt}: {exc}") from exc
+        blocks.append(block)
+    # (product by M, solve by A) on the leading blocks, by their count
+    systems = list(zip(_leading_blocks([mass] * len(grids)), _leading_blocks(blocks)))
+    systems = [(m.matvec, a.solver()) for m, a in systems]
 
     def advance(prev, hist):
         shift = hist / b0
-        return solve(mass.matvec(prev + shift)) - shift
+        matvec, solve = systems[len(prev) // ndof - 1]
+        return solve(matvec(prev + shift)) - shift
 
-    return _march(beta, u0, grid.n_steps, advance, [_far_nodes(order, grid.n_steps)])
+    return _march(beta, np.tile(u0, len(grids)), steps, advance,
+                  [_far_nodes(order, n) for n in steps])
+

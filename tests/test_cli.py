@@ -332,7 +332,7 @@ def test_converge_shares_one_modal_reference(monkeypatch):
 def one_run_at_a_time(config):
     # The convergence loop with each run stepped and measured alone, on
     # the folded system: its own reference calls at the Gauss points of
-    # x >= 0, _LEVEL_CHUNK of its levels at a time.
+    # x >= 0, _REFERENCE_VALUES values' worth of its levels at a time.
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
     even = fold_even(assemble(KAPPA, mesh), mesh)
@@ -348,8 +348,9 @@ def one_run_at_a_time(config):
         if reference is None:
             reference = cli._reference(config, order, pts.ravel(), dt)
         errors = np.empty(half)
-        for lo in range(0, half, cli._LEVEL_CHUNK):
-            hi = min(lo + cli._LEVEL_CHUNK, half)
+        chunk = max(1, cli._REFERENCE_VALUES // pts.size)
+        for lo in range(0, half, chunk):
+            hi = min(lo + chunk, half)
             ref = reference(times[lo:hi])
             errors[lo:hi] = even.error(
                 solution[lo + 1:hi + 1], ref.reshape((hi - lo,) + pts.shape))
@@ -399,8 +400,9 @@ def test_folded_study_matches_the_full_domain_run(reference):
     (160,), (80, 160), (20, 40, 80), (10, 20, 40, 80, 160),
 ])
 def test_paired_runs_equal_one_run_at_a_time_bitwise(n_list, reference):
-    # (20, 40, 80): the N = 40 run has 20 levels, which _LEVEL_CHUNK does
-    # not divide, and N = 20 goes alone
+    # Each run's levels, taken from the finest run's reference calls,
+    # against its own calls: (20, 40, 80) has 40 levels in the shared
+    # call and 20 and 10 in the runs' own
     config = RunConfig(n_list=n_list, m_intervals=cli._QUICK_M, reference=reference)
     table, samples = run_convergence(config)
     expected = one_run_at_a_time(config)
@@ -411,9 +413,10 @@ def test_paired_runs_equal_one_run_at_a_time_bitwise(n_list, reference):
     assert table == weighted_error_table(expected, config.alphas)
 
 
-def test_pairs_share_one_reference_call_per_chunk(monkeypatch):
-    # Only the finer run of each pair calls the reference: 80 + 20 levels
-    # of the quick chain, not 80 + 40 + 20 + 10.
+def test_reference_is_evaluated_at_the_finest_run_levels_only(monkeypatch):
+    # One pass over the finest run's 80 levels of the quick chain serves
+    # every run, not 80 + 40 + 20 + 10, and no call takes more than
+    # _REFERENCE_VALUES values.
     levels, reference = [], cli._reference
 
     def counted_reference(*args):
@@ -427,25 +430,28 @@ def test_pairs_share_one_reference_call_per_chunk(monkeypatch):
     monkeypatch.setattr(cli, "_reference", counted_reference)
     run_convergence(RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
                               reference="modal"))
-    assert levels == [16] * 5 + [16, 4]
+    assert sum(levels) == max(cli._QUICK_N) // 2 == 80
+    values = 4 * cli._QUICK_M // 2  # Gauss points of the even half
+    assert all(n * values <= cli._REFERENCE_VALUES for n in levels)
 
 
-def test_at_most_two_trajectories_live_at_once(monkeypatch):
-    live, seen, widths, step = [], [], [], cli.step_galerkin
+def test_one_stepping_call_per_study_frees_its_trajectories(monkeypatch):
+    calls, live, step = [], [], cli.step_galerkin
 
-    def tracked(*args, **kwargs):
-        seen.append(sum(ref() is not None for ref in live))
-        trajectory = step(*args, **kwargs)
-        live.append(weakref.ref(trajectory))
-        widths.append(trajectory.shape[1])
-        return trajectory
+    def tracked(order, mass, stiff, grids, u0):
+        calls.append([(g.dt, g.n_steps) for g in grids])
+        trajectories = step(order, mass, stiff, grids, u0)
+        live.append(weakref.ref(trajectories))
+        # each run steps the even half: the centre node and the M/2 - 1
+        # to its right
+        assert trajectories.shape[1] == cli._QUICK_M // 2
+        return trajectories
 
     monkeypatch.setattr(cli, "step_galerkin", tracked)
-    run_convergence(RunConfig(n_list=(10, 20, 40, 80, 160), m_intervals=cli._QUICK_M))
-    # a pair's second run starts beside the first; the next pair starts alone
-    assert seen == [0, 1, 0, 1, 0]
-    # each steps the even half: the centre node and the M/2 - 1 to its right
-    assert widths == [cli._QUICK_M // 2] * 5
+    n_list = (10, 20, 40, 80, 160)
+    run_convergence(RunConfig(n_list=n_list, m_intervals=cli._QUICK_M))
+    # the whole chain, finest first, each run to t = 1/2
+    assert calls == [[(1.0 / n, n // 2) for n in reversed(n_list)]]
     assert all(ref() is None for ref in live)
 
 

@@ -76,6 +76,25 @@ def test_exact_field_over_times_matches_single_times():
     assert np.array_equal(grid.reshape(batch.shape), batch)
 
 
+def test_exact_field_gives_each_time_the_same_bits_whatever_the_call_holds():
+    # The evaluator works in blocks of 16 times.  One call over 80 times
+    # equals calls over blocks of them, and over every 2nd, 4th, 8th and
+    # 16th time, the levels the convergence study's runs read from the
+    # finest run's call (with a BLAS whose gemm rows do not depend on each
+    # other, as OpenBLAS's do at the quick study's 160 values per time).
+    order = FractionalOrder(0.75)
+    x = np.linspace(0.0, 0.99, 160)
+    field = exact_field(order, quarter_pi_coefficients(4000), x)
+    times = np.arange(1, 81) / 160.0
+    batch = field(times)
+    for size in (16, 40, 80):
+        calls = [field(times[lo:lo + size]) for lo in range(0, 80, size)]
+        assert np.array_equal(np.concatenate(calls), batch)
+    for stride in (2, 4, 8, 16):
+        assert np.array_equal(field(times[stride - 1::stride]),
+                              batch[stride - 1::stride])
+
+
 def test_exact_field_matches_brute_force():
     order = FractionalOrder(0.75)
     data = quarter_pi_coefficients(8000)

@@ -223,3 +223,14 @@ def test_inverter_gives_each_time_the_same_bits_whatever_the_call_holds():
     assert np.array_equal(evaluate(times[1::2]), batch[1::2])
     for lo in range(0, 80, 16):
         assert np.array_equal(evaluate(times[lo:lo + 16]), batch[lo:lo + 16])
+    # the call sizes of the convergence study's reference pass: 64 and 80
+    # levels, and every run's own levels among them
+    times = np.arange(1, 161) / 320.0
+    evaluate = inverter(lambda z: 1.0 / (z + rates), window_chain(1.0 / 320.0, 0.5))
+    batch = evaluate(times)
+    for size in (1, 64, 80):
+        calls = [evaluate(times[lo:lo + size]) for lo in range(0, 160, size)]
+        assert np.array_equal(np.concatenate(calls), batch)
+    for stride in (2, 4, 8):
+        assert np.array_equal(evaluate(times[stride - 1::stride]),
+                              batch[stride - 1::stride])

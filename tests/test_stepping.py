@@ -420,6 +420,51 @@ def test_galerkin_equals_plain_loop_at_tile_edges(n_steps, ndof):
     assert np.array_equal(fast, slow)
 
 
+# A chain with far-sum runs (1,030 and 515 steps) and direct-sum runs in
+# one loop, the shorter ones stopping mid-tile
+CHAIN_STEPS = (1030, 515, 257, 9, 1)
+
+
+def chain_system(ndof):
+    # leading block of the 39-DOF system, and its projected data
+    mesh = graded_mesh(40, 2.0)
+    mats = assemble(4.0 / math.pi ** 2, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[:ndof]
+    return leading_block(mats.mass, ndof), leading_block(mats.stiff, ndof), u0
+
+
+@pytest.mark.parametrize("ndof", [1, 39])
+def test_galerkin_chain_equals_one_call_per_grid_bitwise(ndof):
+    order = FractionalOrder(0.3)
+    mass, stiff, u0 = chain_system(ndof)
+    grids = [TimeGrid(0.5 / n, n) for n in CHAIN_STEPS]
+    chain = step_galerkin(order, mass, stiff, grids, u0)
+    assert chain.shape == (sum(n + 1 for n in CHAIN_STEPS), ndof)
+    runs = np.split(chain, np.cumsum([n + 1 for n in CHAIN_STEPS])[:-1])
+    for grid, run in zip(grids, runs):
+        assert np.array_equal(run, step_galerkin(order, mass, stiff, grid, u0))
+
+
+def test_galerkin_chain_runs_finest_first():
+    order = FractionalOrder(0.5)
+    mass, stiff, u0 = chain_system(3)
+    with pytest.raises(ValueError, match="at least one"):
+        step_galerkin(order, mass, stiff, [], u0)
+    with pytest.raises(ValueError, match="finest first"):
+        step_galerkin(order, mass, stiff, [TimeGrid(0.1, 4), TimeGrid(0.05, 8)], u0)
+
+
+def test_galerkin_chain_names_the_singular_block():
+    # A = M + beta_0 dt^nu K is diag(1, 1, 1 - 1.128 dt^0.5): positive
+    # definite at dt = 0.1, with a negative last pivot at dt = 1
+    order = FractionalOrder(0.5)
+    mass = SymTridiagonal(np.ones(3), np.zeros(2))
+    stiff = SymTridiagonal(np.array([0.0, 0.0, -1.0]), np.zeros(2))
+    grids = [TimeGrid(0.1, 4), TimeGrid(1.0, 2)]
+    with pytest.raises(ValueError, match=r"at dt=1\.0: .*\(pivot 3\)"):
+        step_galerkin(order, mass, stiff, grids, np.ones(3))
+
+
 def gather_march(beta, u0, n_steps, advance):
     # the per-step gather the tiled loop replaced: step n contracts the
     # reversed weights with the whole stored trajectory

@@ -28,6 +28,7 @@ including an output directory that cannot be created.
 import argparse
 import hashlib
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -106,9 +107,16 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu={self.nu} outside (0, 1]")
-        n_list = tuple(int(n) for n in self.n_list)
+        # counts through operator.index and reals through float, so that
+        # equal configurations get equal digests
+        nu, gamma = float(self.nu), float(self.gamma)
+        try:
+            n_list = tuple(map(operator.index, self.n_list))
+            m_intervals = operator.index(self.m_intervals)
+        except TypeError:
+            raise ValueError("step counts and subinterval count must be integers") from None
+        if not 0.0 < nu <= 1.0:
+            raise ValueError(f"nu={nu} outside (0, 1]")
         if not n_list:
             raise ValueError("N list is empty")
         for n in n_list:
@@ -117,12 +125,11 @@ class RunConfig:
         for a, b in zip(n_list, n_list[1:]):
             if b != 2 * a:
                 raise ValueError(f"N values must double: {a} -> {b}")
-        object.__setattr__(self, "n_list", n_list)
-        if self.m_intervals < 4 or self.m_intervals % 2:
+        if m_intervals < 4 or m_intervals % 2:
             raise ValueError(
-                f"subinterval count must be even and >= 4, got {self.m_intervals}")
-        if not 1.0 <= self.gamma <= 10.0:
-            raise ValueError(f"mesh grading gamma={self.gamma} outside [1, 10]")
+                f"subinterval count must be even and >= 4, got {m_intervals}")
+        if not 1.0 <= gamma <= 10.0:
+            raise ValueError(f"mesh grading gamma={gamma} outside [1, 10]")
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas:
             raise ValueError("alpha list is empty")
@@ -132,7 +139,9 @@ class RunConfig:
         labels = [f"{a:.4f}" for a in alphas]  # the CSV column names
         if len(set(labels)) != len(labels):
             raise ValueError(f"weights alpha repeat to 4 decimals: {', '.join(labels)}")
-        object.__setattr__(self, "alphas", alphas)
+        for name, value in dict(nu=nu, n_list=n_list, m_intervals=m_intervals,
+                                gamma=gamma, alphas=alphas).items():
+            object.__setattr__(self, name, value)
         if self.reference not in ("transform", "modal"):
             raise ValueError(
                 f"reference must be 'transform' or 'modal', got {self.reference!r}")
@@ -199,7 +208,8 @@ def run_convergence(config: RunConfig):
     _CONTOUR_TOL throughout, and the modal route's one sine table serves
     every time.  The whole chain steps in one step_galerkin call, finest
     first, and every run is held until the end.  Then one pass over the
-    finest run's levels, _REFERENCE_VALUES reference values per call,
+    finest run's levels, in chunks of whole levels of the coarsest run of
+    up to _REFERENCE_VALUES reference values where one such level allows,
     serves every run: with N_s = N / 2^s, level m of run s is level 2^s m
     of the finest, at the same time to the bit, as 1/N_s = 2^s (1/N)
     exactly.
@@ -217,18 +227,20 @@ def run_convergence(config: RunConfig):
     runs = np.split(stacked, np.cumsum([g.n_steps + 1 for g in grids[:-1]]))
     half = grids[0].n_steps
     times = grids[0].dt * np.arange(1, half + 1)
-    errors = [np.empty(g.n_steps) for g in grids]
-    chunk = max(1, _REFERENCE_VALUES // pts.size)
+    # whole levels of the coarsest run: half = (N_min / 2) 2^(S-1) for S runs
+    unit = 2 ** (len(grids) - 1)
+    chunk = unit * max(1, _REFERENCE_VALUES // (pts.size * unit))
+    errors = [[] for _ in grids]
     for lo in range(0, half, chunk):
         hi = min(lo + chunk, half)
         ref = reference(times[lo:hi]).reshape((hi - lo,) + pts.shape)
         for s, (run, err) in enumerate(zip(runs, errors)):
-            # levels a..b of run s are the finest run's levels 2^s a..2^s b
+            # levels lo/2^s + 1 .. hi/2^s of run s are the finest run's
+            # levels lo + 2^s .. hi in steps of 2^s
             stride = 2 ** s
-            a, b = lo // stride + 1, hi // stride
-            if a <= b:
-                err[a - 1:b] = even.error(run[a:b + 1], ref[stride * a - lo - 1::stride])
-    samples = {n: (times[2 ** s - 1::2 ** s], err)
+            err.append(even.error(run[lo // stride + 1:hi // stride + 1],
+                                  ref[stride - 1::stride]))
+    samples = {n: (times[2 ** s - 1::2 ** s], np.concatenate(err))
                for s, (n, err) in enumerate(zip(chain, errors))}
     samples = dict(sorted(samples.items()))
     table = weighted_error_table(samples, config.alphas)
@@ -267,10 +279,11 @@ def _write_table_csv(path: str, config: RunConfig, table: ErrorTable):
 
 
 def _write_curve_csv(path: str, config: RunConfig, alphas, times, errors):
+    # t^alpha err by weighted_error_table's array formula, so that each
+    # E_alpha is the maximum of its column
     header = ["t", "error"] + [f"weighted_{a:.4f}" for a in alphas]
-    rows = [[t, e] + [t ** a * e for a in alphas]
-            for t, e in zip(times, errors)]
-    _write_csv(path, config, header, rows)
+    columns = [times, errors] + [times ** a * errors for a in alphas]
+    _write_csv(path, config, header, np.column_stack(columns).tolist())
 
 
 def _print_table(table: ErrorTable):

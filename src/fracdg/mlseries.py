@@ -1,10 +1,12 @@
 """The two series of the Mittag-Leffler function E_nu(-s) over arrays of s.
 
 taylor_array sums the Taylor series for 0 < s <= 1 and asym_array the
-divergent asymptotic series for s > 1, stopped at its smallest term,
-with the terms and stopping tests of special's per-point loops;
-special.mittag_leffler_neg_array calls them.  Each point's value and
-estimate are the same bits whatever else is in the array.  They sit
+divergent asymptotic series for s > 1, stopped at its smallest term.
+They are the package's one implementation of each series: special's
+array evaluator calls them over arrays and its per-point evaluator on
+one point; scalar loops over the same terms and stopping tests, in the
+tests' oracles, are their reference.  Each point's value and estimate
+are the same bits whatever else is in the array.  They sit
 apart from special.py because, where bytecode is not cached, each import
 compiles every module from source and the largest compile sets the
 import's peak memory: with the blocked tails inside it, special.py's
@@ -35,9 +37,11 @@ _TAIL_BLOCK = 8
 
 
 def taylor_array(nu, s):
-    # special._ml_taylor on every point at once.  The arrays hold only the
-    # points still summing; a point leaves at the term where the scalar
-    # loop breaks.
+    # E_nu(-s) = sum_k (-s)^k / Gamma(1+nu k), safe for s <= 1 where the
+    # alternating terms never grow much beyond 1.  The arrays hold only the
+    # points still summing; a point leaves at the first term below 1e-17 of
+    # its sum that is also below the term before it.  The estimate is
+    # round-off on the largest term and the sum, plus that last term.
     val, err = np.empty(s.size), np.empty(s.size)
     idx = np.arange(s.size)
     logs = np.log(s)
@@ -67,7 +71,11 @@ def taylor_array(nu, s):
 
 
 def asym_array(nu, s):
-    # special._ml_asym on every point at once, with the same smallest-term stop.
+    # sum_{k>=1} (-1)^{k+1} s^{-k} / Gamma(1-nu k), with
+    # 1/Gamma(1-nu k) = Gamma(nu k) sin(pi nu k) / pi, on every point at
+    # once.  A point stops before its first term that grows, with that
+    # term's predecessor as the estimate, or after a term below 1e-18,
+    # which is then the estimate.
     val, err = np.empty(s.size), np.empty(s.size)
     idx = np.arange(s.size)
     logs = np.log(s)

@@ -2,12 +2,12 @@
 
 Everything here is double precision and deliberately boring: zeta at small
 negative arguments through the functional equation, the one-parameter
-Mittag-Leffler function E_nu(-s) on the negative real axis (over arrays
-for every workflow, its two series from fracdg.mlseries, and per point
-as the reference the array evaluator is checked against: the same series
-branches, with quadpack where the array evaluator takes one fixed
-tanh-sinh rule whose nodes all points of a call share), and the
-generating symbol of the piecewise-constant DG weights
+Mittag-Leffler function E_nu(-s) on the negative real axis (over arrays,
+with the one implementation of its two series in fracdg.mlseries and a
+fixed tanh-sinh rule for its spectral integral whose nodes all points of
+a call share; per point, the same series with quadpack for the integral,
+the fixed rule's reference), and the generating symbol of the
+piecewise-constant DG weights
 
     psi(z) = (e^z - 1) Li_{-nu}(e^{-z}) / Gamma(1+nu),
 
@@ -138,54 +138,6 @@ class FractionalOrder:
 # Mittag-Leffler E_nu(-s), s >= 0
 # ---------------------------------------------------------------------------
 
-def _ml_taylor(nu: float, s: float):
-    # E_nu(-s) = sum_k (-s)^k / Gamma(1+nu k); safe for s <~ 1 where the
-    # alternating terms never grow much beyond 1.
-    acc = 1.0
-    mx = 1.0
-    logs = math.log(s)
-    prev = math.inf
-    k = 1
-    while k < 400:
-        t = math.exp(k * logs - math.lgamma(1.0 + nu * k))
-        if k % 2:
-            t = -t
-        acc += t
-        at = abs(t)
-        mx = max(mx, at)
-        if at < 1e-17 * abs(acc) and at < prev:
-            break
-        prev = at
-        k += 1
-    err = _EPS * (mx + abs(acc)) + abs(t)
-    return acc, err
-
-
-def _ml_asym(nu: float, s: float):
-    # Divergent large-s expansion sum_{k>=1} (-1)^{k+1} s^{-k} / Gamma(1-nu k),
-    # with 1/Gamma(1-nu k) = Gamma(nu k) sin(pi nu k) / pi.  Stop at the
-    # smallest term; the achieved error is about that term's size.
-    logs = math.log(s)
-    acc = 0.0
-    prev = math.inf
-    err = math.inf
-    for k in range(1, 400):
-        mag = math.exp(math.lgamma(nu * k) - k * logs) / math.pi
-        t = mag * math.sin(math.pi * nu * k)
-        if k % 2 == 0:
-            t = -t
-        amag = abs(mag)
-        if amag > prev:
-            err = prev
-            break
-        acc += t
-        prev = amag
-        if amag < 1e-18:
-            err = amag
-            break
-    return acc, err
-
-
 def _ml_spectral_quad(nu: float, s: float):
     # Completely monotone spectral form, obtained by collapsing the Bromwich
     # contour of z^{nu-1}/(z^nu + s) onto the negative axis and substituting
@@ -214,20 +166,23 @@ def _ml_spectral_quad(nu: float, s: float):
 
 
 def mittag_leffler_neg_with_error(order: FractionalOrder, s: float):
-    """E_nu(-s) together with a conservative absolute-error estimate."""
-    if s < 0.0:
+    """E_nu(-s) together with a conservative absolute-error estimate.
+
+    One point of mittag_leffler_neg_array, whose series it runs, except
+    where the asymptotic estimate exceeds 1e-13: there adaptive quadpack
+    computes the spectral integral instead of the fixed tanh-sinh rule.
+    Raises ValueError unless s >= 0.
+    """
+    if not s >= 0.0:
         raise ValueError(f"s={s} must be nonnegative")
-    if s == 0.0:
-        return 1.0, 0.0
-    nu = order.nu
-    if nu == 1.0:
-        return math.exp(-s), _EPS * math.exp(-s)
-    if s <= 1.0:
-        return _ml_taylor(nu, s)
-    val, err = _ml_asym(nu, s)
-    if err <= 1e-13:
-        return val, err
-    return _ml_spectral_quad(nu, s)
+    point = np.array([s], dtype=float)
+    if s > 1.0 and order.nu != 1.0:
+        val, err = asym_array(order.nu, point)
+        if not err[0] <= 1e-13:
+            return _ml_spectral_quad(order.nu, float(s))
+    else:
+        val, err = mittag_leffler_neg_array(order, point)
+    return float(val[0]), float(err[0])
 
 
 def _tanh_sinh_rule(h, tmax):
@@ -335,18 +290,18 @@ def _ml_spectral_fixed(nu, s):
 def mittag_leffler_neg_array(order: FractionalOrder, s):
     """E_nu(-s) and absolute-error estimates over an array of s >= 0.
 
-    Point by point this takes the branches of mittag_leffler_neg_with_error:
-    Taylor series for s <= 1, asymptotic series beyond, and the spectral
-    integral only where the asymptotic estimate exceeds 1e-13.  Both
-    series run over the whole array in fracdg.mlseries, one term at a
-    time until at most a few hundred points are still summing, which
-    finish in blocks of terms; either way they give the per-point
-    evaluator's values and estimates.  The spectral integral takes a fixed tanh-sinh rule over
-    all its points at once, on nodes they share, instead of quadpack per
-    point; its values agree with quadpack's to a few 1e-16, and its
-    estimate is the gap to the rule with twice the step plus a bound on
-    the round-off.  Each point's result is independent of the other
-    points in the call.
+    Point by point: Taylor series for s <= 1, asymptotic series beyond,
+    and the spectral integral only where the asymptotic estimate exceeds
+    1e-13.  Both series run over the whole array in fracdg.mlseries, the
+    package's one implementation of them, one term at a time until at
+    most a few hundred points are still summing, which finish in blocks
+    of terms; scalar loops in the tests' oracles are their reference.
+    The spectral integral takes a fixed tanh-sinh rule over all its
+    points at once, on nodes they share; its values agree with those of
+    mittag_leffler_neg_with_error, which runs quadpack per point, to a
+    few 1e-16, and its estimate is the gap to the rule with twice the
+    step plus a bound on the round-off.  Each point's result is
+    independent of the other points in the call.
     Returns (values, errors), each with the shape of s.
     """
     s = np.asarray(s, dtype=float)

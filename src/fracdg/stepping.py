@@ -18,9 +18,9 @@ The history sum goes in tiles of _TILE future steps: one pass over the
 stored rows at the start of a tile serves every step of the tile.  The
 per-step work runs once over the columns of every group still stepping;
 the per-tile contractions run per group, so each order's or grid's
-columns are the bits of its own run.  phi's nine orders take 200 loop
-iterations instead of 1,800, and converge's chain N = 640..5,120 takes
-2,560 instead of 4,800.
+columns are the bits of its own run.  The loop runs as many iterations
+as the longest group has steps: 200 for phi's nine orders, and 2,560
+for converge's chain N = 640..5,120, whose coarser grids stop early.
 
 Runs shorter than _SOE_FROM (512) steps sum the whole history directly,
 an O(N^2) convolution.  Each step's sum gets its terms one at a time in

@@ -1,12 +1,84 @@
 """Reference routes that only the tests use.
 
-Each is an independent derivation of a quantity the package computes
-another way; the tests check the package against them.
+Each is an independent derivation or implementation of a quantity the
+package computes another way; the tests check the package against them.
 """
 
 import math
 
-from fracdg.special import FractionalOrder, QuadratureError, _one_m_exp, _quad
+from fracdg import special
+from fracdg.special import _EPS, FractionalOrder, QuadratureError, _one_m_exp, _quad
+
+
+def _ml_taylor(nu: float, s: float):
+    # E_nu(-s) = sum_k (-s)^k / Gamma(1+nu k); safe for s <~ 1 where the
+    # alternating terms never grow much beyond 1.
+    acc = 1.0
+    mx = 1.0
+    logs = math.log(s)
+    prev = math.inf
+    k = 1
+    while k < 400:
+        t = math.exp(k * logs - math.lgamma(1.0 + nu * k))
+        if k % 2:
+            t = -t
+        acc += t
+        at = abs(t)
+        mx = max(mx, at)
+        if at < 1e-17 * abs(acc) and at < prev:
+            break
+        prev = at
+        k += 1
+    err = _EPS * (mx + abs(acc)) + abs(t)
+    return acc, err
+
+
+def _ml_asym(nu: float, s: float):
+    # Divergent large-s expansion sum_{k>=1} (-1)^{k+1} s^{-k} / Gamma(1-nu k),
+    # with 1/Gamma(1-nu k) = Gamma(nu k) sin(pi nu k) / pi.  Stop at the
+    # smallest term; the achieved error is about that term's size.
+    logs = math.log(s)
+    acc = 0.0
+    prev = math.inf
+    err = math.inf
+    for k in range(1, 400):
+        mag = math.exp(math.lgamma(nu * k) - k * logs) / math.pi
+        t = mag * math.sin(math.pi * nu * k)
+        if k % 2 == 0:
+            t = -t
+        amag = abs(mag)
+        if amag > prev:
+            err = prev
+            break
+        acc += t
+        prev = amag
+        if amag < 1e-18:
+            err = amag
+            break
+    return acc, err
+
+
+def mittag_leffler_neg(order: FractionalOrder, s: float):
+    """E_nu(-s) and its error estimate by scalar loops over the series.
+
+    The branches of fracdg.special.mittag_leffler_neg_with_error, one term
+    at a time in plain floats: the reference for fracdg.mlseries' array
+    loops.  Where the asymptotic estimate exceeds 1e-13 it looks up
+    special._ml_spectral_quad at call time, so a test can spy on it.
+    """
+    if s < 0.0:
+        raise ValueError(f"s={s} must be nonnegative")
+    if s == 0.0:
+        return 1.0, 0.0
+    nu = order.nu
+    if nu == 1.0:
+        return math.exp(-s), _EPS * math.exp(-s)
+    if s <= 1.0:
+        return _ml_taylor(nu, s)
+    val, err = _ml_asym(nu, s)
+    if err <= 1e-13:
+        return val, err
+    return special._ml_spectral_quad(nu, s)
 
 
 def symbol_integral(order: FractionalOrder, z: complex) -> complex:

@@ -45,6 +45,9 @@ def test_config_defaults_round_trip():
     {"n_list": ()},
     {"n_list": (80, 160, 240)},       # not doubling
     {"n_list": (81, 162)},            # odd
+    {"n_list": (80.9, 160.2)},        # not integers
+    {"n_list": (80.0, 160.0)},
+    {"m_intervals": 80.0},
     {"m_intervals": 7},
     {"m_intervals": 2},
     {"gamma": 0.5},
@@ -64,6 +67,15 @@ def test_digest_is_stable_and_sensitive():
     assert a.digest() == b.digest()
     assert re.fullmatch(r"[0-9a-f]{12}", a.digest())
     assert RunConfig(nu=0.5).digest() != a.digest()
+
+
+def test_equal_configurations_get_equal_stamps():
+    base = RunConfig(m_intervals=80)
+    for same in (RunConfig(m_intervals=np.int64(80)),
+                 RunConfig(m_intervals=80, gamma=3, nu=np.float64(0.75)),
+                 RunConfig(m_intervals=80, n_list=[np.int64(n) for n in cli._DEFAULT_N])):
+        assert same == base and same.digest() == base.digest()
+        assert type(same.m_intervals) is int and type(same.gamma) is float
 
 
 def test_digest_ignores_output_directory():

@@ -19,7 +19,7 @@ from fracdg.special import (
     symbol_series,
     zeta_neg,
 )
-from oracles import symbol_integral
+from oracles import mittag_leffler_neg, symbol_integral
 
 # 17-digit reference values (independent multiprecision computation).
 GAMMA_1P5 = 0.88622692545275801
@@ -165,7 +165,7 @@ def test_mittag_leffler_array_matches_scalar(nu, monkeypatch):
     order = FractionalOrder(float(nu))
     quad = spy(monkeypatch, "_ml_spectral_quad")
     fixed = spy(monkeypatch, "_ml_spectral_fixed")
-    want = [mittag_leffler_neg_with_error(order, float(s)) for s in ML_GRID]
+    want = [mittag_leffler_neg(order, float(s)) for s in ML_GRID]
     values, errors = mittag_leffler_neg_array(order, ML_GRID)
     for s, (v, e), got_v, got_e in zip(ML_GRID, want, values, errors):
         assert abs(got_v - v) <= 1e-13, s
@@ -180,6 +180,42 @@ def test_mittag_leffler_array_matches_scalar(nu, monkeypatch):
     if 0.5 < nu < 1.0:
         # the asymptotic series is too coarse just above s = 1 here
         assert quad and fixed
+
+
+# Grids over the ranges the benchmark draws its per-branch probes from:
+# (nu, s) of the Taylor, the asymptotic and the quadpack branch.
+PROBE_GRIDS = {
+    "taylor": (np.linspace(0.1, 0.9, 9), np.linspace(0.05, 1.0, 12), 0),
+    "asym": (np.linspace(0.1, 0.9, 9), np.geomspace(1e3, 1e5, 9), 0),
+    "quad": (np.linspace(0.55, 0.9, 8), np.linspace(1.5, 4.0, 11), 1),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(PROBE_GRIDS))
+def test_mittag_leffler_per_point_branches(branch, monkeypatch):
+    # the per-point evaluator's quadpack calls, 0 / 0 / 1 by branch, and
+    # its series values, which are the array evaluator's to the bit
+    calls = []
+    quad = special._quad
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return quad(*args, **kw)
+
+    monkeypatch.setattr(special, "_quad", counting)
+    nus, grid, quads = PROBE_GRIDS[branch]
+    for nu in nus:
+        order = FractionalOrder(float(nu))
+        values, errors = mittag_leffler_neg_array(order, grid)
+        for s, v, e in zip(grid.tolist(), values, errors):
+            calls.clear()
+            got = mittag_leffler_neg_with_error(order, s)
+            assert len(calls) == quads, (nu, s)
+            if not quads:
+                assert got == (v, e), (nu, s)
+    for bad in (-1e-300, math.nan):
+        with pytest.raises(ValueError):
+            mittag_leffler_neg_with_error(FractionalOrder(0.5), bad)
 
 
 def test_mittag_leffler_array_keeps_shape():

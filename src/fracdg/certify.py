@@ -275,29 +275,21 @@ def lemma_scan_bounds() -> tuple:
     used, with the removable 1 - 3 nu = 0 and 2 - 3 nu = 0 cases handled
     by expm1.  Returns (small_scan, large_scan).
     """
-    nu_small = np.append(np.linspace(0.0, 0.5, 11), 1.0 / 3.0)
-    nu_large = np.append(np.linspace(0.5, 1.0, 11), 2.0 / 3.0)
+    def scan(nus, x, k, sign):
+        # sign x^{nu+1-k} (x^b - 1)/b with b = k - 3 nu: f is k = 1 with
+        # sign -1, g is k = 2 with sign +1
+        logx = np.log(x)
+        rows = np.empty((len(nus), 3))
+        for i, nu in enumerate(nus):
+            vals = x ** (nu + (1.0 - k)) * (sign * _stable_power_difference(k - 3.0 * nu, logx))
+            j = int(np.argmax(vals))
+            rows[i] = (nu, vals[j], x[j])
+        return LemmaScan(rows=rows, overall_max=float(rows[:, 1].max()))
 
-    x5 = np.logspace(-8.0, 0.0, 161)
-    rows5 = np.empty((len(nu_small), 3))
-    for i, nu in enumerate(nu_small):
-        # f = x^nu (1 - x^{1-3nu})/(1-3nu) = -x^nu * ((x^b - 1)/b), b = 1-3nu
-        vals = x5 ** nu * -_stable_power_difference(1.0 - 3.0 * nu, np.log(x5))
-        k = int(np.argmax(vals))
-        rows5[i] = (nu, vals[k], x5[k])
-
-    x6 = np.logspace(0.0, 6.0, 161)
-    rows6 = np.empty((len(nu_large), 3))
-    for i, nu in enumerate(nu_large):
-        # g = x^{nu-1} (x^{2-3nu} - 1)/(2-3nu)
-        vals = x6 ** (nu - 1.0) * _stable_power_difference(2.0 - 3.0 * nu, np.log(x6))
-        k = int(np.argmax(vals))
-        rows6[i] = (nu, vals[k], x6[k])
-
-    return (
-        LemmaScan(rows=rows5, overall_max=float(rows5[:, 1].max())),
-        LemmaScan(rows=rows6, overall_max=float(rows6[:, 1].max())),
-    )
+    return (scan(np.append(np.linspace(0.0, 0.5, 11), 1.0 / 3.0),
+                 np.logspace(-8.0, 0.0, 161), 1.0, -1.0),
+            scan(np.append(np.linspace(0.5, 1.0, 11), 2.0 / 3.0),
+                 np.logspace(0.0, 6.0, 161), 2.0, 1.0))
 
 
 def resolvent_ratio_max() -> float:

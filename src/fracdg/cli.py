@@ -359,13 +359,18 @@ def cmd_delta(args, config: RunConfig) -> list:
     mu, n = args.mu, args.n
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be finite and > 0, got {mu}")
+    # The branch cut, and with it the contour route, vanishes at nu = 1:
+    # there "both" runs the direct route alone.
+    contour_undefined = args.oracle == "both" and config.nu == 1.0
     values = {}
     if args.oracle in ("direct", "both"):
         values["direct"] = delta_direct(order, mu, n)
-    if args.oracle in ("contour", "both"):
+    if args.oracle in ("contour", "both") and not contour_undefined:
         values["contour"] = delta_contour(order, mu, n)
     for name, value in values.items():
         print(f"delta[{name}](nu={config.nu}, mu={mu}, n={n}) = {value:.12e}")
+    if contour_undefined:
+        print("delta[contour] is undefined at nu = 1; no agreement check")
     if len(values) < 2:
         return []
     gap = abs(values["direct"] - values["contour"])

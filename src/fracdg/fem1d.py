@@ -25,7 +25,6 @@ more set-up time than the rest of ``import fracdg.cli`` and about 20 MB.
 import importlib.util
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -241,16 +240,6 @@ def fold_even(mats: FemMatrices, mesh: Mesh1D) -> EvenHalf:
                     slice(half - 1, None), gauss_points(mesh)[0][half:])
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(order: int):
-    # Reference nodes and weights on [-1, 1], shared by every call; read-only
-    # so that no caller can alter the cached copy.
-    ref, wref = leggauss(order)
-    ref.flags.writeable = False
-    wref.flags.writeable = False
-    return ref, wref
-
-
 def gauss_points(mesh: Mesh1D, order: int = 4):
     """Gauss-Legendre points and weights on every element.
 
@@ -261,7 +250,7 @@ def gauss_points(mesh: Mesh1D, order: int = 4):
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order not in mesh._gauss:
-        ref, wref = _legendre_rule(order)
+        ref, wref = leggauss(order)
         a = mesh.nodes[:-1, None]
         h = mesh.spacings[:, None]
         local = 0.5 * (ref[None, :] + 1.0)

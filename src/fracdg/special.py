@@ -203,10 +203,10 @@ def _tanh_sinh_rule(h, tmax):
 _TS_NODES, _TS_WEIGHTS, _TS_COARSE = _tanh_sinh_rule(1.0 / 32.0, 3.2)
 
 # Points per block of _ml_spectral_fixed for a rule of at most 4 pieces:
-# its two work buffers are then 16 x 4 x 205 doubles, 105 KB each (52 KB
-# with the 2 pieces of nu <= 1/2), under glibc's 128 KB mmap threshold, so
-# they are not mapped and faulted in anew, and a block runs in L2.  A rule
-# with more pieces takes proportionally fewer points per block.
+# each temporary of a block is then at most 16 x 4 x 205 doubles, 105 KB
+# (52 KB with the 2 pieces of nu <= 1/2), under glibc's 128 KB mmap
+# threshold, so it is not mapped and faulted in anew, and a block runs in
+# L2.  A rule with more pieces takes proportionally fewer points per block.
 _ML_BLOCK = 16
 
 
@@ -263,25 +263,17 @@ def _ml_spectral_fixed(nu, s):
         pref = np.full_like(s, sin / (nu * math.pi))
     roundoff = (math.log2(nodes.size) + math.pi * nu * abs(cos / sin)) * _EPS
     block = _ML_BLOCK * 4 // max(4, width.size)
-    u = np.empty((min(s.size, block), *nodes.shape[1:]))
-    f = np.empty_like(u)
     val, err = np.empty(s.size), np.empty(s.size)
     for lo in range(0, s.size, block):
-        hi = min(lo + block, s.size)
-        blk = slice(lo, hi)
-        ub, fb = u[:hi - lo], f[:hi - lo]
+        blk = slice(lo, lo + block)
         if cos >= 0.0:
-            np.add(nodes, c[blk, None, None], out=ub)
-            np.square(ub, out=ub)
-            np.add(ub, dd[blk, None, None], out=ub)
-            np.divide(factor, ub, out=fb)
-            fine = (width * np.multiply(fb, _TS_WEIGHTS, out=ub).sum(axis=-1)).sum(axis=-1)
-            coarse = (width * np.multiply(fb, _TS_COARSE, out=ub).sum(axis=-1)).sum(axis=-1)
+            f = factor / (np.square(nodes + c[blk, None, None]) + dd[blk, None, None])
+            fine = (width * (f * _TS_WEIGHTS).sum(axis=-1)).sum(axis=-1)
+            coarse = (width * (f * _TS_COARSE).sum(axis=-1)).sum(axis=-1)
         else:
-            np.multiply(a[blk, None], neg_w, out=fb)
-            np.exp(fb, out=fb)
-            fine = np.multiply(fb, fine_w, out=ub).sum(axis=-1)
-            coarse = np.multiply(fb, coarse_w, out=ub).sum(axis=-1)
+            f = np.exp(a[blk, None] * neg_w)
+            fine = (f * fine_w).sum(axis=-1)
+            coarse = (f * coarse_w).sum(axis=-1)
         val[blk] = pref[blk] * fine
         err[blk] = pref[blk] * np.abs(fine - coarse) + 1e-18 + roundoff * np.abs(val[blk])
     return val, err

@@ -231,6 +231,18 @@ def test_delta_one_route_prints_no_check(capsys):
     assert len(out) == 1 and out[0].startswith("delta[direct]")
 
 
+def test_delta_at_nu_one_runs_the_direct_route_alone(capsys):
+    # the contour route has no branch cut to integrate along at nu = 1
+    assert main(["delta", "--nu", "1", "--mu", "1", "--n", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["delta[direct](nu=1.0, mu=1.0, n=5) = 2.451205300091e-02",
+                   "delta[contour] is undefined at nu = 1; no agreement check"]
+    assert main(["delta", "--nu", "1", "--mu", "1", "--n", "5", "--oracle", "contour"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: contour route needs 0 < nu < 1\n"
+
+
 # -- converge subcommand -----------------------------------------------------
 
 

@@ -322,9 +322,12 @@ def test_mittag_leffler_array_point_does_not_depend_on_batch(nu, monkeypatch):
                 assert value[0] == values[i] and error[0] == errors[i], x
 
 
-def test_mittag_leffler_fixed_rule_working_memory_is_bounded():
-    # the rule runs block by block on reused buffers: its working memory
-    # stays far below the 5,000 x 5 x 205 doubles (41 MB) of one pass
+@pytest.mark.parametrize("nu", [0.3, 0.9, 0.99, 0.999])
+def test_mittag_leffler_fixed_rule_working_memory_is_bounded(nu):
+    # the 2-, 4-, 7- and 11-piece rules run block by block, with fewer
+    # points per block the more pieces: each block's temporaries stay
+    # under 105 KB, far below the 5,000 x (2 to 11) x 205 doubles
+    # (16-90 MB) of one pass
     s = np.random.default_rng(3).uniform(1.0, 8.0, 5000)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -332,7 +335,7 @@ def test_mittag_leffler_fixed_rule_working_memory_is_bounded():
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        special._ml_spectral_fixed(0.9, s)
+        special._ml_spectral_fixed(nu, s)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:

@@ -205,8 +205,9 @@ def run_convergence(config: RunConfig):
     x >= 0 only, and the error norm counts that half twice.  The reference
     is built once, for the times from 1/max(N) on, which hold every run's
     levels: the transform route's window chain is tuned to the same
-    _CONTOUR_TOL throughout, and the modal route's one sine table serves
-    every time.  The whole chain steps in one step_galerkin call, finest
+    _CONTOUR_TOL throughout (a window's table is built when the pass below
+    first reaches it), and the modal route's one sine table serves every
+    time.  The whole chain steps in one step_galerkin call, finest
     first, and every run is held until the end.  Then one pass over the
     finest run's levels, in chunks of whole levels of the coarsest run of
     up to _REFERENCE_VALUES reference values where one such level allows,
@@ -347,7 +348,7 @@ def cmd_phi(args, config: RunConfig) -> list:
     _write_csv(path, config, ["nu", "phi1", "phi2", "min_delta", "skipped"], rows,
                grid=grid)
     for nu, phi1, phi2, min_delta, skipped in rows:
-        print(f"nu={nu:.2f}: phi1={phi1:.6f} phi2={phi2:.6f} "
+        print(f"nu={nu:g}: phi1={phi1:.6f} phi2={phi2:.6f} "
               f"min_delta={min_delta:.2e} skipped={skipped}")
     print(f"wrote {path}")
     return [Check("phi suprema", max(max(r[1], r[2]) for r in rows), 1.1),

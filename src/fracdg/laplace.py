@@ -14,7 +14,8 @@ points to conjugate values, so the trapezoid sum collapses to the upper
 half of the contour and the result is exactly real.  Every inversion
 goes through ``inverter``, one vectorised trapezoid sum over a chain of
 windows (the contour follows Weideman & Trefethen, Math. Comp. 76 (2007)
-1341).
+1341); a window's table of transform values is built when an evaluation
+first reaches one of its times, and one table is held at a time.
 """
 
 import math
@@ -134,56 +135,73 @@ def inverter(F, specs):
     """Inverse transform of F over a chain of tuned contours; returns t -> f(t).
 
     F is called once per node with a complex argument and returns a scalar
-    or an array of shape S.  Each window stores the table
-    T_k = F(z_k) z'(x_k).  The evaluator takes a time or an array of
+    or an array of shape S.  The evaluator takes a time or an array of
     times and returns shape ``t.shape + S``.  Each time uses the first
     window that holds it, to a relative slack of 1e-12 at the edges, and
     the times one window holds cost one product: w = exp(outer(t, z))
-    times the table.  The table carries the factor step/pi and the k = 0
-    half weight, and only Im(w @ T) is needed, so it is kept as the real
-    stack [Re T; Im T] and w enters as [Im w, Re w]: half the work of the
-    complex product.  A window holding one time still takes gemm, so a
-    time's bits do not depend on the others in the call when gemm's rows
-    do not (OpenBLAS's do for 8 or more values per time).  A time outside
-    every window raises ValueError.
+    times the window's table T_k = F(z_k) z'(x_k).  The table carries the
+    factor step/pi and the k = 0 half weight, and only Im(w @ T) is
+    needed, so it is kept as the real stack [Re T; Im T] and w enters as
+    [Im w, Re w]: half the work of the complex product.  A window holding
+    one time still takes gemm, so a time's bits do not depend on the
+    others in the call when gemm's rows do not (OpenBLAS's do for 8 or
+    more values per time).  A time outside every window raises ValueError.
+
+    Every window's nodes are computed here, but its table is built only
+    when an evaluation first needs one of its times, one node at a time
+    straight into the stack, and only the last table built is kept.  So
+    times taken in ascending order build each window once; a return to
+    an earlier window builds it again, to the same bits.
     """
     if not specs:
         raise ValueError("inverter needs at least one contour window")
-    tables = []
-    for spec in specs:
-        z, dz = contour_nodes(spec)
-        first = F(complex(z[0])) * dz[0]
-        table = np.empty(z.shape + np.shape(first), dtype=complex)
-        table[0] = first
-        for k in range(1, z.size):
-            table[k] = F(complex(z[k])) * dz[k]
-        table *= spec.step / math.pi
-        table[0] *= 0.5
-        stacked = np.concatenate([table.real, table.imag])
-        tables.append((spec, z, stacked.reshape(2 * z.size, -1)))
-    value_shape = np.shape(first)
+    windows = [(spec, *contour_nodes(spec)) for spec in specs]
+    held = None  # (window index, stacked table) of the one table kept
+    value_shape = None
+
+    def table_of(i):
+        nonlocal held, value_shape
+        if held is None or held[0] != i:
+            held = None  # drop the old table before building the new one
+            spec, z, dz = windows[i]
+            scale = spec.step / math.pi
+            for k in range(z.size):
+                term = np.asarray(F(complex(z[k])) * dz[k])
+                term *= scale
+                if k == 0:
+                    term *= 0.5
+                    value_shape = term.shape
+                    table = np.empty((2, z.size, term.size))
+                table[0, k] = term.real.reshape(-1)
+                table[1, k] = term.imag.reshape(-1)
+            held = i, table.reshape(2 * z.size, -1)
+        return held[1]
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
         flat = t.reshape(-1)
-        out = np.empty((flat.size, math.prod(value_shape)))
         todo = np.ones(flat.shape, dtype=bool)
-        for spec, z, table in tables:
-            held = (todo & (spec.t_min * (1.0 - 1e-12) <= flat)
+        parts = []  # (window index, nodes, times it holds)
+        for i, (spec, z, _) in enumerate(windows):
+            part = (todo & (spec.t_min * (1.0 - 1e-12) <= flat)
                     & (flat <= spec.t_max * (1.0 + 1e-12)))
-            if not held.any():
-                continue
-            weights = np.exp(flat[held, None] * z)
-            rows = np.concatenate([weights.imag, weights.real], axis=1)
-            if len(rows) == 1:  # numpy would hand it to gemv
-                rows = np.repeat(rows, 2, axis=0)
-            out[held] = (rows @ table)[:np.count_nonzero(held)]
-            todo &= ~held
+            if part.any():
+                parts.append((i, z, part))
+                todo &= ~part
         if todo.any():
             raise ValueError(
                 f"t={flat[todo][0]} outside the contour windows "
-                f"[{tables[0][0].t_min}, {tables[-1][0].t_max}]"
+                f"[{windows[0][0].t_min}, {windows[-1][0].t_max}]"
             )
+        if value_shape is None:  # known once a table is built
+            table_of(parts[0][0] if parts else 0)
+        out = np.empty((flat.size, math.prod(value_shape)))
+        for i, z, part in parts:
+            weights = np.exp(flat[part, None] * z)
+            rows = np.concatenate([weights.imag, weights.real], axis=1)
+            if len(rows) == 1:  # numpy would hand it to gemv
+                rows = np.repeat(rows, 2, axis=0)
+            out[part] = (rows @ table_of(i))[:np.count_nonzero(part)]
         return out.reshape(t.shape + value_shape)
 
     return evaluate

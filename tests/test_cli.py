@@ -689,6 +689,15 @@ def test_phi_quick(tmp_path, capsys):
     assert 0.0 < float(rows[0][1]) <= 1.1
 
 
+@pytest.mark.parametrize("nu, label", [("0.001", "nu=0.001:"), ("0.125", "nu=0.125:")])
+def test_phi_labels_the_order_with_every_digit_it_has(tmp_path, capsys, nu, label):
+    # two decimals printed these as nu=0.00 and nu=0.12
+    assert main(["phi", "--nu", nu, "--out", str(tmp_path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("nu=")]
+    assert len(rows) == 1 and rows[0].startswith(label + " phi1=")
+
+
 def test_phi_accepts_jobs_and_writes_the_same_bytes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["phi", "--quick", "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +235,64 @@ def test_inverter_gives_each_time_the_same_bits_whatever_the_call_holds():
     for stride in (2, 4, 8):
         assert np.array_equal(evaluate(times[stride - 1::stride]),
                               batch[stride - 1::stride])
+
+
+def _counted(transform):
+    """transform, and a list that grows by one entry per call of it."""
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return transform(z)
+
+    return counted, calls
+
+
+def test_inverter_builds_one_window_table_at_a_time():
+    # Three windows and 5,000 values per time: each stacked table is
+    # 2 x 33 x 5,000 doubles (2.6 MB), far above the temporaries of an
+    # 8-time call, so holding two tables at once would show in the peak.
+    rates = np.geomspace(0.5, 50.0, 5000)
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    assert len(chain) == 3
+    table_bytes = max(2 * (spec.half_count + 1) * rates.size * 8 for spec in chain)
+    times = np.arange(1, 641) / 1280.0
+    tracemalloc.start()
+    try:
+        evaluate = inverter(lambda z: 1.0 / (z + rates), chain)
+        for lo in range(0, times.size, 8):
+            evaluate(times[lo:lo + 8])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table_bytes < peak < 2 * table_bytes
+
+
+def test_inverter_rebuilds_a_window_to_the_same_bits():
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    transform, calls = _counted(_vector)
+    evaluate = inverter(transform, chain)
+    times = np.arange(1, 641) / 1280.0
+    chunks = [times[lo:lo + 16] for lo in range(0, times.size, 16)]
+    ascending = [evaluate(t) for t in chunks]
+    nodes = [spec.half_count + 1 for spec in chain]
+    assert len(calls) == sum(nodes)
+    # back down from the last window: the first two are built again
+    descending = [evaluate(t) for t in chunks[::-1]][::-1]
+    assert len(calls) >= sum(nodes) + nodes[0] + nodes[1]
+    for a, b in zip(ascending, descending):
+        assert np.array_equal(a, b)
+
+
+def test_inverter_calls_the_transform_once_per_node_in_ascending_order():
+    chain = window_chain(1.0 / 1280.0, 0.5)
+    transform, calls = _counted(_scalar)
+    evaluate = inverter(transform, chain)
+    assert calls == []  # no table is built before a time needs it
+    evaluate(chain[0].t_min)
+    assert len(calls) == chain[0].half_count + 1
+    # the chain's levels in order, in calls that span two windows
+    for lo in range(0, 640, 64):
+        evaluate(np.arange(lo + 1, lo + 65) / 1280.0)
+    nodes = [complex(z) for spec in chain for z in contour_nodes(spec)[0]]
+    assert calls == nodes

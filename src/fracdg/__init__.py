@@ -2,8 +2,9 @@
 
 Subpackages cover the generating-symbol and Mittag-Leffler special
 functions, hyperbolic-contour Laplace inversion, the time-stepping
-recurrence (spectral and Galerkin forms; the scalar recurrence is a
-one-column spectral run), exact solutions of the 1D model problem, P1
+recurrence (spectral runs over a list of orders and Galerkin runs over
+a list of time grids; the scalar recurrence is a one-order, one-column
+spectral run), exact solutions of the 1D model problem, P1
 finite elements on graded meshes, and the error-kernel certification
 harness.
 """

@@ -7,13 +7,14 @@ recurrence itself, and a fixed tanh-sinh rule on its branch-cut integral
 representation), scans it over a (mu, n) grid, extracts the weighted
 suprema Phi_1/Phi_2, checks the inequalities the bound's proof rests
 on, and turns per-run error samples into weighted convergence tables.
-The scan returns the rho = mu n^nu, delta and Mittag-Leffler error
-grids.  A scan or sweep over several orders steps them all in one
-spectral run and gives each order the bits of its own.  The ratio
-to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is formed by the
-acceptance test of criterion 2.  Built-in checks are
-``Check`` records, which the command line prints and turns into its
-exit status; ``symbol_checks`` returns the symbol's identity checks.
+The scan and the sweep take a list of orders, which share one spectral
+run with the bits of their own, and scan MU_GRID by default; the scan
+yields each order's rho = mu n^nu, delta and Mittag-Leffler error
+grids.  The direct route refuses a Mittag-Leffler estimate above 1e-9.
+The ratio to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is formed
+by the acceptance test of criterion 2.  Built-in checks are ``Check``
+records, which the command line prints and turns into its exit status;
+``symbol_checks`` returns the symbol's identity checks.
 """
 
 import math
@@ -40,6 +41,7 @@ __all__ = [
     "PhiSweep",
     "LemmaScan",
     "ErrorTable",
+    "MU_GRID",
     "delta_direct",
     "delta_contour",
     "delta_scan",
@@ -64,21 +66,27 @@ class Check:
         return self.value <= self.bound
 
 
-def default_mu_grid() -> np.ndarray:
-    """The standard sweep grid mu = 2^j, j = -18..20."""
-    return 2.0 ** np.arange(-18, 21, dtype=float)
+# The standard sweep grid mu = 2^j, j = -18..20.
+MU_GRID = 2.0 ** np.arange(-18, 21, dtype=float)
+MU_GRID.flags.writeable = False
 
 
 def delta_direct(order: FractionalOrder, mu: float, n: int) -> float:
-    """Error kernel via the recurrence: U^n with dt=1, lam=mu, u0=1."""
+    """Error kernel via the recurrence: U^n with dt=1, lam=mu, u0=1.
+
+    A Mittag-Leffler estimate above 1e-9, the absolute limit of
+    delta_contour, raises QuadratureError.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
     if mu == 0.0:
         return 0.0
-    u = step_spectral(order, [mu], [1.0], TimeGrid(1.0, n))[:, 0]
-    exact, _ = mittag_leffler_neg_array(order, mu * float(n) ** order.nu)
+    u = step_spectral([order], [mu], [1.0], TimeGrid(1.0, n))[0, :, 0]
+    exact, err = mittag_leffler_neg_array(order, mu * float(n) ** order.nu)
+    if not err <= 1e-9:
+        raise QuadratureError("Mittag-Leffler value did not converge", float(err))
     return float(u[n] - exact)
 
 
@@ -135,23 +143,20 @@ def delta_contour(order: FractionalOrder, mu: float, n: int) -> float:
     return float(order.sin_pi / math.pi * fine)
 
 
-def delta_scan(order, mu_grid=None, n_max: int = 200):
-    """The kernel over (mu_grid) x (1..n_max) as grids (rho, delta, ml_err).
+def delta_scan(orders, mu_grid=MU_GRID, n_max: int = 200):
+    """An iterator over the orders' kernel grids (rho, delta, ml_err).
 
     Each grid has shape (len(mu_grid), n_max); row i, column n-1 holds
     mu_grid[i] and step n.  One spectral run with dt = 1 and the mu
-    values as eigenvalues gives every trajectory; each mu's row is the
-    same bits as a scan of that mu alone.  order may also be a sequence
-    of orders, which share that one run: the call then returns an
-    iterator that makes the orders' (rho, delta, ml_err) one at a time,
-    each the same bits as that order's own scan, so a caller that takes
-    them in turn holds one order's grids at once.
+    values as eigenvalues gives every trajectory; each order's grids, and
+    each mu's row, are the same bits as a scan of that order and mu
+    alone.  The grids are made one order at a time, so a caller that
+    takes them in turn holds one order's grids at once.
     """
-    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
+    mu_grid = np.asarray(mu_grid, dtype=float)
     if len(mu_grid) == 0 or np.any(mu_grid <= 0.0):
         raise ValueError("mu_grid must be nonempty and positive")
-    single = isinstance(order, FractionalOrder)
-    orders = (order,) if single else tuple(order)
+    orders = tuple(orders)
     u = step_spectral(orders, mu_grid, np.ones(len(mu_grid)),
                       TimeGrid(dt=1.0, n_steps=n_max))
     ns = np.arange(1, n_max + 1, dtype=float)
@@ -162,7 +167,7 @@ def delta_scan(order, mu_grid=None, n_max: int = 200):
             exact, ml_err = mittag_leffler_neg_array(o, rho)
             yield rho, traj[1:].T - exact, ml_err
 
-    return next(scans()) if single else scans()
+    return scans()
 
 
 @dataclass(frozen=True)
@@ -191,18 +196,15 @@ def _first_max(w, keep):
     return w.flat[int(np.argmax(w))]
 
 
-def phi_sweep(order, mu_grid=None, n_max: int = 200):
-    """Compute (Phi_1, Phi_2) from a fresh grid scan.
+def phi_sweep(orders, mu_grid=MU_GRID, n_max: int = 200):
+    """(Phi_1, Phi_2) of each order, as a list of PhiSweep, from one delta_scan.
 
-    A sequence of orders shares one delta_scan and gives one PhiSweep per
-    order, each equal to that order's own sweep.
+    Each order's PhiSweep equals that order's own sweep.
     """
-    mu = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    single = isinstance(order, FractionalOrder)
-    orders = (order,) if single else tuple(order)
-    sweeps = [_sweep(o.nu, mu, n_max, *scan)
-              for o, scan in zip(orders, delta_scan(orders, mu, n_max))]
-    return sweeps[0] if single else sweeps
+    orders = tuple(orders)
+    mu = np.asarray(mu_grid, dtype=float)
+    return [_sweep(o.nu, mu, n_max, *scan)
+            for o, scan in zip(orders, delta_scan(orders, mu, n_max))]
 
 
 def _sweep(nu, mu, n_max, rho, delta, ml_err):

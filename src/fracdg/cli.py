@@ -21,8 +21,8 @@ import, where argparse loads stdlib locale) and returns its checks as
 summary line if there was any record.
 
 Exit status: 0 when every built-in check passes, 2 when a check fails or
-a quadrature does not converge, 1 on usage or configuration errors,
-including an output directory that cannot be created.
+a quadrature or series does not converge, 1 on usage or configuration
+errors, including an output directory that cannot be created.
 """
 
 import argparse

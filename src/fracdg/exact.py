@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .special import FractionalOrder, mittag_leffler_neg_array
+from .special import FractionalOrder, QuadratureError, mittag_leffler_neg_array
 
 __all__ = [
     "quarter_pi_coefficients",
@@ -46,13 +46,16 @@ def exact_field(order: FractionalOrder, coefficients, x_points):
     modes with a nonzero coefficient serves every time.  The evaluator
     takes a time or an array of times, all >= 0, and returns shape
     ``t.shape + (len(x_points),)``; at t = 0 it is the partial sine sum of
-    the data.  It works through the times in blocks of _TIME_BLOCK.
+    the data.  It works through the times in blocks of _TIME_BLOCK.  Where
+    sum_m |c_m| err_m, the Mittag-Leffler estimates weighted by the
+    coefficients, exceeds 1e-9 at some time, it raises QuadratureError.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if coefficients.ndim != 1 or len(coefficients) < 1:
         raise ValueError("coefficients must be a nonempty 1-d array")
     live = np.flatnonzero(coefficients)
     lam = (live + 1.0) ** 2
+    sizes = np.abs(coefficients[live])
     # One sine table phi_m(x) over the live modes, built in place.
     x = np.asarray(x_points, dtype=float)
     table = np.outer(live + 1.0, x + 1.0)
@@ -67,7 +70,12 @@ def exact_field(order: FractionalOrder, coefficients, x_points):
         out = np.empty((flat.size, x.size))
         for lo in range(0, flat.size, _TIME_BLOCK):
             s = np.outer(flat[lo:lo + _TIME_BLOCK] ** order.nu, lam)
-            weights = mittag_leffler_neg_array(order, s)[0]
+            weights, err = mittag_leffler_neg_array(order, s)
+            worst = float(np.max(np.einsum("tm,m->t", err, sizes)))
+            del err  # not held through the next block's evaluation
+            if not worst <= 1e-9:
+                raise QuadratureError("mode sum's Mittag-Leffler values did not converge",
+                                      worst)
             weights *= coefficients[live]
             out[lo:lo + _TIME_BLOCK] = weights @ table
         return out.reshape(times.shape + x.shape)

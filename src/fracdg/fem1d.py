@@ -66,14 +66,11 @@ dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 @dataclass(frozen=True, eq=False)
 class Mesh1D:
-    """Nodes -1 = x_0 < ... < x_M = 1, symmetric about 0, M even.
-
-    Meshes compare and hash by the values of their nodes.
-    """
+    """Nodes -1 = x_0 < ... < x_M = 1, symmetric about 0, M even."""
 
     nodes: np.ndarray
     # gauss_points' arrays by rule order, built on first use
-    _gauss: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gauss: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.nodes, dtype=float)
@@ -86,12 +83,6 @@ class Mesh1D:
             raise ValueError("nodes must be strictly increasing")
         if not np.allclose(x + x[::-1], 0.0, atol=1e-14):
             raise ValueError("mesh must be symmetric about 0")
-
-    def __eq__(self, other):
-        return isinstance(other, Mesh1D) and np.array_equal(self.nodes, other.nodes)
-
-    def __hash__(self):
-        return hash(tuple(self.nodes.tolist()))
 
     @property
     def n_intervals(self) -> int:

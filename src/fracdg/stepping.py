@@ -5,16 +5,15 @@ recurrence
 
     (1 + beta_0 mu) U^n = U^{n-1} - mu * sum_{j=1}^{n-1} beta_{n-j} U^j,
 
-which step_spectral runs for every mode of an eigenmode expansion at
-once (the scalar recurrence is a one-column call), and for several
-orders at once, each order's columns a group with its own weights, and
+which step_spectral runs for every mode of an eigenmode expansion and
+every order of a sequence at once, each order's columns a group with its
+own weights (the scalar recurrence is one order and one column), and
 the Galerkin matrix form
 (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j,
 which step_galerkin runs on the tridiagonal M and K with LAPACK's
-kernels, in a form that needs no product by K, for one time grid or a
-chain of them, finest first, as the blocks of one block-diagonal
-system.  Both run in one time loop, which sums the stored trajectory.
-The history sum goes in tiles of _TILE future steps: one pass over the
+kernels, in a form that needs no product by K, for a chain of time
+grids, finest first, as the blocks of one block-diagonal system.  Both
+run in one time loop, which sums the stored trajectory.  The history sum goes in tiles of _TILE future steps: one pass over the
 stored rows at the start of a tile serves every step of the tile.  The
 per-step work runs once over the columns of every group still stepping;
 the per-tile contractions run per group, so each order's or grid's
@@ -239,17 +238,17 @@ def _far_nodes(order: FractionalOrder, n_steps: int):
     return np.concatenate((p_low, p[~low])), c * np.concatenate((m_low, m[~low]))
 
 
-def _march(beta: np.ndarray, u0: np.ndarray, steps, advance, far=None) -> np.ndarray:
+def _march(beta: np.ndarray, u0: np.ndarray, steps, advance, far) -> np.ndarray:
     """The one time loop: u[n] = advance(u[n-1], hist), u[0] = u0.
 
-    The columns of u0 fall into groups of equal width, in order.  Group g
-    steps steps[g] times (an int steps: every group that many), and the
-    counts never increase, so the groups still stepping at any n are the
-    leading ones; advance gets their columns side by side.  Group g has
-    the weights beta[g] (a 1-D beta is every group's) and far[g] (far None:
-    every group sums directly).  hist = sum_{j=1}^{n-1} beta_{n-j} u[j]
-    over the group's stored trajectory, an empty sum (zeros) at n = 1.
-    The result holds the groups' trajectories one after another, shape
+    The columns of u0 fall into len(steps) groups of equal width, in
+    order.  Group g steps steps[g] times, and the counts never increase,
+    so the groups still stepping at any n are the leading ones; advance
+    gets their columns side by side.  Group g has the weights beta[g]
+    (a beta of one row is every group's) and far[g] (None: the group sums
+    directly).  hist = sum_{j=1}^{n-1} beta_{n-j} u[j] over the group's
+    stored trajectory, an empty sum (zeros) at n = 1.  The result holds
+    the groups' trajectories one after another, shape
     (sum of (steps[g] + 1), width), each sized to its own steps.
 
     Steps go in tiles of _TILE.  At the start n0 of a tile, one einsum
@@ -278,8 +277,6 @@ def _march(beta: np.ndarray, u0: np.ndarray, steps, advance, far=None) -> np.nda
     above.
     """
     tile = _TILE
-    beta = np.atleast_2d(beta)
-    steps = [steps] * len(beta) if np.ndim(steps) == 0 else list(steps)
     groups = len(steps)
     width = len(u0) // groups
     top = steps[0]
@@ -299,7 +296,7 @@ def _march(beta: np.ndarray, u0: np.ndarray, steps, advance, far=None) -> np.nda
         traj = u[ends[g] - steps[g] - 1:ends[g]]
         traj[0] = u0[cols]
         soe = None
-        if far is not None and far[g] is not None:
+        if far[g] is not None:
             p, w = far[g]
             lags = np.arange(tile)
             # Fortran order again keeps every innermost loop running over
@@ -346,18 +343,14 @@ def _march(beta: np.ndarray, u0: np.ndarray, steps, advance, far=None) -> np.nda
     return u
 
 
-def step_spectral(order, eigenvalues, u0_coeffs, grid: TimeGrid) -> np.ndarray:
-    """Modal trajectories, shape (n_steps+1, n_modes); row 0 is u0_coeffs.
+def step_spectral(orders, eigenvalues, u0_coeffs, grid: TimeGrid) -> np.ndarray:
+    """Modal trajectories, shape (n_orders, n_steps+1, n_modes); row 0 is u0_coeffs.
 
-    The history contraction is shared across modes.  A one-column call,
-    step_spectral(order, [mu], [1.0], TimeGrid(1.0, n))[:, 0], is the
-    scalar recurrence for mu.  order may also be a sequence of orders:
-    every order then runs the same modes in the one time loop, and the
-    result has shape (n_orders, n_steps+1, n_modes), each order's block
-    the same bits as its own call.
+    Every order runs the same modes in the one time loop, each order's
+    block the bits of its own call.  step_spectral([order], [mu], [1.0],
+    TimeGrid(1.0, n))[0, :, 0] is the scalar recurrence for mu.
     """
-    single = isinstance(order, FractionalOrder)
-    orders = (order,) if single else tuple(order)
+    orders = tuple(orders)
     lam = np.asarray(eigenvalues, dtype=float)
     u0 = np.asarray(u0_coeffs, dtype=float)
     if not orders:
@@ -372,10 +365,10 @@ def step_spectral(order, eigenvalues, u0_coeffs, grid: TimeGrid) -> np.ndarray:
     # beta_0 mu may overflow to inf, whose trajectory is the limit, zero
     with np.errstate(over="ignore"):
         denom = 1.0 + np.repeat(beta[:, 0], lam.size) * mu
-    u = _march(beta, np.tile(u0, len(orders)), n,
+    u = _march(beta, np.tile(u0, len(orders)), [n] * len(orders),
                lambda prev, hist: (prev - mu * hist) / denom,
                [_far_nodes(o, n) for o in orders])
-    return u if single else u.reshape(len(orders), n + 1, lam.size)
+    return u.reshape(len(orders), n + 1, lam.size)
 
 
 def _leading_blocks(blocks):
@@ -390,11 +383,13 @@ def _leading_blocks(blocks):
 
 
 def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
-                  stiff: SymTridiagonal, grid, u0_vec) -> np.ndarray:
-    """Coefficient trajectories, shape (n_steps+1, ndof); row 0 is u0_vec.
+                  stiff: SymTridiagonal, grids, u0_vec) -> np.ndarray:
+    """Trajectories of a chain of runs, shape (sum of (n_steps+1), ndof).
 
-    Factors A = M + beta_0 dt^nu K once (LAPACK dpttrf) and raises
-    ValueError unless it is positive definite.  With the history
+    grids holds the runs' TimeGrids, finest first (step counts that never
+    increase), and each run starts from u0_vec.  Each run factors
+    A = M + beta_0 dt^nu K once (LAPACK dpttrf) and raises ValueError
+    unless it is positive definite.  With the history
     H = sum_{j<n} beta_{n-j} U^j and A - M = beta_0 dt^nu K, each step is
 
         U^n = A^{-1} M (U^{n-1} + H / beta_0) - H / beta_0,
@@ -403,18 +398,15 @@ def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
     over the stored U^j, one tridiagonal product with M and one dpttrs
     solve.
 
-    grid may also be a sequence of TimeGrids, finest first (step counts
-    that never increase).  The runs then step in the one time loop as the
-    blocks of one block-diagonal system, whose off-diagonal is zero
-    between blocks, so the factorization, the solve and the product by M
-    give each block the bits of its own run.  The beta_j do not depend on
-    dt, so one table serves every run; each run keeps its own far-history
-    nodes.  A run leaves the loop after its own steps, and the solve and
-    the product then take the leading blocks only.  The result holds the
-    runs' trajectories one after another, shape
-    (sum of (n_steps+1), ndof), each the same bits as its own call.
+    The runs step in the one time loop as the blocks of one
+    block-diagonal system, whose off-diagonal is zero between blocks, so
+    the factorization, the solve and the product by M give each block the
+    bits of its own run.  The beta_j do not depend on dt, so one table
+    serves every run; each run keeps its own far-history nodes.  A run
+    leaves the loop after its own steps, and the solve and the product
+    then take the leading blocks only.
     """
-    grids = (grid,) if isinstance(grid, TimeGrid) else tuple(grid)
+    grids = tuple(grids)
     if not grids:
         raise ValueError("need at least one time grid")
     steps = [g.n_steps for g in grids]
@@ -444,6 +436,5 @@ def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
         matvec, solve = systems[len(prev) // ndof - 1]
         return solve(matvec(prev + shift)) - shift
 
-    return _march(beta, np.tile(u0, len(grids)), steps, advance,
+    return _march(beta[None], np.tile(u0, len(grids)), steps, advance,
                   [_far_nodes(order, n) for n in steps])
-

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fracdg.certify import (
-    default_mu_grid,
+    MU_GRID,
     delta_contour,
     delta_direct,
     delta_scan,
@@ -65,7 +65,7 @@ def test_weighted_rates_match_reference_study(headline_table):
 @pytest.mark.acceptance(2)
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
 def test_kernel_bound_ratio(nu):
-    rho, delta, _ = delta_scan(FractionalOrder(nu))
+    rho, delta, _ = next(delta_scan([FractionalOrder(nu)]))
     n = np.arange(1, rho.shape[1] + 1, dtype=float)
     assert np.max(abs(delta) / (np.minimum(rho ** 2, 1 / rho) / n)) <= 1.1
 
@@ -74,8 +74,8 @@ def test_kernel_bound_ratio(nu):
 def test_classical_limit_matches_closed_form():
     order = FractionalOrder(1.0)
     ns = np.arange(1, 201, dtype=float)
-    for mu in default_mu_grid():
-        _, (delta,), _ = delta_scan(order, [mu], 200)
+    for mu in MU_GRID:
+        _, (delta,), _ = next(delta_scan([order], [mu], 200))
         with np.errstate(under="ignore"):
             closed = (1.0 + mu) ** -ns - np.exp(-mu * ns)
         assert np.max(np.abs(delta - closed)) <= 1e-12
@@ -161,11 +161,11 @@ def test_stability_spectral_paths(nu):
 
     # scalar route, every mu separately (one-column spectral runs)
     for lam in lambdas:
-        u = step_spectral(order, [lam], [1.0], grid)[:, 0]
+        u = step_spectral([order], [lam], [1.0], grid)[0, :, 0]
         assert np.all(np.abs(u) <= abs(u[0]))
 
     # vectorized route, l2 norm across modes
-    u = step_spectral(order, lambdas, np.ones(lambdas.size), grid)
+    u = step_spectral([order], lambdas, np.ones(lambdas.size), grid)[0]
     norms = np.linalg.norm(u, axis=1)
     assert np.all(norms <= norms[0])
 
@@ -179,7 +179,7 @@ def test_stability_galerkin_path(nu, dt):
     mats = assemble(1.0, mesh)
     rng = np.random.default_rng(11)
     u0 = rng.standard_normal(len(mats.mass.diag))
-    u = step_galerkin(order, mats.mass, mats.stiff, TimeGrid(dt, 200), u0)
+    u = step_galerkin(order, mats.mass, mats.stiff, [TimeGrid(dt, 200)], u0)
     mass = (np.diag(mats.mass.diag) + np.diag(mats.mass.off, 1)
             + np.diag(mats.mass.off, -1))
     norms = np.sqrt(np.einsum("ni,ij,nj->n", u, mass, u))
@@ -194,7 +194,7 @@ def test_parseval_error_identity():
     lambdas = np.arange(1, modes + 1, dtype=float) ** 2
     dt = 0.02
     grid = TimeGrid(dt=dt, n_steps=50)
-    u = step_spectral(order, lambdas, u0, grid)
+    u = step_spectral([order], lambdas, u0, grid)[0]
 
     deltas = np.empty((grid.n_steps, modes))
     for m, lam in enumerate(lambdas):
@@ -202,7 +202,7 @@ def test_parseval_error_identity():
             # delta scales linearly in the data; unused columns stay 0
             deltas[:, m] = 0.0
             continue
-        _, (series,), _ = delta_scan(order, [lam * dt ** order.nu], grid.n_steps)
+        _, (series,), _ = next(delta_scan([order], [lam * dt ** order.nu], grid.n_steps))
         deltas[:, m] = series
 
     for n in (1, 10, 50):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fracdg import certify, special
 from fracdg.certify import (
+    MU_GRID,
     Check,
-    default_mu_grid,
     delta_contour,
     delta_direct,
     delta_scan,
@@ -32,7 +32,8 @@ DELTA_CLASSICAL = {
 
 
 def test_mu_grid_shape():
-    grid = default_mu_grid()
+    grid = MU_GRID
+    assert not grid.flags.writeable
     assert grid[0] == 2.0 ** -18
     assert grid[-1] == 2.0 ** 20
     assert np.allclose(np.diff(np.log2(grid)), 1.0)
@@ -51,7 +52,7 @@ def test_delta_direct_classical_values():
 
 def test_delta_series_consistent_with_single_values():
     order = FractionalOrder(0.75)
-    _, (series,), (ml_err,) = delta_scan(order, [2.0], 12)
+    _, (series,), (ml_err,) = next(delta_scan([order], [2.0], 12))
     assert np.all(ml_err < 1e-12)
     for n in (1, 5, 12):
         assert series[n - 1] == pytest.approx(
@@ -61,11 +62,11 @@ def test_delta_series_consistent_with_single_values():
 @pytest.mark.parametrize("nu", [0.1, 0.5, 0.9])
 def test_delta_scan_rows_equal_series_bitwise(nu):
     order = FractionalOrder(nu)
-    mus = default_mu_grid()
-    rho, deltas, ml_errs = delta_scan(order, n_max=200)
+    mus = MU_GRID
+    rho, deltas, ml_errs = next(delta_scan([order], n_max=200))
     ns = np.arange(1, 201, dtype=float)
     for mu, rho_row, delta_row, ml_err_row in zip(mus, rho, deltas, ml_errs):
-        (mu_rho,), (delta,), (ml_err,) = delta_scan(order, [mu], 200)
+        (mu_rho,), (delta,), (ml_err,) = next(delta_scan([order], [mu], 200))
         assert np.array_equal(rho_row, mu * ns ** nu)
         assert np.array_equal(rho_row, mu_rho)
         assert np.array_equal(delta_row, delta)
@@ -82,6 +83,19 @@ def test_delta_direct_validation():
             delta_direct(FractionalOrder(0.5), mu, 1)
     with pytest.raises(ValueError):
         delta_direct(FractionalOrder(0.5), 1.0, 0)
+
+
+def test_delta_direct_refuses_an_unconverged_mittag_leffler_value():
+    # nu = 0.001, s = 0.999: the Taylor series stops at its term cap with
+    # an estimate above 1e-9
+    with pytest.raises(QuadratureError):
+        delta_direct(FractionalOrder(0.001), 0.999, 1)
+
+
+def test_delta_scan_validation():
+    for mu_grid in ([], [1.0, 0.0], [-1.0]):
+        with pytest.raises(ValueError, match="nonempty and positive"):
+            delta_scan([FractionalOrder(0.5)], mu_grid, 5)
 
 
 def test_delta_contour_matches_direct_spot():
@@ -190,7 +204,7 @@ def max_bound_ratio(rho, delta):
 def test_scan_small_grid():
     order = FractionalOrder(0.5)
     mu = np.array([0.5, 1.0, 2.0])
-    rho, delta, ml_err = delta_scan(order, mu_grid=mu, n_max=20)
+    rho, delta, ml_err = next(delta_scan([order], mu_grid=mu, n_max=20))
     assert rho.shape == delta.shape == ml_err.shape == (3, 20)
     n = np.arange(1, 21, dtype=float)
     assert np.all(ml_err < 1e-11)
@@ -199,15 +213,15 @@ def test_scan_small_grid():
 
 
 def test_bound_check_moderate_grid():
-    rho, delta, _ = delta_scan(FractionalOrder(0.5),
-                               mu_grid=2.0 ** np.arange(-6, 7), n_max=50)
+    rho, delta, _ = next(delta_scan([FractionalOrder(0.5)],
+                                    mu_grid=2.0 ** np.arange(-6, 7), n_max=50))
     value = max_bound_ratio(rho, delta)
     assert 0.0 < value <= 1.1
 
 
 def test_phi_sweep_moderate():
-    sweep = phi_sweep(FractionalOrder(0.6), mu_grid=2.0 ** np.arange(-8, 9),
-                      n_max=60)
+    [sweep] = phi_sweep([FractionalOrder(0.6)], mu_grid=2.0 ** np.arange(-8, 9),
+                        n_max=60)
     assert 0.0 < sweep.phi1 <= 1.1
     assert 0.0 < sweep.phi2 <= 1.1
     assert sweep.min_delta >= -1e-12
@@ -240,16 +254,16 @@ def looped_phi(mu_grid, scan, nu):
 ])
 def test_phi_sweep_equals_point_loop(nu, mu_grid, n_max):
     order = FractionalOrder(nu)
-    sweep = phi_sweep(order, mu_grid=mu_grid, n_max=n_max)
-    mus = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    phi1, phi2, skipped = looped_phi(mus, delta_scan(order, mu_grid, n_max), nu)
+    mus = MU_GRID if mu_grid is None else np.asarray(mu_grid, dtype=float)
+    [sweep] = phi_sweep([order], mu_grid=mus, n_max=n_max)
+    phi1, phi2, skipped = looped_phi(mus, next(delta_scan([order], mus, n_max)), nu)
     assert (sweep.phi1, sweep.phi2, sweep.skipped) == (phi1, phi2, skipped)
 
 
 def test_phi_sweep_over_the_order_grid_equals_single_orders():
     # phi's nine orders share one time loop; each sweep keeps its bits
     orders = [FractionalOrder(round(0.1 * k, 1)) for k in range(1, 10)]
-    assert phi_sweep(orders) == [phi_sweep(order) for order in orders]
+    assert phi_sweep(orders) == [phi_sweep([order])[0] for order in orders]
 
 
 def test_delta_scan_over_orders_equals_single_scans():
@@ -258,7 +272,7 @@ def test_delta_scan_over_orders_equals_single_scans():
     scans = list(delta_scan(orders, mu, 30))
     assert len(scans) == len(orders)
     for order, scan in zip(orders, scans):
-        for grid, single in zip(scan, delta_scan(order, mu, 30)):
+        for grid, single in zip(scan, next(delta_scan([order], mu, 30))):
             assert np.array_equal(grid, single)
 
 
@@ -362,6 +376,16 @@ def test_weighted_table_recovers_exact_rates():
 def test_weighted_table_requires_doubling():
     with pytest.raises(ValueError):
         weighted_error_table(synthetic_samples(1.0, (40, 100)), alphas=(0.5,))
+
+
+def test_weighted_table_rejects_bad_samples():
+    with pytest.raises(ValueError, match="at least one run"):
+        weighted_error_table({}, alphas=(0.5,))
+    t = np.arange(1, 5) / 8.0
+    # mismatched shapes, 2-d arrays, empty arrays
+    for sample in ((t, t[:-1]), (t[None], t[None]), (t[:0], t[:0])):
+        with pytest.raises(ValueError, match="bad sample arrays"):
+            weighted_error_table({8: sample}, alphas=(0.5,))
 
 
 def test_weighted_table_single_run_has_no_rates():

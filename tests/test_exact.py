@@ -11,7 +11,7 @@ from fracdg.exact import (
     exact_field,
     quarter_pi_coefficients,
 )
-from fracdg.special import FractionalOrder, mittag_leffler_neg_with_error
+from fracdg.special import FractionalOrder, QuadratureError, mittag_leffler_neg_with_error
 
 DATA_NORM = 1.1107207345395916  # pi sqrt(2) / 4
 
@@ -49,6 +49,21 @@ def test_exact_field_requires_positive_time():
     for t in (-0.2, -1e-300, -math.inf, math.nan):
         with pytest.raises(ValueError):
             field(t)
+
+
+def test_exact_field_rejects_bad_coefficients():
+    for coefficients in ([], [[1.0, 0.5]]):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            exact_field(FractionalOrder(0.5), coefficients, np.array([0.0]))
+
+
+def test_exact_field_refuses_unconverged_mittag_leffler_values():
+    # nu = 0.001: near s = m^2 t^nu = 1 the Taylor series stops at its term
+    # cap, and the coefficient-weighted estimate exceeds 1e-9
+    field = exact_field(FractionalOrder(0.001), quarter_pi_coefficients(3),
+                        np.array([0.0, 0.5]))
+    with pytest.raises(QuadratureError):
+        field(np.array([0.25, 0.5]))
 
 
 def test_exact_field_rejects_times_before_t_min():

@@ -41,6 +41,21 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(node_count=11, scale=good.scale, angle=good.angle,
                     step=good.step, t_min=2.0, t_max=0.5)
+    for step in (0.0, -good.step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            ContourSpec(node_count=11, scale=good.scale, angle=good.angle,
+                        step=step, t_min=0.5, t_max=2.0)
+
+
+def test_window_tuning_rejects_bad_windows_and_tolerances():
+    for t_min, t_max in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="bad time window"):
+            ContourSpec.for_window(t_min, t_max)
+        with pytest.raises(ValueError, match="bad time window"):
+            window_chain(t_min, t_max)
+    for tol in (0.0, -1e-13, 1e-2):
+        with pytest.raises(ValueError, match="tol must lie"):
+            ContourSpec.for_window(0.5, 2.0, tol=tol)
 
 
 def test_for_window_rejects_wide_ratio():
@@ -97,6 +112,11 @@ def test_reference_mode_matches_mittag_leffler(unit_spec):
 def test_reference_mode_zero_eigenvalue(unit_spec):
     order = FractionalOrder(0.5)
     assert reference_mode(order, 0.0, 3.5, 1.0, unit_spec) == 3.5
+
+
+def test_reference_mode_rejects_negative_eigenvalue(unit_spec):
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        reference_mode(FractionalOrder(0.5), -1.0, 1.0, 1.0, unit_spec)
 
 
 def test_reference_mode_scales_in_initial_value(unit_spec):
@@ -277,9 +297,10 @@ def test_inverter_rebuilds_a_window_to_the_same_bits():
     ascending = [evaluate(t) for t in chunks]
     nodes = [spec.half_count + 1 for spec in chain]
     assert len(calls) == sum(nodes)
-    # back down from the last window: the first two are built again
+    # back down from the last window: the first two are built again, once
+    # each, as every call serves the held window's times first
     descending = [evaluate(t) for t in chunks[::-1]][::-1]
-    assert len(calls) >= sum(nodes) + nodes[0] + nodes[1]
+    assert len(calls) == sum(nodes) + nodes[0] + nodes[1]
     for a, b in zip(ascending, descending):
         assert np.array_equal(a, b)
 

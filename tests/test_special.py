@@ -95,6 +95,8 @@ def test_order_validation():
     for bad in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(ValueError):
             FractionalOrder(bad)
+        with pytest.raises(ValueError):
+            zeta_neg(bad)
     order = FractionalOrder(0.5)
     assert order.gamma_1p == pytest.approx(GAMMA_1P5, rel=1e-15)
     assert order.sin_pi == pytest.approx(1.0, abs=1e-15)
@@ -267,7 +269,7 @@ def test_mittag_leffler_phi_spectral_points_match_multiprecision(nu, monkeypatch
     # (nu = 0.999, 11 pieces) to s far from 1 just above nu = 1/2
     mpmath = pytest.importorskip("mpmath")
     fixed = spy(monkeypatch, "_ml_spectral_fixed")
-    certify.delta_scan(FractionalOrder(nu))
+    next(certify.delta_scan([FractionalOrder(nu)]))
     points = np.array(sorted(fixed))
     values, errors = mittag_leffler_neg_array(FractionalOrder(nu), points)
     assert points.size > 100 and errors.max() <= 1e-13

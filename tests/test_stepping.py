@@ -18,7 +18,7 @@ U1_HALF_MU1 = 0.46984109573138115        # one step, nu = 0.5, mu = 1
 
 def one_mode(order, mu, u0, grid):
     # the scalar recurrence: a one-column spectral run
-    return step_spectral(order, [mu], [u0], grid)[:, 0]
+    return step_spectral([order], [mu], [u0], grid)[0, :, 0]
 
 
 def stable_partial_sum(order, j):
@@ -80,6 +80,12 @@ def test_weights_reject_non_integer_count(n):
         dg_weights(FractionalOrder(0.5), n)
 
 
+def test_weights_reject_counts_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            dg_weights(FractionalOrder(0.5), n)
+
+
 def per_term_beta_series(nu, j):
     # the even binomial series with one pass per term k, each over the
     # prefix of j that still takes it
@@ -123,7 +129,7 @@ def test_time_grid_rejects_non_integer_steps(n_steps):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_spectral_rejects_nonfinite_or_negative_eigenvalues(bad):
     with pytest.raises(ValueError):
-        step_spectral(FractionalOrder(0.5), [1.0, bad], [1.0, 1.0],
+        step_spectral([FractionalOrder(0.5)], [1.0, bad], [1.0, 1.0],
                       TimeGrid(0.1, 4))
 
 
@@ -165,7 +171,7 @@ def test_spectral_overflowing_denominator_gives_the_zero_trajectory(n_steps):
     # beta_0 mu overflows to inf: no warning (the suite runs with
     # RuntimeWarning as an error), and the mode is zero after row 0
     order = FractionalOrder(0.3)
-    u = step_spectral(order, [1.7e308, 1.0], [1.0, 1.0], TimeGrid(1.0, n_steps))
+    u = step_spectral([order], [1.7e308, 1.0], [1.0, 1.0], TimeGrid(1.0, n_steps))[0]
     assert np.all(u[1:, 0] == 0.0)
     assert np.array_equal(u[:, 1], one_mode(order, 1.0, 1.0, TimeGrid(1.0, n_steps)))
 
@@ -175,7 +181,7 @@ def test_spectral_matches_scalar_path():
     grid = TimeGrid(0.05, 30)
     lams = np.array([0.0, 1.0, 7.5, 140.0])
     u0 = np.array([1.0, -2.0, 0.5, 3.0])
-    traj = step_spectral(order, lams, u0, grid)
+    traj = step_spectral([order], lams, u0, grid)[0]
     assert traj.shape == (31, 4)
     for k, (lam, c) in enumerate(zip(lams, u0)):
         if lam == 0.0:
@@ -217,7 +223,7 @@ def test_galerkin_matches_dense_restatement():
     mats = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(0.05, 20)
-    fast = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    fast = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
     slow = dense_galerkin(order, mats.mass, mats.stiff, grid, u0)
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -232,7 +238,7 @@ def test_galerkin_smallest_systems_match_dense_restatement(ndof):
     stiff = leading_block(mats.stiff, ndof)
     u0 = np.linspace(1.0, -0.5, ndof)
     grid = TimeGrid(0.05, 20)
-    fast = step_galerkin(order, mass, stiff, grid, u0)
+    fast = step_galerkin(order, mass, stiff, [grid], u0)
     slow = dense_galerkin(order, mass, stiff, grid, u0)
     assert np.max(np.abs(fast - slow)) <= 1e-15  # measured 3.3e-19
 
@@ -285,7 +291,7 @@ def test_galerkin_round_off_against_longdouble():
     mats = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(1.0 / 80, 40)
-    fast = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    fast = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
     exact = longdouble_galerkin(order, mats.mass, mats.stiff, grid, u0)
     assert float(np.max(np.abs(fast - exact)) / np.max(np.abs(exact))) <= 1e-14
 
@@ -301,7 +307,7 @@ def test_spectral_columns_equal_scalar_runs_bitwise():
         multi = step_spectral(orders, mus, np.ones(mus.size), grid)
         assert multi.shape == (len(orders), grid.n_steps + 1, mus.size)
         for order, block in zip(orders, multi):
-            traj = step_spectral(order, mus, np.ones(mus.size), grid)
+            traj = step_spectral([order], mus, np.ones(mus.size), grid)[0]
             assert np.array_equal(block, traj)
             if order.nu == 1.0:
                 continue
@@ -313,6 +319,13 @@ def test_spectral_columns_equal_scalar_runs_bitwise():
 def test_spectral_rejects_an_empty_order_grid():
     with pytest.raises(ValueError):
         step_spectral([], [1.0], [1.0], TimeGrid(1.0, 4))
+
+
+def test_spectral_rejects_mismatched_mode_arrays():
+    order = FractionalOrder(0.5)
+    for lams, u0 in (([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="1-d of equal length"):
+            step_spectral([order], lams, u0, TimeGrid(1.0, 4))
 
 
 def ordered_galerkin(order, mass, stiff, grid, u0):
@@ -348,7 +361,7 @@ def test_galerkin_history_order_is_pinned(m):
     mats = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(1.0 / 320, 160)
-    fast = step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    fast = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
     slow = ordered_galerkin(order, mats.mass, mats.stiff, grid, u0)
     assert np.array_equal(fast, slow)
 
@@ -368,7 +381,7 @@ def test_spectral_history_order_is_pinned(nu):
         for j in range(1, n):
             acc += beta[n - j] * u[j]
         u[n] = (u[n - 1] - mus * acc) / (1.0 + beta[0] * mus)
-    traj = step_spectral(order, mus, np.ones(mus.size), grid)
+    traj = step_spectral([order], mus, np.ones(mus.size), grid)[0]
     assert np.array_equal(traj, u)
 
 
@@ -399,7 +412,7 @@ def test_spectral_equals_plain_loop_at_tile_edges(n_steps, cols):
     grid = TimeGrid(0.01, n_steps)
     lams = np.geomspace(37.0, 5e4, cols)
     u0 = np.linspace(1.0, -0.5, cols)
-    traj = step_spectral(order, lams, u0, grid)
+    traj = step_spectral([order], lams, u0, grid)[0]
     assert np.array_equal(traj, plain_spectral(order, lams, u0, grid))
 
 
@@ -415,7 +428,7 @@ def test_galerkin_equals_plain_loop_at_tile_edges(n_steps, ndof):
     stiff = leading_block(mats.stiff, ndof)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[:ndof]
     grid = TimeGrid(1.0 / 64, n_steps)
-    fast = step_galerkin(order, mass, stiff, grid, u0)
+    fast = step_galerkin(order, mass, stiff, [grid], u0)
     slow = ordered_galerkin(order, mass, stiff, grid, u0)
     assert np.array_equal(fast, slow)
 
@@ -442,7 +455,7 @@ def test_galerkin_chain_equals_one_call_per_grid_bitwise(ndof):
     assert chain.shape == (sum(n + 1 for n in CHAIN_STEPS), ndof)
     runs = np.split(chain, np.cumsum([n + 1 for n in CHAIN_STEPS])[:-1])
     for grid, run in zip(grids, runs):
-        assert np.array_equal(run, step_galerkin(order, mass, stiff, grid, u0))
+        assert np.array_equal(run, step_galerkin(order, mass, stiff, [grid], u0))
 
 
 def test_galerkin_chain_runs_finest_first():
@@ -494,7 +507,7 @@ def test_tiled_march_equals_per_step_gather_bitwise():
     def advance(prev, hist):
         return (prev - mus * hist) / denom
 
-    tiled = stepping._march(beta, u0, n_steps, advance)
+    tiled = stepping._march(beta[None], u0, [n_steps], advance, [None])
     assert np.array_equal(tiled, gather_march(beta, u0, n_steps, advance))
 
 
@@ -563,7 +576,7 @@ def test_spectral_below_crossover_equals_plain_loop():
     grid = TimeGrid(1.0 / n_steps, n_steps)
     lams = np.array([9.87, 2.5e4])
     u0 = np.array([1.0, -0.5])
-    traj = step_spectral(order, lams, u0, grid)
+    traj = step_spectral([order], lams, u0, grid)[0]
     assert np.array_equal(traj, plain_spectral(order, lams, u0, grid))
 
 
@@ -590,7 +603,7 @@ def test_spectral_far_history_matches_direct_sum(cols, n_steps, nu, monkeypatch)
     u0 = np.linspace(1.0, -0.5, cols)
 
     def run():
-        return step_spectral(order, lams, u0, grid)
+        return step_spectral([order], lams, u0, grid)[0]
 
     far = run()
     direct = direct_sum(monkeypatch, n_steps, run)
@@ -608,7 +621,7 @@ def test_galerkin_far_history_matches_direct_sum(n_steps, nu, monkeypatch):
     grid = TimeGrid(1.0 / n_steps, n_steps)
 
     def run():
-        return step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+        return step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
 
     far = run()
     direct = direct_sum(monkeypatch, n_steps, run)
@@ -626,7 +639,7 @@ def test_galerkin_far_history_matches_direct_sum_at_default_size(monkeypatch):
     assert stepping._far_nodes(order, grid.n_steps) is not None
 
     def run():
-        return step_galerkin(order, mats.mass, mats.stiff, grid, u0)
+        return step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
 
     far = run()
     direct = direct_sum(monkeypatch, grid.n_steps, run)
@@ -637,7 +650,7 @@ def test_galerkin_rejects_singular_system():
     order = FractionalOrder(0.5)
     zero = SymTridiagonal(np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError):
-        step_galerkin(order, zero, zero, TimeGrid(0.1, 2), np.zeros(3))
+        step_galerkin(order, zero, zero, [TimeGrid(0.1, 2)], np.zeros(3))
 
 
 @pytest.mark.parametrize("diag", [[0.0], [-1.0], [0.0, 0.0], [1.0, -1.0],
@@ -648,7 +661,7 @@ def test_galerkin_rejects_indefinite_system(diag):
     n = len(diag)
     mat = SymTridiagonal(diag, np.ones(n - 1))
     with pytest.raises(ValueError):
-        step_galerkin(order, mat, mat, TimeGrid(0.1, 2), np.ones(n))
+        step_galerkin(order, mat, mat, [TimeGrid(0.1, 2)], np.ones(n))
 
 
 def test_galerkin_shape_mismatch():
@@ -656,8 +669,8 @@ def test_galerkin_shape_mismatch():
     mesh = graded_mesh(8, 1.0)
     mats = assemble(1.0, mesh)
     with pytest.raises(ValueError):
-        step_galerkin(order, mats.mass, mats.stiff, TimeGrid(0.1, 2),
+        step_galerkin(order, mats.mass, mats.stiff, [TimeGrid(0.1, 2)],
                       np.zeros(3))
     with pytest.raises(ValueError):
         step_galerkin(order, mats.mass, leading_block(mats.stiff, 5),
-                      TimeGrid(0.1, 2), np.zeros(7))
+                      [TimeGrid(0.1, 2)], np.zeros(7))

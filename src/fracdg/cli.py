@@ -352,7 +352,7 @@ def cmd_phi(args, config: RunConfig) -> list:
               f"min_delta={min_delta:.2e} skipped={skipped}")
     print(f"wrote {path}")
     return [Check("phi suprema", max(max(r[1], r[2]) for r in rows), 1.1),
-            Check("kernel sign (negated floor)", -min(r[3] for r in rows), 1e-12)]
+            Check("kernel sign (negated floor)", 0.0 - min(r[3] for r in rows), 1e-12)]
 
 
 def cmd_delta(args, config: RunConfig) -> list:

@@ -1,9 +1,9 @@
 """Laplace-transform inversion on a truncated hyperbolic contour.
 
 The Bromwich integral is deformed onto z(x) = g(1 + sin(ix - a)), whose
-wings recede into the left half plane at angle ``angle`` = pi/2 - a to
-the negative real axis, and discretized by the trapezoidal rule.  The
-contour parameters are balanced so that the three error sources (wing
+wings recede into the left half plane at angle pi/2 - a to the negative
+real axis, and discretized by the trapezoidal rule.  The contour
+parameters are balanced so that the three error sources (wing
 truncation, and the discretization errors controlled by the strip of
 analyticity above and below the real x-axis) decay at a common
 geometric rate; doubling the node count then multiplies the number of
@@ -45,44 +45,51 @@ _MAX_RATIO = 50.0 * (1.0 + 1e-12)
 _CHAIN_RATIO = 25.0
 
 
+def _stretch(t_min: float, t_max: float) -> float:
+    # K h of the balanced contour for the window (see for_window); raises
+    # ValueError for a bad window or a ratio above 50
+    if not 0.0 < t_min <= t_max:
+        raise ValueError(f"bad time window [{t_min}, {t_max}]")
+    ratio = t_max / t_min
+    if ratio > _MAX_RATIO:
+        raise ValueError(f"window ratio {ratio:.3g} exceeds 50; split into sub-windows")
+    a = _ALPHA
+    return math.acosh((1.0 + ratio * (math.pi - 2.0 * a) / (4.0 * a - math.pi)) / math.sin(a))
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Tuned hyperbolic contour for a time window [t_min, t_max].
 
-    node_count is the full trapezoid count 2K+1; conjugate symmetry means
-    only the K+1 nodes with x >= 0 are ever evaluated.
+    The record is the window and K = ``half``, the nodes on each side of
+    x = 0: conjugate symmetry means only the K+1 of the 2K+1 trapezoid
+    nodes with x >= 0 are evaluated.  step and scale follow from these.
     """
 
-    node_count: int
-    scale: float
-    angle: float
-    step: float
     t_min: float
     t_max: float
+    half: int
 
     def __post_init__(self):
-        if self.node_count < 9 or self.node_count % 2 == 0:
-            raise ValueError(f"node_count must be odd and >= 9, got {self.node_count}")
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not 0.0 < self.angle < 0.5 * math.pi:
-            raise ValueError(f"angle must lie in (0, pi/2), got {self.angle}")
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if not 0.0 < self.t_min <= self.t_max:
-            raise ValueError(f"bad time window [{self.t_min}, {self.t_max}]")
+        _stretch(self.t_min, self.t_max)  # checks the window and its ratio
+        if self.half < 4:
+            raise ValueError(f"half must be >= 4, got {self.half}")
 
     @property
-    def half_count(self) -> int:
-        return (self.node_count - 1) // 2
+    def step(self) -> float:
+        return _stretch(self.t_min, self.t_max) / self.half
+
+    @property
+    def scale(self) -> float:
+        return math.pi * (4.0 * _ALPHA - math.pi) / (self.step * self.t_max)
 
     @classmethod
     def for_window(cls, t_min: float, t_max: float, tol: float = 1e-13) -> "ContourSpec":
         """Balance truncation and discretization errors for the window.
 
-        With a = pi/2 - angle, the wing truncation error at t_min and the
-        two strip contributions (branch point at distance pi/2 - a above,
-        loss of integrand decay at distance a below) are equalized:
+        With a = _ALPHA, the wing truncation error at t_min and the two
+        strip contributions (branch point at distance pi/2 - a above, loss
+        of integrand decay at distance a below) are equalized:
 
             cosh(K h) = (1 + L (pi-2a)/(4a-pi)) / sin a,   L = t_max/t_min,
             scale     = pi (4a-pi) / (h t_max),
@@ -90,44 +97,24 @@ class ContourSpec:
         giving error ~ exp(-pi(pi-2a) K / acosh(...)).  K is then sized
         for ``tol`` with two spare nodes.
         """
-        if not 0.0 < t_min <= t_max:
-            raise ValueError(f"bad time window [{t_min}, {t_max}]")
-        ratio = t_max / t_min
-        if ratio > _MAX_RATIO:
-            raise ValueError(
-                f"window ratio {ratio:.3g} exceeds 50; split into sub-windows"
-            )
         if not 0.0 < tol < 1e-2:
             raise ValueError(f"tol must lie in (0, 1e-2), got {tol}")
-        a = _ALPHA
-        stretch = math.acosh(
-            (1.0 + ratio * (math.pi - 2.0 * a) / (4.0 * a - math.pi)) / math.sin(a)
-        )
-        rate = math.pi * (math.pi - 2.0 * a)
-        half = math.ceil(stretch * math.log(1.0 / tol) / rate) + 2
-        step = stretch / half
-        scale = math.pi * (4.0 * a - math.pi) / (step * t_max)
-        return cls(
-            node_count=2 * half + 1,
-            scale=scale,
-            angle=0.5 * math.pi - a,
-            step=step,
-            t_min=t_min,
-            t_max=t_max,
-        )
+        rate = math.pi * (math.pi - 2.0 * _ALPHA)
+        half = math.ceil(_stretch(t_min, t_max) * math.log(1.0 / tol) / rate) + 2
+        return cls(t_min, t_max, half)
 
 
 def contour_nodes(spec: ContourSpec):
-    """Nodes z_k and derivatives z'(x_k) for x_k = k*step, k = 0..K.
+    """Nodes z_k = z(x_k) and derivatives z'(x_k), x_k = k*step, k = 0..K.
 
-    The k = 0 term carries trapezoid weight 1/2 in the symmetrized sum
+    z(x) = scale (1 + sin(ix - _ALPHA)).  The k = 0 term carries trapezoid
+    weight 1/2 in the symmetrized sum
     u(t) = (step/pi) * [Im T_0 / 2 + sum_{k>=1} Im T_k],
     T_k = exp(z_k t) F(z_k) z'(x_k).
     """
-    a = 0.5 * math.pi - spec.angle
-    x = spec.step * np.arange(spec.half_count + 1)
-    z = spec.scale * (1.0 - math.sin(a) * np.cosh(x) + 1j * math.cos(a) * np.sinh(x))
-    dz = spec.scale * (-math.sin(a) * np.sinh(x) + 1j * math.cos(a) * np.cosh(x))
+    x = spec.step * np.arange(spec.half + 1)
+    z = spec.scale * (1.0 - math.sin(_ALPHA) * np.cosh(x) + 1j * math.cos(_ALPHA) * np.sinh(x))
+    dz = spec.scale * (-math.sin(_ALPHA) * np.sinh(x) + 1j * math.cos(_ALPHA) * np.cosh(x))
     return z, dz
 
 

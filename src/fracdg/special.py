@@ -168,10 +168,11 @@ def _ml_spectral_quad(nu: float, s: float):
 def mittag_leffler_neg_with_error(order: FractionalOrder, s: float):
     """E_nu(-s) together with a conservative absolute-error estimate.
 
-    One point of mittag_leffler_neg_array, whose series it runs, except
-    where the asymptotic estimate exceeds 1e-13: there adaptive quadpack
-    computes the spectral integral instead of the fixed tanh-sinh rule.
-    Raises ValueError unless s >= 0.
+    One point of mittag_leffler_neg_array, with its branch rule on both
+    sides of s = 1: a series, and the spectral integral where the series'
+    estimate exceeds 1e-13.  For s > 1 adaptive quadpack computes that
+    integral instead of the fixed tanh-sinh rule.  Raises ValueError
+    unless s >= 0.
     """
     if not s >= 0.0:
         raise ValueError(f"s={s} must be nonnegative")
@@ -283,11 +284,14 @@ def mittag_leffler_neg_array(order: FractionalOrder, s):
     """E_nu(-s) and absolute-error estimates over an array of s >= 0.
 
     Point by point: Taylor series for s <= 1, asymptotic series beyond,
-    and the spectral integral only where the asymptotic estimate exceeds
-    1e-13.  Both series run over the whole array in fracdg.mlseries, the
-    package's one implementation of them, one term at a time until at
-    most a few hundred points are still summing, which finish in blocks
-    of terms; scalar loops in the tests' oracles are their reference.
+    and on either side the spectral integral where the series' estimate
+    exceeds 1e-13.  On the Taylor side that happens only near s = 1 for
+    nu below about 0.045, where the series stops at its term cap; the
+    rule then runs in its u form, which holds for every s.  Both series
+    run over the whole array in fracdg.mlseries, the package's one
+    implementation of them, one term at a time until at most a few
+    hundred points are still summing, which finish in blocks of terms;
+    scalar loops in the tests' oracles are their reference.
     The spectral integral takes a fixed tanh-sinh rule over all its
     points at once, on nodes they share; its values agree with those of
     mittag_leffler_neg_with_error, which runs quadpack per point, to a
@@ -306,13 +310,14 @@ def mittag_leffler_neg_array(order: FractionalOrder, s):
         err = _EPS * val
     else:
         val, err = np.empty(flat.size), np.empty(flat.size)
-        small = (flat > 0.0) & (flat <= 1.0)
-        val[small], err[small] = taylor_array(nu, flat[small])
-        large = np.flatnonzero(flat > 1.0)
-        v, e = asym_array(nu, flat[large])
-        spectral = ~(e <= 1e-13)
-        v[spectral], e[spectral] = _ml_spectral_fixed(nu, flat[large[spectral]])
-        val[large], err[large] = v, e
+        for side, series in (((flat > 0.0) & (flat <= 1.0), taylor_array),
+                             (flat > 1.0, asym_array)):
+            points = np.flatnonzero(side)
+            v, e = series(nu, flat[points])
+            spectral = ~(e <= 1e-13)
+            if spectral.any():
+                v[spectral], e[spectral] = _ml_spectral_fixed(nu, flat[points[spectral]])
+            val[points], err[points] = v, e
     zero = flat == 0.0
     val[zero] = 1.0
     err[zero] = 0.0

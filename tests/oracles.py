@@ -63,7 +63,7 @@ def mittag_leffler_neg(order: FractionalOrder, s: float):
 
     The branches of fracdg.special.mittag_leffler_neg_with_error, one term
     at a time in plain floats: the reference for fracdg.mlseries' array
-    loops.  Where the asymptotic estimate exceeds 1e-13 it looks up
+    loops.  Where either series' estimate exceeds 1e-13 it looks up
     special._ml_spectral_quad at call time, so a test can spy on it.
     """
     if s < 0.0:
@@ -73,9 +73,7 @@ def mittag_leffler_neg(order: FractionalOrder, s: float):
     nu = order.nu
     if nu == 1.0:
         return math.exp(-s), _EPS * math.exp(-s)
-    if s <= 1.0:
-        return _ml_taylor(nu, s)
-    val, err = _ml_asym(nu, s)
+    val, err = _ml_taylor(nu, s) if s <= 1.0 else _ml_asym(nu, s)
     if err <= 1e-13:
         return val, err
     return special._ml_spectral_quad(nu, s)

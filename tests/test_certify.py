@@ -85,11 +85,15 @@ def test_delta_direct_validation():
         delta_direct(FractionalOrder(0.5), 1.0, 0)
 
 
-def test_delta_direct_refuses_an_unconverged_mittag_leffler_value():
-    # nu = 0.001, s = 0.999: the Taylor series stops at its term cap with
-    # an estimate above 1e-9
-    with pytest.raises(QuadratureError):
-        delta_direct(FractionalOrder(0.001), 0.999, 1)
+def test_delta_direct_refuses_an_unconverged_mittag_leffler_value(monkeypatch):
+    # a stubbed estimate above 1e-9 stands in for a value the evaluator disowns
+    def disowned(order, s):
+        value, _ = special.mittag_leffler_neg_array(order, s)
+        return value, np.full_like(value, 2e-9)
+
+    monkeypatch.setattr(certify, "mittag_leffler_neg_array", disowned)
+    with pytest.raises(QuadratureError, match="2.000e-09"):
+        delta_direct(FractionalOrder(0.5), 0.999, 1)
 
 
 def test_delta_scan_validation():

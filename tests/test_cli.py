@@ -176,20 +176,30 @@ def test_quadrature_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["converge", "--quick", "--nu", "0.001", "--reference", "modal"],
-    ["delta", "--nu", "0.001", "--mu", "0.999", "--n", "1", "--oracle", "direct"],
-])
-def test_unconverged_mittag_leffler_values_exit_2(argv, tmp_path, monkeypatch, capsys):
-    # At nu = 0.001 the Taylor series stops at its term cap near s = 1 with
-    # an estimate near 1: the modal reference and the direct route refuse
-    # to print values it disowns.
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "Mittag-Leffler" in captured.err
-    assert "delta[direct]" not in captured.out
-    assert "Traceback" not in captured.out + captured.err
+def test_small_order_delta_routes_agree(capsys):
+    # At these orders the Taylor series stops at its term cap near s = 1;
+    # such points take the spectral rule, so the direct route has a value.
+    for argv in (["--nu", "0.03", "--mu", "1", "--n", "1"],
+                 ["--nu", "0.001", "--mu", "0.999", "--n", "1"]):
+        assert main(["delta", *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2].startswith("check oracle agreement:")
+        assert float(out[-2].split()[3]) <= 1e-15
+        assert out[-1] == "delta: all checks passed"
+
+
+def test_small_order_modal_reference_matches_the_transform(tmp_path, capsys):
+    # the modal reference's Mittag-Leffler values near s = 1 at nu = 0.02
+    # come from the spectral rule, where the Taylor series stops at its cap
+    tables = []
+    for reference in ("modal", "transform"):
+        out = tmp_path / reference
+        argv = ["converge", "--quick", "--nu", "0.02", "--reference", reference]
+        assert main(argv + ["--out", str(out)]) == 0
+        tables.append(np.array(read_csv(out / "error_table.csv")[1], dtype=float))
+    assert capsys.readouterr().out.endswith("converge: all checks passed\n")
+    modal, transform = (table[:, 1::2] for table in tables)  # the E columns
+    assert np.max(np.abs(modal / transform - 1.0)) <= 1e-8
 
 
 def test_delta_rejects_bad_arguments(capsys):
@@ -712,6 +722,13 @@ def test_phi_labels_the_order_with_every_digit_it_has(tmp_path, capsys, nu, labe
     rows = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("nu=")]
     assert len(rows) == 1 and rows[0].startswith(label + " phi1=")
+
+
+def test_phi_classical_order_prints_a_positive_zero_floor(tmp_path, capsys):
+    # at nu = 1 every kernel value is 0, and -0.0 printed as -0.000e+00
+    assert main(["phi", "--nu", "1", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "check kernel sign (negated floor): 0.000e+00 <= 1.000e-12 PASS" in out
 
 
 def test_phi_accepts_jobs_and_writes_the_same_bytes(tmp_path, capsys):

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracdg import exact
 from fracdg.exact import (
     KAPPA,
     constant_data_transform,
     exact_field,
     quarter_pi_coefficients,
 )
-from fracdg.special import FractionalOrder, QuadratureError, mittag_leffler_neg_with_error
+from fracdg.special import (
+    FractionalOrder,
+    QuadratureError,
+    mittag_leffler_neg_array,
+    mittag_leffler_neg_with_error,
+)
 
 DATA_NORM = 1.1107207345395916  # pi sqrt(2) / 4
 
@@ -57,10 +63,14 @@ def test_exact_field_rejects_bad_coefficients():
             exact_field(FractionalOrder(0.5), coefficients, np.array([0.0]))
 
 
-def test_exact_field_refuses_unconverged_mittag_leffler_values():
-    # nu = 0.001: near s = m^2 t^nu = 1 the Taylor series stops at its term
-    # cap, and the coefficient-weighted estimate exceeds 1e-9
-    field = exact_field(FractionalOrder(0.001), quarter_pi_coefficients(3),
+def test_exact_field_refuses_unconverged_mittag_leffler_values(monkeypatch):
+    # a stubbed estimate above 1e-9 stands in for values the evaluator disowns
+    def disowned(order, s):
+        value, _ = mittag_leffler_neg_array(order, s)
+        return value, np.full_like(value, 1e-3)
+
+    monkeypatch.setattr(exact, "mittag_leffler_neg_array", disowned)
+    field = exact_field(FractionalOrder(0.5), quarter_pi_coefficients(3),
                         np.array([0.0, 0.5]))
     with pytest.raises(QuadratureError):
         field(np.array([0.25, 0.5]))

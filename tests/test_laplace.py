@@ -25,26 +25,16 @@ def unit_spec():
 
 
 def test_spec_validation():
-    good = ContourSpec.for_window(0.5, 2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(node_count=10, scale=good.scale, angle=good.angle,
-                    step=good.step, t_min=0.5, t_max=2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(node_count=7, scale=good.scale, angle=good.angle,
-                    step=good.step, t_min=0.5, t_max=2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(node_count=11, scale=-1.0, angle=good.angle,
-                    step=good.step, t_min=0.5, t_max=2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(node_count=11, scale=good.scale, angle=2.0,
-                    step=good.step, t_min=0.5, t_max=2.0)
-    with pytest.raises(ValueError):
-        ContourSpec(node_count=11, scale=good.scale, angle=good.angle,
-                    step=good.step, t_min=2.0, t_max=0.5)
-    for step in (0.0, -good.step):
-        with pytest.raises(ValueError, match="step must be positive"):
-            ContourSpec(node_count=11, scale=good.scale, angle=good.angle,
-                        step=step, t_min=0.5, t_max=2.0)
+    # a spec built directly is checked like a tuned one
+    assert ContourSpec(0.5, 2.0, 4).half == 4
+    for t_min, t_max in ((2.0, 0.5), (0.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="bad time window"):
+            ContourSpec(t_min, t_max, 11)
+    with pytest.raises(ValueError, match="exceeds 50"):
+        ContourSpec(0.01, 0.51, 11)
+    for half in (3, 0, -5):
+        with pytest.raises(ValueError, match="half must be >= 4"):
+            ContourSpec(0.5, 2.0, half)
 
 
 def test_window_tuning_rejects_bad_windows_and_tolerances():
@@ -63,13 +53,29 @@ def test_for_window_rejects_wide_ratio():
         ContourSpec.for_window(0.01, 0.51)
     # ratio exactly 50 is allowed
     spec = ContourSpec.for_window(0.01, 0.5)
-    assert spec.node_count % 2 == 1
-    assert spec.node_count >= 9
+    assert spec.half >= 4
+
+
+def test_derived_step_and_scale_reproduce_the_tuned_contour_bits():
+    # z and z' at k = 0, 1 and K, recorded when step, scale and the angle
+    # were stored fields of the spec
+    spec = ContourSpec.for_window(0.02, 0.5)
+    assert spec.half == 43
+    z, dz = contour_nodes(spec)
+    got = [(v.real.hex(), v.imag.hex()) for k in (0, 1, 43) for v in (z[k], dz[k])]
+    assert got == [
+        ("0x1.34114d82b446fp+3", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.7d365a4a678b5p+5"),
+        ("0x1.28b6fa30af4b9p+3", "0x1.e374102e2b5bfp+1"),
+        ("-0x1.1ee9334859274p+3", "0x1.7e686e3178dcap+5"),
+        ("-0x1.8b796388eaa08p+10", "0x1.664143352f4eap+9"),
+        ("-0x1.a9389247a3a3bp+10", "0x1.670bdbf305fc8p+9"),
+    ]
 
 
 def test_nodes_shape_and_symmetry(unit_spec):
     z, dz = contour_nodes(unit_spec)
-    assert z.shape == dz.shape == (unit_spec.half_count + 1,)
+    assert z.shape == dz.shape == (unit_spec.half + 1,)
     # node 0 sits on the real axis; the rest climb into the upper half plane
     assert abs(z[0].imag) < 1e-14
     assert np.all(np.diff(z.imag) > 0.0)
@@ -275,7 +281,7 @@ def test_inverter_builds_one_window_table_at_a_time():
     rates = np.geomspace(0.5, 50.0, 5000)
     chain = window_chain(1.0 / 1280.0, 0.5)
     assert len(chain) == 3
-    table_bytes = max(2 * (spec.half_count + 1) * rates.size * 8 for spec in chain)
+    table_bytes = max(2 * (spec.half + 1) * rates.size * 8 for spec in chain)
     times = np.arange(1, 641) / 1280.0
     tracemalloc.start()
     try:
@@ -295,7 +301,7 @@ def test_inverter_rebuilds_a_window_to_the_same_bits():
     times = np.arange(1, 641) / 1280.0
     chunks = [times[lo:lo + 16] for lo in range(0, times.size, 16)]
     ascending = [evaluate(t) for t in chunks]
-    nodes = [spec.half_count + 1 for spec in chain]
+    nodes = [spec.half + 1 for spec in chain]
     assert len(calls) == sum(nodes)
     # back down from the last window: the first two are built again, once
     # each, as every call serves the held window's times first
@@ -311,7 +317,7 @@ def test_inverter_calls_the_transform_once_per_node_in_ascending_order():
     evaluate = inverter(transform, chain)
     assert calls == []  # no table is built before a time needs it
     evaluate(chain[0].t_min)
-    assert len(calls) == chain[0].half_count + 1
+    assert len(calls) == chain[0].half + 1
     # the chain's levels in order, in calls that span two windows
     for lo in range(0, 640, 64):
         evaluate(np.arange(lo + 1, lo + 65) / 1280.0)

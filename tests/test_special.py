@@ -263,6 +263,24 @@ def test_mittag_leffler_fixed_rule_matches_multiprecision(nu, monkeypatch):
         assert e <= 1e-13, s
 
 
+@pytest.mark.parametrize("nu", [0.001, 0.01, 0.02, 0.03])
+def test_mittag_leffler_taylor_side_falls_back_to_the_fixed_rule(nu, monkeypatch):
+    # Near s = 1 at small nu the Taylor series stops at its term cap with
+    # estimates from 4e-11 to 1; those points take the fixed rule, as the
+    # asymptotic side's do, and so do the per-point evaluator's.
+    mpmath = pytest.importorskip("mpmath")
+    order = FractionalOrder(nu)
+    s = np.array([0.99, 1.0])
+    assert np.all(mlseries.taylor_array(nu, s)[1] > 1e-13)
+    fixed = spy(monkeypatch, "_ml_spectral_fixed")
+    values, errors = mittag_leffler_neg_array(order, s)
+    assert fixed == {0.99, 1.0}
+    for x, v, e in zip(s, values, errors):
+        assert e <= 1e-13, x
+        assert abs(v - ml_talbot(mpmath, nu, x)) <= e, x
+        assert mittag_leffler_neg_with_error(order, float(x)) == (v, e)
+
+
 @pytest.mark.parametrize("nu", [0.51, 0.6, 0.75, 0.9, 0.95, 0.99, 0.999])
 def test_mittag_leffler_phi_spectral_points_match_multiprecision(nu, monkeypatch):
     # the spectral points phi's scan actually makes, from narrow peaks

@@ -4,7 +4,7 @@ Subcommands: ``converge`` (graded-mesh Galerkin run against the contour
 or modal reference, weighted error table plus per-step error curves;
 checks that the weighted errors are finite and positive, and on the
 default study their baseline; the data and mesh are even in x, so it
-solves the even half x >= 0, with the centre node free, and counts that
+solves on the half interval [0, 1], with x = 0 free, and counts that
 half twice in the error norm, while ``--M`` still counts the
 subintervals of (-1, 1)), ``phi`` (weighted suprema of the error
 kernel over an order grid; checks their bound and the kernel's sign),
@@ -49,7 +49,7 @@ from .certify import (
     weighted_error_table,
 )
 from .exact import KAPPA, constant_data_transform, exact_field, quarter_pi_coefficients
-from .fem1d import assemble, fold_even, graded_mesh, l2_project
+from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
 from .laplace import inverter, window_chain
 from .special import FractionalOrder, QuadratureError
 from .stepping import TimeGrid, step_galerkin
@@ -200,9 +200,9 @@ def run_convergence(config: RunConfig):
     Returns (table, samples) where samples maps N, in ascending order, to
     its (t, error) arrays over the window (0, 1/2].  The data pi/4 and the
     graded mesh are even in x, and so is every Galerkin solution: the runs
-    step the system folded onto x >= 0 (fem1d.fold_even, M/2 DOFs with the
-    centre node free), the reference is evaluated at the Gauss points of
-    x >= 0 only, and the error norm counts that half twice.  The reference
+    step the system of the half interval [0, 1] (fem1d, M/2 DOFs with the
+    node x = 0 free), the reference is evaluated at the Gauss points of
+    [0, 1] only, and the error norm counts that half twice.  The reference
     is built once, for the times from 1/max(N) on, which hold every run's
     levels: the transform route's window chain is tuned to the same
     _CONTOUR_TOL throughout (a window's table is built when the pass below
@@ -217,14 +217,14 @@ def run_convergence(config: RunConfig):
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
-    even = fold_even(assemble(KAPPA, mesh), mesh)
-    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[even.dofs]
-    pts = even.points
+    mats = assemble(KAPPA, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
+    pts = gauss_points(mesh)[0]
     reference = _reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
 
     chain = config.n_list[::-1]
     grids = [TimeGrid(1.0 / n, n // 2) for n in chain]
-    stacked = step_galerkin(order, even.mats.mass, even.mats.stiff, grids, u0)
+    stacked = step_galerkin(order, mats.mass, mats.stiff, grids, u0)
     runs = np.split(stacked, np.cumsum([g.n_steps + 1 for g in grids[:-1]]))
     half = grids[0].n_steps
     times = grids[0].dt * np.arange(1, half + 1)
@@ -239,8 +239,8 @@ def run_convergence(config: RunConfig):
             # levels lo/2^s + 1 .. hi/2^s of run s are the finest run's
             # levels lo + 2^s .. hi in steps of 2^s
             stride = 2 ** s
-            err.append(even.error(run[lo // stride + 1:hi // stride + 1],
-                                  ref[stride - 1::stride]))
+            err.append(l2_error_from_values(run[lo // stride + 1:hi // stride + 1],
+                                            mesh, ref[stride - 1::stride]))
     samples = {n: (times[2 ** s - 1::2 ** s], np.concatenate(err))
                for s, (n, err) in enumerate(zip(chain, errors))}
     samples = dict(sorted(samples.items()))

@@ -9,11 +9,15 @@ which step_spectral runs for every mode of an eigenmode expansion and
 every order of a sequence at once, each order's columns a group with its
 own weights (the scalar recurrence is one order and one column), and
 the Galerkin matrix form
-(M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j,
+
+    (M + beta_0 dt^nu K) U^n = M U^{n-1} - dt^nu K sum beta_{n-j} U^j,
+
 which step_galerkin runs on the tridiagonal M and K with LAPACK's
 kernels, in a form that needs no product by K, for a chain of time
 grids, finest first, as the blocks of one block-diagonal system.  Both
-run in one time loop, which sums the stored trajectory.  The history sum goes in tiles of _TILE future steps: one pass over the
+run in one time loop, which sums the stored trajectory.
+
+The history sum goes in tiles of _TILE future steps: one pass over the
 stored rows at the start of a tile serves every step of the tile.  The
 per-step work runs once over the columns of every group still stepping;
 the per-tile contractions run per group, so each order's or grid's

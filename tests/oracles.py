@@ -6,7 +6,11 @@ package computes another way; the tests check the package against them.
 
 import math
 
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+
 from fracdg import special
+from fracdg.fem1d import SymTridiagonal
 from fracdg.special import _EPS, FractionalOrder, QuadratureError, _one_m_exp, _quad
 
 
@@ -119,3 +123,53 @@ def symbol_integral(order: FractionalOrder, z: complex) -> complex:
     pref = order.sin_pi / math.pi
     return pref * complex(re0 + re1, im0 + im1)
 
+
+class FullDomain:
+    """The P1 system of the whole of (-1, 1) on a mirrored mesh of [0, 1].
+
+    The nodes are -x_K, ..., -x_1, 0, x_1, ..., x_K, with both ends
+    Dirichlet and no use of a field's symmetry: the 2K - 1 interior
+    nodes' mass and (kappa-weighted) stiffness, each element's 4-point
+    Gauss rule, and the L2 norm over (-1, 1).
+    """
+
+    def __init__(self, mesh, kappa):
+        x = np.concatenate([-mesh.nodes[:0:-1], mesh.nodes])
+        h = np.diff(x)
+        self.nodes = x
+        self.mass = SymTridiagonal((h[:-1] + h[1:]) / 3.0, h[1:-1] / 6.0)
+        self.stiff = SymTridiagonal(kappa * (1.0 / h[:-1] + 1.0 / h[1:]),
+                                    -kappa / h[1:-1])
+        ref, wref = leggauss(4)
+        self.local = 0.5 * (ref + 1.0)
+        self.points = x[:-1, None] + h[:, None] * self.local
+        self.weights = 0.5 * h[:, None] * wref
+
+    @staticmethod
+    def mirror(coeffs):
+        """The interior values of an even field from its values at x_0..x_{K-1}."""
+        return np.concatenate([coeffs[..., :0:-1], coeffs], axis=-1)
+
+    def project_constant(self, c):
+        """Interior coefficients of the L2 projection of the constant c."""
+        h = np.diff(self.nodes)
+        return self.mass.solver()(c * 0.5 * (h[:-1] + h[1:]))  # hat integrals
+
+    def squares(self, coeffs, ref_values):
+        """weights * (P1 field - reference)^2 at every Gauss point.
+
+        Stacked levels lead both arguments; ref_values is in the layout of
+        ``points``.
+        """
+        pad = np.zeros(coeffs.shape[:-1] + (1,))
+        vals = np.concatenate([pad, coeffs, pad], axis=-1)
+        sq = vals[..., :-1, None] * (1.0 - self.local)
+        sq += vals[..., 1:, None] * self.local
+        sq -= ref_values
+        sq *= sq
+        sq *= self.weights
+        return sq
+
+    def error(self, coeffs, ref_values):
+        """L2 norm over (-1, 1) of (P1 field - reference), one per level."""
+        return np.sqrt(np.sum(self.squares(coeffs, ref_values), axis=(-2, -1)))

@@ -15,7 +15,6 @@ from fracdg.cli import RunConfig, main, run_convergence
 from fracdg.exact import KAPPA, constant_data_transform
 from fracdg.fem1d import (
     assemble,
-    fold_even,
     gauss_points,
     graded_mesh,
     l2_error_from_values,
@@ -24,6 +23,7 @@ from fracdg.fem1d import (
 from fracdg.laplace import inverter, window_chain
 from fracdg.special import FractionalOrder, QuadratureError
 from fracdg.stepping import TimeGrid, step_galerkin
+from oracles import FullDomain
 
 META_RE = re.compile(r"^# fracdg v0\.1\.0 config=[0-9a-f]{12}$")
 
@@ -381,18 +381,18 @@ def test_converge_shares_one_modal_reference(monkeypatch):
 
 def one_run_at_a_time(config):
     # The convergence loop with each run stepped and measured alone, on
-    # the folded system: its own reference calls at the Gauss points of
-    # x >= 0, _REFERENCE_VALUES values' worth of its levels at a time.
+    # the half system: its own reference calls at the Gauss points of
+    # [0, 1], _REFERENCE_VALUES values' worth of its levels at a time.
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
-    even = fold_even(assemble(KAPPA, mesh), mesh)
-    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)[even.dofs]
-    pts = even.points
+    mats = assemble(KAPPA, mesh)
+    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)
+    pts = gauss_points(mesh)[0]
     samples, reference = {}, None
     for n_steps in reversed(config.n_list):
         dt = 1.0 / n_steps
         half = n_steps // 2
-        solution = step_galerkin(order, even.mats.mass, even.mats.stiff,
+        solution = step_galerkin(order, mats.mass, mats.stiff,
                                  [TimeGrid(dt, half)], u0)
         times = dt * np.arange(1, half + 1)
         if reference is None:
@@ -402,8 +402,8 @@ def one_run_at_a_time(config):
         for lo in range(0, half, chunk):
             hi = min(lo + chunk, half)
             ref = reference(times[lo:hi])
-            errors[lo:hi] = even.error(
-                solution[lo + 1:hi + 1], ref.reshape((hi - lo,) + pts.shape))
+            errors[lo:hi] = l2_error_from_values(
+                solution[lo + 1:hi + 1], mesh, ref.reshape((hi - lo,) + pts.shape))
         samples[n_steps] = (times, errors)
     return dict(sorted(samples.items()))
 
@@ -413,25 +413,24 @@ def full_domain_run(config):
     # field's symmetry: every interior DOF stepped, the reference at every
     # Gauss point, one call per run.
     order = FractionalOrder(config.nu)
-    mesh = graded_mesh(config.m_intervals, config.gamma)
-    mats = assemble(KAPPA, mesh)
-    u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)
-    pts = gauss_points(mesh)[0]
+    full = FullDomain(graded_mesh(config.m_intervals, config.gamma), KAPPA)
+    u0 = full.project_constant(0.25 * np.pi)
+    pts = full.points
     reference = cli._reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
     samples = {}
     for n_steps in config.n_list:
         half = n_steps // 2
-        solution = step_galerkin(order, mats.mass, mats.stiff,
+        solution = step_galerkin(order, full.mass, full.stiff,
                                  [TimeGrid(1.0 / n_steps, half)], u0)
         times = (1.0 / n_steps) * np.arange(1, half + 1)
         ref = reference(times).reshape((half,) + pts.shape)
-        samples[n_steps] = (times, l2_error_from_values(solution[1:], mesh, ref))
+        samples[n_steps] = (times, full.error(solution[1:], ref))
     return samples
 
 
 @pytest.mark.parametrize("reference", ["transform", "modal"])
 def test_folded_study_matches_the_full_domain_run(reference):
-    # The fold moves the errors by the stepping's own round-off only: the
+    # The half interval moves the errors by round-off only: the
     # full-domain trajectory is even to about 1e-14 of max|U|, against
     # errors near 1e-4 of it.
     config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
@@ -654,7 +653,8 @@ def test_csv_workflows_do_not_load_sparse(footprint):
 
 
 def test_converge_on_the_smallest_system(tmp_path, capsys):
-    # M = 4 subintervals, three DOF, is the smallest mesh converge accepts
+    # M = 4 subintervals of (-1, 1), two DOF on [0, 1], is the smallest
+    # mesh converge accepts
     assert main(["converge", "--M", "4", "--N", "2,4", "--out", str(tmp_path)]) == 0
     header, rows = read_csv(tmp_path / "error_table.csv")
     assert [int(r[0]) for r in rows] == [2, 4]

@@ -17,12 +17,12 @@ from fracdg.fem1d import (
     Mesh1D,
     SymTridiagonal,
     assemble,
-    fold_even,
     gauss_points,
     graded_mesh,
     l2_error_from_values,
     l2_project,
 )
+from oracles import FullDomain
 
 
 def dense(mat):
@@ -31,19 +31,19 @@ def dense(mat):
 
 
 def p1_function(mesh, coeffs):
-    # piecewise-linear interpolant with zero boundary values
-    padded = np.concatenate([[0.0], coeffs, [0.0]])
+    # piecewise-linear interpolant with a zero at x = 1
+    padded = np.concatenate([coeffs, [0.0]])
     return lambda x: np.interp(x, mesh.nodes, padded)
 
 
 def test_graded_mesh_small_example():
     mesh = graded_mesh(4, 2.0)
-    assert np.allclose(mesh.nodes, [-1.0, -0.75, 0.0, 0.75, 1.0], atol=0)
+    assert np.allclose(mesh.nodes, [0.0, 0.75, 1.0], atol=0)
 
 
 def test_graded_mesh_uniform_case():
     mesh = graded_mesh(8, 1.0)
-    assert np.allclose(mesh.nodes, np.linspace(-1.0, 1.0, 9), atol=1e-15)
+    assert np.allclose(mesh.nodes, np.linspace(0.0, 1.0, 5), atol=1e-15)
 
 
 def test_graded_mesh_validation():
@@ -51,28 +51,36 @@ def test_graded_mesh_validation():
         graded_mesh(5, 2.0)   # odd subinterval count
     with pytest.raises(ValueError):
         graded_mesh(4, 0.5)   # grading below 1 coarsens the boundary
+    with pytest.raises(ValueError, match="gamma"):
+        graded_mesh(8, math.nan)
 
 
 def test_mesh_symmetry_and_spacing():
+    # graded_mesh(M) is the x >= 0 half of a mesh of (-1, 1) with M cells
     for gamma in (1.0, 2.0, 3.0, 4.5):
         mesh = graded_mesh(64, gamma)
         h = mesh.spacings
-        assert np.all(h > 0.0)
-        assert np.allclose(mesh.nodes + mesh.nodes[::-1], 0.0, atol=1e-15)
+        assert len(h) == 32 and np.all(h > 0.0)
+        full = FullDomain(mesh, KAPPA).nodes
+        assert len(full) == 65 and np.array_equal(full, -full[::-1])
         if gamma > 1.0:
-            # cells shrink toward the endpoints
-            assert h[0] < h[len(h) // 2]
+            # cells shrink toward the endpoint x = 1
+            assert h[-1] < h[0]
 
 
 def test_mesh_type_validation():
     with pytest.raises(ValueError):
-        Mesh1D(np.array([-1.0, 0.5, 1.0, 2.0]))  # even node count
+        Mesh1D(np.array([1.0]))  # no interval
     with pytest.raises(ValueError):
-        Mesh1D(np.array([-1.0, 0.5, 0.25, 0.75, 1.0]))  # not increasing
+        Mesh1D(np.array([[0.0, 1.0]]))  # not a vector
     with pytest.raises(ValueError):
-        Mesh1D(np.array([-0.9, -0.5, 0.0, 0.5, 0.9]))  # wrong span
-    with pytest.raises(ValueError, match="symmetric"):
-        Mesh1D(np.array([-1.0, -0.5, 0.1, 0.5, 1.0]))
+        Mesh1D(np.array([0.0, 0.5, 0.25, 0.75, 1.0]))  # not increasing
+    with pytest.raises(ValueError, match="span"):
+        Mesh1D(np.array([0.1, 0.5, 0.9]))  # wrong span
+    with pytest.raises(ValueError, match="span"):
+        Mesh1D(np.array([-1.0, 0.0, 1.0]))  # the whole of (-1, 1)
+    with pytest.raises(ValueError, match="increasing"):
+        Mesh1D(np.array([0.0, math.nan, 1.0]))
 
 
 def test_uniform_assembly_closed_forms():
@@ -81,9 +89,11 @@ def test_uniform_assembly_closed_forms():
     mats = assemble(KAPPA, mesh)
     stiff = dense(mats.stiff)
     mass = dense(mats.mass)
-    assert np.allclose(np.diag(stiff), 2.0 * KAPPA / h, atol=1e-14)
+    assert stiff.shape == mass.shape == (4, 4)
+    cells = np.array([1.0, 2.0, 2.0, 2.0])  # elements at each free node
+    assert np.allclose(np.diag(stiff), cells * KAPPA / h, atol=1e-14)
     assert np.allclose(np.diag(stiff, 1), -KAPPA / h, atol=1e-14)
-    assert np.allclose(np.diag(mass), 2.0 * h / 3.0, atol=1e-16)
+    assert np.allclose(np.diag(mass), cells * h / 3.0, atol=1e-16)
     assert np.allclose(np.diag(mass, 1), h / 6.0, atol=1e-16)
     assert np.allclose(stiff, stiff.T, atol=0)
     assert np.allclose(mass, mass.T, atol=0)
@@ -101,20 +111,23 @@ def test_assembly_rejects_bad_diffusivity():
         assemble(0.0, mesh)
     with pytest.raises(ValueError):
         assemble(-2.0, mesh)
+    with pytest.raises(ValueError):
+        assemble(math.nan, mesh)
 
 
 def test_first_eigenvalue_converges_to_one():
+    # the even modes cos(k pi x / 2), k odd, have eigenvalues k^2
     mesh = graded_mesh(128, 1.0)
     mats = assemble(KAPPA, mesh)
     w = eigh(dense(mats.stiff), dense(mats.mass), eigvals_only=True)
     assert abs(w[0] - 1.0) <= 1e-3
-    assert abs(w[1] - 4.0) <= 1e-2
+    assert abs(w[1] - 9.0) <= 1e-2
 
 
 def test_gauss_points_integrate_polynomials():
     mesh = graded_mesh(16, 2.0)
     pts, wts, _ = gauss_points(mesh, order=4)
-    for power, exact in ((0, 2.0), (2, 2.0 / 3.0), (6, 2.0 / 7.0)):
+    for power, exact in ((0, 1.0), (2, 1.0 / 3.0), (6, 1.0 / 7.0)):
         got = float(np.sum(wts * pts ** power))
         assert got == pytest.approx(exact, rel=1e-13)
 
@@ -122,7 +135,7 @@ def test_gauss_points_integrate_polynomials():
 def test_projection_reproduces_members_of_the_space():
     mesh = graded_mesh(32, 3.0)
     rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal(mesh.n_intervals - 1)
+    coeffs = rng.standard_normal(mesh.n_intervals)
     f = p1_function(mesh, coeffs)
     back = l2_project(f, mesh)
     assert np.max(np.abs(back - coeffs)) <= 1e-11
@@ -142,7 +155,7 @@ def test_projection_error_decays_quadratically():
 
 def test_error_against_zero_recovers_norms():
     mesh = graded_mesh(64, 2.0)
-    zero = np.zeros(mesh.n_intervals - 1)
+    zero = np.zeros(mesh.n_intervals)
     # ||1|| over (-1, 1) = sqrt(2); ||phi_1|| = 1
     const = l2_error_from_values(zero, mesh, np.ones_like(gauss_points(mesh)[0]))
     assert const == pytest.approx(math.sqrt(2.0), rel=1e-13)
@@ -165,7 +178,7 @@ def test_stacked_levels_equal_single_calls_bitwise():
     mesh = graded_mesh(40, 3.0)
     pts = gauss_points(mesh)[0]
     rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal((7, mesh.n_intervals - 1))
+    coeffs = rng.standard_normal((7, mesh.n_intervals))
     refs = rng.standard_normal((7,) + pts.shape)
     stacked = l2_error_from_values(coeffs, mesh, refs)
     assert stacked.shape == (7,)
@@ -179,14 +192,13 @@ def broadcast_error(coeffs, mesh, ref_values):
     # the error norm with its two products broadcast over the Gauss axis
     _, weights, local = gauss_points(mesh)
     c = np.asarray(coeffs, dtype=float)
-    pad = np.zeros(c.shape[:-1] + (1,))
-    vals = np.concatenate([pad, c, pad], axis=-1)
+    vals = np.concatenate([c, np.zeros(c.shape[:-1] + (1,))], axis=-1)
     sq = vals[..., :-1, None] * (1.0 - local)
     sq += vals[..., 1:, None] * local
     sq -= ref_values
     sq *= sq
     sq *= weights
-    return np.sqrt(np.sum(sq, axis=(-2, -1)))
+    return np.sqrt(2.0 * np.sum(sq, axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("levels", [1, 7, 16])
@@ -194,7 +206,7 @@ def test_error_products_per_gauss_point_equal_the_broadcast_bitwise(levels):
     mesh = graded_mesh(250, 3.0)
     pts = gauss_points(mesh)[0]
     rng = np.random.default_rng(levels)
-    coeffs = rng.standard_normal((levels, mesh.n_intervals - 1))
+    coeffs = rng.standard_normal((levels, mesh.n_intervals))
     refs = rng.standard_normal((2 * levels,) + pts.shape)
     for ref in (refs[:levels], refs[1::2], refs[::2]):
         got = l2_error_from_values(coeffs, mesh, ref)
@@ -221,82 +233,82 @@ def test_gauss_data_is_cached_read_only_and_equal_to_a_fresh_build(order):
     assert gauss_points(graded_mesh(40, 3.0), order) is not rule
 
 
-def test_fold_keeps_the_centre_on_and_halves_its_diagonal_entries():
-    mesh = graded_mesh(40, 3.0)
+@pytest.mark.parametrize("m", [4, 80, 250, 1000])
+def test_half_system_is_the_full_one_with_the_centre_row_halved_bitwise(m):
+    # The full system's equations for the DOFs x >= 0, the centre row
+    # halved; the Gauss rule and the norm of its elements x >= 0, that
+    # half counted twice.
+    mesh = graded_mesh(m, 3.0)
     mats = assemble(KAPPA, mesh)
-    even = fold_even(mats, mesh)
-    centre = mesh.n_intervals // 2 - 1
-    assert mesh.nodes[centre + 1] == 0.0
-    assert even.dofs == slice(centre, None) and even.mesh is mesh
-    for full, folded in ((mats.mass, even.mats.mass), (mats.stiff, even.mats.stiff)):
-        assert len(folded.diag) == mesh.n_intervals // 2
-        assert folded.diag[0] == 0.5 * full.diag[centre]
-        assert np.array_equal(folded.diag[1:], full.diag[centre + 1:])
-        assert np.array_equal(folded.off, full.off[centre:])
-    assert np.array_equal(even.points, gauss_points(mesh)[0][mesh.n_intervals // 2:])
-    assert not even.points.flags.writeable
+    full = FullDomain(mesh, KAPPA)
+    centre = m // 2 - 1
+    assert full.nodes[centre + 1] == 0.0
+    for half, whole in ((mats.mass, full.mass), (mats.stiff, full.stiff)):
+        assert len(half.diag) == m // 2
+        assert half.diag[0] == 0.5 * whole.diag[centre]
+        assert np.array_equal(half.diag[1:], whole.diag[centre + 1:])
+        assert np.array_equal(half.off, whole.off[centre:])
+    points, weights, _ = gauss_points(mesh)
+    assert np.array_equal(points, full.points[m // 2:])
+    assert np.array_equal(weights, full.weights[m // 2:])
+    rng = np.random.default_rng(m)
+    coeffs = rng.standard_normal((5, m // 2))
+    refs = rng.standard_normal((5,) + full.points.shape)
+    right = full.squares(full.mirror(coeffs), refs)[:, m // 2:]
+    want = np.sqrt(2.0 * np.sum(np.ascontiguousarray(right), axis=(-2, -1)))
+    assert np.array_equal(l2_error_from_values(coeffs, mesh, refs[:, m // 2:]), want)
 
 
 @pytest.mark.parametrize("m, gamma, nu, n_steps, dt", [
-    (40, 3.0, 0.75, 160, 1.0 / 320),     # 39 DOF, direct history sum
-    (250, 3.0, 0.3, 2560, 1.0 / 5120),   # 249 DOF, far sums
-    (1000, 3.0, 0.75, 640, 1.0 / 1280),  # 999 DOF, far sums
-    (4, 1.0, 0.5, 20, 1.0 / 40),         # 3 DOF, two of them kept
+    (40, 3.0, 0.75, 160, 1.0 / 320),     # 20 DOF (39 full), direct history sum
+    (250, 3.0, 0.3, 2560, 1.0 / 5120),   # 125 DOF (249 full), far sums
+    (1000, 3.0, 0.75, 640, 1.0 / 1280),  # 500 DOF (999 full), far sums
+    (4, 1.0, 0.5, 20, 1.0 / 40),         # 2 DOF (3 full)
 ])
 def test_folded_trajectory_is_the_right_half_of_the_full_one(m, gamma, nu, n_steps, dt):
-    # The converge study's data pi/4, stepped on both systems.
+    # The converge study's data pi/4, stepped on the half system and on
+    # the whole of (-1, 1), each projected on its own.
     order = FractionalOrder(nu)
     mesh = graded_mesh(m, gamma)
     mats = assemble(KAPPA, mesh)
-    even = fold_even(mats, mesh)
+    full = FullDomain(mesh, KAPPA)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(dt, n_steps)
-    full = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
-    folded = step_galerkin(order, even.mats.mass, even.mats.stiff, [grid], u0[even.dofs])
-    assert folded.shape == (n_steps + 1, m // 2)
-    gap = np.max(np.abs(folded - full[:, even.dofs]))
+    whole = step_galerkin(order, full.mass, full.stiff, [grid],
+                          full.project_constant(0.25 * math.pi))
+    half = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
+    assert half.shape == (n_steps + 1, m // 2)
+    gap = np.max(np.abs(half - whole[:, m // 2 - 1:]))
     assert gap <= 1e-12 * np.max(np.abs(u0)), gap
 
 
 def test_half_norm_equals_the_norm_of_the_mirrored_field():
     mesh = graded_mesh(40, 3.0)
-    even = fold_even(assemble(KAPPA, mesh), mesh)
+    full = FullDomain(mesh, KAPPA)
+    points = gauss_points(mesh)[0]
     rng = np.random.default_rng(11)
-    half = rng.standard_normal((5, mesh.n_intervals // 2))
-    mirrored = np.concatenate([half[:, :0:-1], half], axis=1)
+    half = rng.standard_normal((5, mesh.n_intervals))
     f = lambda x: np.cos(0.5 * math.pi * x) + x ** 2
     levels = np.arange(1.0, 6.0)[:, None, None]
-    got = even.error(half, levels * f(even.points))
-    want = l2_error_from_values(mirrored, mesh, levels * f(gauss_points(mesh)[0]))
+    got = l2_error_from_values(half, mesh, levels * f(points))
+    want = full.error(full.mirror(half), levels * f(full.points))
     assert got.shape == (5,)
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
-    one = even.error(half[2], levels[2] * f(even.points))
+    one = l2_error_from_values(half[2], mesh, levels[2] * f(points))
     assert isinstance(one, float) and one == got[2]
     with pytest.raises(ValueError):
-        even.error(mirrored, levels * f(even.points))
-
-
-def test_fold_rejects_meshes_that_do_not_mirror_exactly():
-    nodes = graded_mesh(8, 2.0).nodes.copy()
-    nodes[1:-1] += 4e-15  # within Mesh1D's symmetry tolerance; no node at 0
-    shifted = Mesh1D(nodes)
-    with pytest.raises(ValueError, match="mirror exactly"):
-        fold_even(assemble(KAPPA, shifted), shifted)
-    mesh = graded_mesh(8, 2.0)
-    with pytest.raises(ValueError, match="interior nodes"):
-        fold_even(assemble(KAPPA, graded_mesh(10, 2.0)), mesh)
+        l2_error_from_values(full.mirror(half), mesh, levels * f(points))
 
 
 @given(m=st.sampled_from([8, 16, 32]), gamma=st.floats(1.0, 5.0))
 @settings(max_examples=30, deadline=None)
 def test_mass_matrix_total_weight(m, gamma):
-    # row sums of the mass matrix against the hat-function integrals;
-    # the rows next to the boundary miss the eliminated boundary hats
+    # row sums of the mass matrix against the hat-function integrals over
+    # [0, 1]; the last row misses the eliminated hat at x = 1
     mesh = graded_mesh(m, gamma)
     mats = assemble(1.0, mesh)
     h = mesh.spacings
-    want = 0.5 * (h[:-1] + h[1:])
-    want[0] -= h[0] / 6.0
+    want = 0.5 * (np.concatenate([[0.0], h[:-1]]) + h)
     want[-1] -= h[-1] / 6.0
     got = dense(mats.mass).sum(axis=1)
     assert np.allclose(got, want, rtol=1e-13)
@@ -331,12 +343,22 @@ def test_tridiagonal_solver_rejects_indefinite(diag, off):
         SymTridiagonal(diag, off).solver()
 
 
-@pytest.mark.parametrize("m", [2, 4])  # one DOF and three DOF
+@pytest.mark.parametrize("diag, off, pivot", [
+    ([math.nan], [], 1), ([math.nan, 1.0], [0.0], 1), ([1.0, 1.0], [math.nan], 2),
+    ([1.0, math.nan, 1.0], [0.0, 0.0], 2)])
+def test_tridiagonal_solver_rejects_nan_pivots(diag, off, pivot):
+    # LAPACK's test d <= 0 lets a NaN pivot through
+    with pytest.raises(ValueError, match=f"pivot {pivot}"):
+        SymTridiagonal(diag, off).solver()
+
+
+@pytest.mark.parametrize("m", [2, 4])  # one DOF and two DOF
 def test_projection_on_smallest_meshes_matches_dense_solve(m):
-    # a constant's load vector is c times the hat integrals (h_i + h_{i+1})/2
+    # a constant's load vector is c times the hat integrals over [0, 1],
+    # (h_{i-1} + h_i)/2 with h_{-1} = 0
     mesh = graded_mesh(m, 2.0)
     h = mesh.spacings
-    load = 0.25 * math.pi * 0.5 * (h[:-1] + h[1:])
+    load = 0.25 * math.pi * 0.5 * (np.concatenate([[0.0], h[:-1]]) + h)
     want = np.linalg.solve(dense(assemble(1.0, mesh).mass), load)
     got = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     assert np.allclose(got, want, rtol=1e-14, atol=0)

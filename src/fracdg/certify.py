@@ -5,12 +5,11 @@ with unit data and unit step (only mu = lam dt^nu enters, so this loses
 no generality).  The harness computes it by two independent routes (the
 recurrence itself, and a fixed tanh-sinh rule on its branch-cut integral
 representation), scans it over a (mu, n) grid, extracts the weighted
-suprema Phi_1/Phi_2, checks the inequalities the bound's proof rests
-on, and turns per-run error samples into weighted convergence tables.
-The scan and the sweep take a list of orders, which share one spectral
-run with the bits of their own, and scan MU_GRID by default; the scan
-yields each order's rho = mu n^nu, delta and Mittag-Leffler error
-grids.  The direct route refuses a Mittag-Leffler estimate above 1e-9.
+suprema Phi_1/Phi_2, and checks the inequalities the bound's proof
+rests on.  The scan and the sweep take a list of orders, which share
+one spectral run with the bits of their own, and scan MU_GRID by
+default; the scan yields each order's rho = mu n^nu, delta and
+Mittag-Leffler error grids.  The direct route refuses a Mittag-Leffler estimate above 1e-9.
 The ratio to the bound |delta| <= C n^{-1} min(rho^2, 1/rho) is formed
 by the acceptance test of criterion 2.  Built-in checks are ``Check``
 records, which the command line prints and turns into its exit status;
@@ -40,7 +39,6 @@ __all__ = [
     "Check",
     "PhiSweep",
     "LemmaScan",
-    "ErrorTable",
     "MU_GRID",
     "delta_direct",
     "delta_contour",
@@ -50,7 +48,6 @@ __all__ = [
     "lemma_scan_bounds",
     "resolvent_ratio_max",
     "symbol_checks",
-    "weighted_error_table",
 ]
 
 @dataclass(frozen=True)
@@ -349,56 +346,3 @@ def symbol_checks() -> list:
             worst = max(worst, abs(r0 / r1 / target - 1.0))
     checks.append(Check("origin expansion halving ratio dev", worst, 0.15))
     return checks
-
-
-@dataclass(frozen=True)
-class ErrorTable:
-    """Weighted errors E_N and observed rates over a doubling N chain.
-
-    errors[alpha] has one entry per N; rates[alpha] one per successive
-    pair, rate = log2(E at N/2 divided by E at N) so that first-order
-    convergence gives +1.
-    """
-
-    n_values: tuple
-    alphas: tuple
-    errors: dict
-    rates: dict
-
-
-def weighted_error_table(samples: dict, alphas) -> ErrorTable:
-    """Build the weighted table from per-run error curves.
-
-    samples maps N -> (t, err) arrays over the error window; N values
-    must form a doubling chain.  E_N = max of t^alpha * err over the
-    samples.
-    """
-    n_values = sorted(samples)
-    if len(n_values) < 1:
-        raise ValueError("need at least one run")
-    for a, b in zip(n_values, n_values[1:]):
-        if b != 2 * a:
-            raise ValueError(f"N values must double: {a} -> {b}")
-    alphas = tuple(float(a) for a in alphas)
-    errors = {a: [] for a in alphas}
-    for n in n_values:
-        t, err = samples[n]
-        t = np.asarray(t, dtype=float)
-        err = np.asarray(err, dtype=float)
-        if t.shape != err.shape or t.ndim != 1 or len(t) == 0:
-            raise ValueError(f"bad sample arrays for N={n}")
-        for a in alphas:
-            errors[a].append(float(np.max(t ** a * err)))
-    rates = {
-        a: tuple(
-            math.log2(errors[a][i] / errors[a][i + 1])
-            for i in range(len(n_values) - 1)
-        )
-        for a in alphas
-    }
-    return ErrorTable(
-        n_values=tuple(n_values),
-        alphas=alphas,
-        errors={a: tuple(v) for a, v in errors.items()},
-        rates=rates,
-    )

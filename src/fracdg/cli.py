@@ -1,8 +1,9 @@
 """Command-line front end for the convergence and certification workflows.
 
 Subcommands: ``converge`` (graded-mesh Galerkin run against the contour
-or modal reference, weighted error table plus per-step error curves;
-checks that the weighted errors are finite and positive, and on the
+or modal reference: each run's per-step error curve with its weighted
+columns t^alpha error, then the table of their maxima and the observed
+rates; checks that the weighted errors are finite and positive, and on the
 default study their baseline; the data and mesh are even in x, so it
 solves on the half interval [0, 1], with x = 0 free, and counts that
 half twice in the error norm, while ``--M`` still counts the
@@ -38,7 +39,6 @@ import numpy as np
 from . import __version__
 from .certify import (
     Check,
-    ErrorTable,
     delta_contour,
     delta_direct,
     lemma_integral_zero,
@@ -46,7 +46,6 @@ from .certify import (
     phi_sweep,
     resolvent_ratio_max,
     symbol_checks,
-    weighted_error_table,
 )
 from .exact import KAPPA, constant_data_transform, exact_field, quarter_pi_coefficients
 from .fem1d import assemble, gauss_points, graded_mesh, l2_error_from_values, l2_project
@@ -195,25 +194,31 @@ def _reference(config: RunConfig, order: FractionalOrder, flat_x, t_min):
 
 
 def run_convergence(config: RunConfig):
-    """Run the N chain and weight the error curves.
+    """Run the N chain; returns (curves, errors, rates).
 
-    Returns (table, samples) where samples maps N, in ascending order, to
-    its (t, error) arrays over the window (0, 1/2].  The data pi/4 and the
-    graded mesh are even in x, and so is every Galerkin solution: the runs
-    step the system of the half interval [0, 1] (fem1d, M/2 DOFs with the
-    node x = 0 free), the reference is evaluated at the Gauss points of
-    [0, 1] only, and the error norm counts that half twice.  The reference
-    is built once, for the times from 1/max(N) on, which hold every run's
-    levels: the transform route's window chain is tuned to the same
-    _CONTOUR_TOL throughout (a window's table is built when the pass below
-    first reaches it), and the modal route's one sine table serves every
-    time.  The whole chain steps in one step_galerkin call, finest
-    first, and every run is held until the end.  Then one pass over the
-    finest run's levels, in chunks of whole levels of the coarsest run of
-    up to _REFERENCE_VALUES reference values where one such level allows,
-    serves every run: with N_s = N / 2^s, level m of run s is level 2^s m
-    of the finest, at the same time to the bit, as 1/N_s = 2^s (1/N)
-    exactly.
+    curves holds one array per run, in ascending N, over the window
+    (0, 1/2]: its columns are t, the error, and t^alpha times the error
+    for each alpha, as error_curve_N*.csv holds them.  errors[i, j] is
+    the weighted error E of run i and weight j, the maximum of its curve
+    column; rates[i, j] = log2(errors[i, j] / errors[i + 1, j]), so that
+    first-order convergence gives +1, and a one-run chain has none.  The
+    formula t^alpha error is formed here only.
+
+    The data pi/4 and the graded mesh are even in x, and so is every
+    Galerkin solution: the runs step the system of the half interval
+    [0, 1] (fem1d, M/2 DOFs with the node x = 0 free), the reference is
+    evaluated at the Gauss points of [0, 1] only, and the error norm
+    counts that half twice.  The reference is built once, for the times
+    from 1/max(N) on, which hold every run's levels: the transform route's
+    window chain is tuned to the same _CONTOUR_TOL throughout (a window's
+    table is built when the pass below first reaches it), and the modal
+    route's one sine table serves every time.  The whole chain steps in
+    one step_galerkin call, finest first, and every run is held until the
+    end.  Then one pass over the finest run's levels, in chunks of whole
+    levels of the coarsest run of up to _REFERENCE_VALUES reference values
+    where one such level allows, serves every run: with N_s = N / 2^s,
+    level m of run s is level 2^s m of the finest, at the same time to the
+    bit, as 1/N_s = 2^s (1/N) exactly.
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
@@ -222,8 +227,7 @@ def run_convergence(config: RunConfig):
     pts = gauss_points(mesh)[0]
     reference = _reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
 
-    chain = config.n_list[::-1]
-    grids = [TimeGrid(1.0 / n, n // 2) for n in chain]
+    grids = [TimeGrid(1.0 / n, n // 2) for n in config.n_list[::-1]]
     stacked = step_galerkin(order, mats.mass, mats.stiff, grids, u0)
     runs = np.split(stacked, np.cumsum([g.n_steps + 1 for g in grids[:-1]]))
     half = grids[0].n_steps
@@ -231,21 +235,24 @@ def run_convergence(config: RunConfig):
     # whole levels of the coarsest run: half = (N_min / 2) 2^(S-1) for S runs
     unit = 2 ** (len(grids) - 1)
     chunk = unit * max(1, _REFERENCE_VALUES // (pts.size * unit))
-    errors = [[] for _ in grids]
+    pieces = [[] for _ in grids]
     for lo in range(0, half, chunk):
         hi = min(lo + chunk, half)
         ref = reference(times[lo:hi]).reshape((hi - lo,) + pts.shape)
-        for s, (run, err) in enumerate(zip(runs, errors)):
+        for s, (run, err) in enumerate(zip(runs, pieces)):
             # levels lo/2^s + 1 .. hi/2^s of run s are the finest run's
             # levels lo + 2^s .. hi in steps of 2^s
             stride = 2 ** s
             err.append(l2_error_from_values(run[lo // stride + 1:hi // stride + 1],
                                             mesh, ref[stride - 1::stride]))
-    samples = {n: (times[2 ** s - 1::2 ** s], np.concatenate(err))
-               for s, (n, err) in enumerate(zip(chain, errors))}
-    samples = dict(sorted(samples.items()))
-    table = weighted_error_table(samples, config.alphas)
-    return table, samples
+    curves = []
+    for s in reversed(range(len(grids))):
+        t, err = times[2 ** s - 1::2 ** s], np.concatenate(pieces[s])
+        curves.append(np.column_stack([t, err] + [t ** a * err for a in config.alphas]))
+    errors = np.array([curve[:, 2:].max(axis=0) for curve in curves])
+    ratios = (errors[:-1] / errors[1:]).ravel().tolist()
+    rates = np.reshape([math.log2(r) for r in ratios], (-1, len(config.alphas)))
+    return curves, errors, rates
 
 
 # ---------------------------------------------------------------------------
@@ -265,41 +272,6 @@ def _write_csv(path: str, config: RunConfig, header, rows, **derived):
             fh.writelines(fmt % tuple(row) for row in rows)
 
 
-def _write_table_csv(path: str, config: RunConfig, table: ErrorTable):
-    header = ["N"]
-    for a in table.alphas:
-        header += [f"E_{a:.4f}", f"rate_{a:.4f}"]
-    rows = []
-    for i, n in enumerate(table.n_values):
-        row = [n]
-        for a in table.alphas:
-            row.append(table.errors[a][i])
-            row.append(table.rates[a][i - 1] if i else math.nan)
-        rows.append(row)
-    _write_csv(path, config, header, rows)
-
-
-def _write_curve_csv(path: str, config: RunConfig, alphas, times, errors):
-    # t^alpha err by weighted_error_table's array formula, so that each
-    # E_alpha is the maximum of its column
-    header = ["t", "error"] + [f"weighted_{a:.4f}" for a in alphas]
-    columns = [times, errors] + [times ** a * errors for a in alphas]
-    _write_csv(path, config, header, np.column_stack(columns).tolist())
-
-
-def _print_table(table: ErrorTable):
-    head = "N".ljust(7)
-    for a in table.alphas:
-        head += f"E[{a:.4f}]".rjust(13) + "rate".rjust(8)
-    print(head)
-    for i, n in enumerate(table.n_values):
-        line = str(n).ljust(7)
-        for a in table.alphas:
-            line += f"{table.errors[a][i]:13.3e}"
-            line += f"{table.rates[a][i - 1]:8.3f}" if i else "       -"
-        print(line)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -310,23 +282,32 @@ def cmd_converge(args, config: RunConfig) -> list:
             print(f"{key} = {value}")
         return []
     os.makedirs(config.out_dir, exist_ok=True)
-    table, samples = run_convergence(config)
+    curves, errors, rates = run_convergence(config)
+    labels = [f"{a:.4f}" for a in config.alphas]
+    for n, curve in zip(config.n_list, curves):
+        _write_csv(os.path.join(config.out_dir, f"error_curve_N{n}.csv"), config,
+                   ["t", "error"] + [f"weighted_{a}" for a in labels], curve.tolist())
+    # N, then E and rate per alpha; the coarsest run's rates are nan
+    cells = np.stack([errors, np.vstack([np.full_like(errors[:1], math.nan), rates])], 2)
+    rows = [[n, *row] for n, row in zip(config.n_list,
+                                        cells.reshape(len(curves), -1).tolist())]
     table_path = os.path.join(config.out_dir, "error_table.csv")
-    _write_table_csv(table_path, config, table)
-    for n_steps, (times, errors) in sorted(samples.items()):
-        curve_path = os.path.join(config.out_dir, f"error_curve_N{n_steps}.csv")
-        _write_curve_csv(curve_path, config, table.alphas, times, errors)
-    _print_table(table)
-    print(f"wrote {table_path} and {len(samples)} curve files")
+    _write_csv(table_path, config, ["N"] + [f"{k}_{a}" for a in labels for k in ("E", "rate")],
+               rows)
+    print("N".ljust(7) + "".join(f"E[{a}]".rjust(13) + "rate".rjust(8) for a in labels))
+    for i, (n, *row) in enumerate(rows):
+        print(str(n).ljust(7) + "".join(f"{e:13.3e}" + (f"{r:8.3f}" if i else "       -")
+                                        for e, r in zip(row[::2], row[1::2])))
+    print(f"wrote {table_path} and {len(curves)} curve files")
 
-    bad = sum(not 0.0 < e < math.inf for errs in table.errors.values() for e in errs)
+    bad = sum(not 0.0 < e < math.inf for e in errors.flat)
     checks = [Check("non-finite or non-positive weighted errors", bad, 0)]
     # The baseline holds for the default study by either reference route.
     if replace(config, reference="transform", out_dir="out") == RunConfig():
-        for a in table.alphas:
+        for a, column, rate_column in zip(config.alphas, errors.T, rates.T):
             base_e, base_r = _BASELINE[a]
-            dev_e = max(abs(e / b - 1.0) for e, b in zip(table.errors[a], base_e))
-            dev_r = max(abs(r - b) for r, b in zip(table.rates[a], base_r))
+            dev_e = max(abs(e / b - 1.0) for e, b in zip(column, base_e))
+            dev_r = max(abs(r - b) for r, b in zip(rate_column, base_r))
             checks += [
                 Check(f"baseline errors[alpha={a:.4f}] rel dev", dev_e,
                       _BASELINE_ERROR_SLACK),

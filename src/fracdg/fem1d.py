@@ -155,6 +155,10 @@ def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
     half = m // 2
     k = np.arange(half + 1, dtype=float)
     x = 1.0 - (1.0 - k / half) ** gamma
+    if not x[-2] < 1.0:
+        raise ValueError(
+            f"mesh grading gamma={gamma} is too strong for M={m}: the last interior "
+            f"node 1 - (2/M)^gamma rounds to x = 1 in double precision")
     x[0] = 0.0
     x[-1] = 1.0
     return Mesh1D(nodes=x)

@@ -19,6 +19,7 @@ first reaches one of its times, and one table is held at a time.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,12 @@ class ContourSpec:
 
     def __post_init__(self):
         _stretch(self.t_min, self.t_max)  # checks the window and its ratio
-        if self.half < 4:
-            raise ValueError(f"half must be >= 4, got {self.half}")
+        try:
+            half = operator.index(self.half)
+        except TypeError:
+            raise ValueError(f"half must be an integer, got {self.half!r}") from None
+        if half < 4:
+            raise ValueError(f"half must be >= 4, got {half}")
 
     @property
     def step(self) -> float:

@@ -47,15 +47,16 @@ STUDY = {
 
 @pytest.fixture(scope="module")
 def headline_table():
-    table, _ = run_convergence(RunConfig())
-    return table
+    # alpha -> (weighted errors over the N chain, observed rates)
+    config = RunConfig()
+    _, errors, rates = run_convergence(config)
+    return dict(zip(config.alphas, zip(errors.T, rates.T)))
 
 
 @pytest.mark.acceptance(1)
 def test_weighted_rates_match_reference_study(headline_table):
     for alpha, (want_errors, want_rates) in STUDY.items():
-        got_errors = headline_table.errors[alpha]
-        got_rates = headline_table.rates[alpha]
+        got_errors, got_rates = headline_table[alpha]
         for got, want in zip(got_errors, want_errors):
             assert got == pytest.approx(want, rel=0.25), f"alpha={alpha}"
         for got, want in zip(got_rates, want_rates):

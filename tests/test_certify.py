@@ -18,7 +18,6 @@ from fracdg.certify import (
     lemma_scan_bounds,
     phi_sweep,
     symbol_checks,
-    weighted_error_table,
 )
 from fracdg.special import FractionalOrder, QuadratureError
 
@@ -355,47 +354,6 @@ def test_resolvent_ratio_scan_below_one():
     assert value <= 1.0
     # the large-X limit of the ratio is (1-nu)^2; the scan must reach it
     assert value == pytest.approx(0.81, abs=0.01)
-
-
-def synthetic_samples(rate, n_values, beta=0.3, c=2.0):
-    samples = {}
-    for n in n_values:
-        t = np.arange(1, n // 2 + 1) / n
-        err = c * t ** -beta / n ** rate
-        samples[n] = (t, err)
-    return samples
-
-
-def test_weighted_table_recovers_exact_rates():
-    n_values = (40, 80, 160, 320)
-    table = weighted_error_table(synthetic_samples(0.75, n_values),
-                                 alphas=(0.5, 1.0))
-    for alpha in (0.5, 1.0):
-        assert table.errors[alpha][0] == pytest.approx(
-            2.0 * 0.5 ** (alpha - 0.3) / 40 ** 0.75, rel=1e-12)
-        for rate in table.rates[alpha]:
-            assert rate == pytest.approx(0.75, abs=1e-12)
-
-
-def test_weighted_table_requires_doubling():
-    with pytest.raises(ValueError):
-        weighted_error_table(synthetic_samples(1.0, (40, 100)), alphas=(0.5,))
-
-
-def test_weighted_table_rejects_bad_samples():
-    with pytest.raises(ValueError, match="at least one run"):
-        weighted_error_table({}, alphas=(0.5,))
-    t = np.arange(1, 5) / 8.0
-    # mismatched shapes, 2-d arrays, empty arrays
-    for sample in ((t, t[:-1]), (t[None], t[None]), (t[:0], t[:0])):
-        with pytest.raises(ValueError, match="bad sample arrays"):
-            weighted_error_table({8: sample}, alphas=(0.5,))
-
-
-def test_weighted_table_single_run_has_no_rates():
-    table = weighted_error_table(synthetic_samples(1.0, (64,)), alphas=(0.5,))
-    assert table.n_values == (64,)
-    assert table.rates[0.5] == ()
 
 
 def test_check_passes_up_to_its_bound_and_fails_on_nan():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 
 import fracdg.cli as cli
 from fracdg.certify import Check
-from fracdg.certify import weighted_error_table
 from fracdg.cli import RunConfig, main, run_convergence
 from fracdg.exact import KAPPA, constant_data_transform
 from fracdg.fem1d import (
@@ -349,15 +349,15 @@ def test_converge_shares_one_transform_reference(monkeypatch):
     monkeypatch.setattr(cli, "window_chain", counted_chain)
     built = keep_references(monkeypatch)
     config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M)
-    _, samples = run_convergence(config)
-    assert list(samples) == list(config.n_list)
+    curves, _, _ = run_convergence(config)
+    assert [len(curve) for curve in curves] == [n // 2 for n in config.n_list]
     assert len(chains) == len(built) == 1
     assert chains[0][0] == 1.0 / max(config.n_list)
     order, flat_x, shared = built[0]
-    for n_steps, (times, _) in samples.items():
+    for n_steps, curve in zip(config.n_list, curves):
         own = inverter(lambda z: constant_data_transform(order, flat_x, z),
                        window_chain(1.0 / n_steps, 0.5, tol=cli._CONTOUR_TOL))
-        gap = max(np.max(np.abs(shared(t) - own(t))) for t in times)
+        gap = max(np.max(np.abs(shared(t) - own(t))) for t in curve[:, 0])
         assert gap <= cli._CONTOUR_TOL, (n_steps, gap)
 
 
@@ -373,8 +373,8 @@ def test_converge_shares_one_modal_reference(monkeypatch):
     built = keep_references(monkeypatch)
     config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
                        reference="modal")
-    _, samples = run_convergence(config)
-    assert list(samples) == list(config.n_list)
+    curves, _, _ = run_convergence(config)
+    assert [len(curve) for curve in curves] == [n // 2 for n in config.n_list]
     assert len(built) == 1
     assert fields_built == [cli._MODE_CAP]
 
@@ -435,12 +435,12 @@ def test_folded_study_matches_the_full_domain_run(reference):
     # errors near 1e-4 of it.
     config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M,
                        reference=reference)
-    _, samples = run_convergence(config)
+    curves, _, _ = run_convergence(config)
     expected = full_domain_run(config)
-    assert list(samples) == list(expected)
-    for n_steps, (times, errors) in samples.items():
-        assert np.array_equal(times, expected[n_steps][0])
-        gap = np.max(np.abs(errors / expected[n_steps][1] - 1.0))
+    assert list(expected) == list(config.n_list) and len(curves) == len(expected)
+    for curve, (n_steps, (times, errors)) in zip(curves, expected.items()):
+        assert np.array_equal(curve[:, 0], times)
+        gap = np.max(np.abs(curve[:, 1] / errors - 1.0))
         assert gap <= 1e-10, (n_steps, gap)
 
 
@@ -453,13 +453,71 @@ def test_paired_runs_equal_one_run_at_a_time_bitwise(n_list, reference):
     # against its own calls: (20, 40, 80) has 40 levels in the shared
     # call and 20 and 10 in the runs' own
     config = RunConfig(n_list=n_list, m_intervals=cli._QUICK_M, reference=reference)
-    table, samples = run_convergence(config)
+    curves, errors, _ = run_convergence(config)
     expected = one_run_at_a_time(config)
-    assert list(samples) == list(expected) == list(n_list)
-    for n_steps, (times, errors) in samples.items():
-        assert np.array_equal(times, expected[n_steps][0])
-        assert np.array_equal(errors, expected[n_steps][1])
-    assert table == weighted_error_table(expected, config.alphas)
+    assert list(expected) == list(n_list) and len(curves) == len(n_list)
+    for curve, (times, run_errors) in zip(curves, expected.values()):
+        assert np.array_equal(curve[:, 0], times)
+        assert np.array_equal(curve[:, 1], run_errors)
+    want = [[np.max(times ** a * run_errors) for a in config.alphas]
+            for times, run_errors in expected.values()]
+    assert np.array_equal(errors, want)
+
+
+@pytest.fixture(scope="module")
+def quick_study():
+    config = RunConfig(n_list=cli._QUICK_N, m_intervals=cli._QUICK_M)
+    return config, run_convergence(config)
+
+
+def test_curves_hold_time_error_and_each_weighted_error(quick_study):
+    config, (curves, _, _) = quick_study
+    assert len(curves) == len(config.n_list)
+    for n_steps, curve in zip(config.n_list, curves):
+        assert curve.shape == (n_steps // 2, 2 + len(config.alphas))
+        times, errors = curve[:, 0], curve[:, 1]
+        assert np.array_equal(times, (1.0 / n_steps) * np.arange(1, n_steps // 2 + 1))
+        for a, weighted in zip(config.alphas, curve[:, 2:].T):
+            assert np.array_equal(weighted, times ** a * errors)
+
+
+def test_weighted_errors_are_the_maxima_of_their_curve_columns(quick_study):
+    config, (curves, errors, _) = quick_study
+    assert errors.shape == (len(config.n_list), len(config.alphas))
+    for curve, row in zip(curves, errors):
+        for column, e in zip(curve[:, 2:].T, row):
+            assert e.tobytes() == column.max().tobytes()
+
+
+def test_rates_are_log2_of_successive_weighted_errors(quick_study):
+    config, (_, errors, rates) = quick_study
+    assert rates.shape == (len(config.n_list) - 1, len(config.alphas))
+    for coarse, fine, row in zip(errors, errors[1:], rates):
+        for c, f, rate in zip(coarse, fine, row):
+            assert rate == math.log2(c / f)
+            # the quick study's weighted errors fall at about first order
+            assert 0.4 < rate < 1.2
+
+
+def test_one_run_chain_has_no_rates(tmp_path, capsys):
+    config = RunConfig(n_list=(160,), m_intervals=cli._QUICK_M)
+    curves, errors, rates = run_convergence(config)
+    assert len(curves) == 1 and errors.shape == (1, 3) and rates.shape == (0, 3)
+    assert main(["converge", "--quick", "--N", "160", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("converge: all checks passed\n")
+    header, rows = read_csv(tmp_path / "error_table.csv")
+    assert len(rows) == 1 and rows[0][0] == "160"
+    assert [v for h, v in zip(header, rows[0]) if h.startswith("rate_")] == ["nan"] * 3
+
+
+def test_too_strong_grading_exits_1_with_the_reason(tmp_path, capsys):
+    # 1 - (2/1000)^7 rounds to 1.0, onto the Dirichlet node
+    assert main(["converge", "--gamma", "7", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: mesh grading gamma=7.0 is too strong for M=1000: the last interior "
+        "node 1 - (2/M)^gamma rounds to x = 1 in double precision\n")
 
 
 def test_reference_is_evaluated_at_the_finest_run_levels_only(monkeypatch):

@@ -55,6 +55,16 @@ def test_graded_mesh_validation():
         graded_mesh(8, math.nan)
 
 
+def test_graded_mesh_rejects_grading_that_rounds_onto_the_boundary():
+    # 1 - (2/1000)^7 = 1 - 1.3e-19 rounds to 1.0, the Dirichlet node
+    assert graded_mesh(1000, 6.0).nodes[-2] < 1.0
+    with pytest.raises(ValueError) as info:
+        graded_mesh(1000, 7)
+    assert str(info.value) == (
+        "mesh grading gamma=7 is too strong for M=1000: the last interior "
+        "node 1 - (2/M)^gamma rounds to x = 1 in double precision")
+
+
 def test_mesh_symmetry_and_spacing():
     # graded_mesh(M) is the x >= 0 half of a mesh of (-1, 1) with M cells
     for gamma in (1.0, 2.0, 3.0, 4.5):

@@ -35,6 +35,11 @@ def test_spec_validation():
     for half in (3, 0, -5):
         with pytest.raises(ValueError, match="half must be >= 4"):
             ContourSpec(0.5, 2.0, half)
+    # a fractional count would size the step for nodes that are not built
+    for half in (10.5, 10.0, "10"):
+        with pytest.raises(ValueError, match="half must be an integer"):
+            ContourSpec(0.5, 2.0, half)
+    assert ContourSpec(0.5, 2.0, np.int64(10)).step == ContourSpec(0.5, 2.0, 10).step
 
 
 def test_window_tuning_rejects_bad_windows_and_tolerances():

@@ -16,7 +16,8 @@ import os
 # reference products (contour sums, modal sine tables) use BLAS.
 # Single-threaded BLAS keeps their reduction order fixed, so repeated runs
 # of the CSV-emitting workflows are byte-identical.  An explicit setting
-# wins, and the setting has no effect if numpy was imported first.
+# wins.  Imported after numpy, the setting has no effect, and the modal
+# reference's curve bytes then follow the BLAS thread count.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ from .stepping import TimeGrid, step_spectral
 __all__ = [
     "Check",
     "PhiSweep",
-    "LemmaScan",
     "MU_GRID",
     "delta_direct",
     "delta_contour",
@@ -78,8 +77,6 @@ def delta_direct(order: FractionalOrder, mu: float, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    if mu == 0.0:
-        return 0.0
     u = step_spectral([order], [mu], [1.0], TimeGrid(1.0, n))[0, :, 0]
     exact, err = mittag_leffler_neg_array(order, mu * float(n) ** order.nu)
     if not err <= 1e-9:
@@ -248,22 +245,6 @@ def lemma_integral_zero(order: FractionalOrder) -> float:
     return float(fine / nu)
 
 
-@dataclass(frozen=True)
-class LemmaScan:
-    """Max of a scanned inequality per parameter value.
-
-    rows columns: nu, max value over the x grid, arg max x.
-    """
-
-    rows: np.ndarray
-    overall_max: float
-
-
-def _stable_power_difference(b: float, logx: np.ndarray) -> np.ndarray:
-    # (x^b - 1)/b with the b -> 0 limit log x, via expm1.
-    return logx if b == 0.0 else np.expm1(b * logx) / b
-
-
 def lemma_scan_bounds() -> tuple:
     """Scan the two weighted-integral inequalities; both stay below 3.
 
@@ -272,18 +253,21 @@ def lemma_scan_bounds() -> tuple:
     eleven even steps plus 2/3): g(x) = x^{nu-1} int_1^x s^{1-3 nu} ds
     on [1, 1e6].  Each runs over 161 log-spaced x.  Closed forms are
     used, with the removable 1 - 3 nu = 0 and 2 - 3 nu = 0 cases handled
-    by expm1.  Returns (small_scan, large_scan).
+    by expm1.  Returns (small_rows, large_rows), each an array whose rows
+    are (nu, max value over the x grid, arg max x).
     """
     def scan(nus, x, k, sign):
         # sign x^{nu+1-k} (x^b - 1)/b with b = k - 3 nu: f is k = 1 with
-        # sign -1, g is k = 2 with sign +1
+        # sign -1, g is k = 2 with sign +1; (x^b - 1)/b is log x at b = 0
         logx = np.log(x)
         rows = np.empty((len(nus), 3))
         for i, nu in enumerate(nus):
-            vals = x ** (nu + (1.0 - k)) * (sign * _stable_power_difference(k - 3.0 * nu, logx))
+            b = k - 3.0 * nu
+            power = logx if b == 0.0 else np.expm1(b * logx) / b
+            vals = x ** (nu + (1.0 - k)) * (sign * power)
             j = int(np.argmax(vals))
             rows[i] = (nu, vals[j], x[j])
-        return LemmaScan(rows=rows, overall_max=float(rows[:, 1].max()))
+        return rows
 
     return (scan(np.append(np.linspace(0.0, 0.5, 11), 1.0 / 3.0),
                  np.logspace(-8.0, 0.0, 161), 1.0, -1.0),

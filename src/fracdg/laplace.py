@@ -14,8 +14,9 @@ points to conjugate values, so the trapezoid sum collapses to the upper
 half of the contour and the result is exactly real.  Every inversion
 goes through ``inverter``, one vectorised trapezoid sum over a chain of
 windows (the contour follows Weideman & Trefethen, Math. Comp. 76 (2007)
-1341); a window's table of transform values is built when an evaluation
-first reaches one of its times, and one table is held at a time.
+1341).  A call serves its windows in ascending order, building a window's
+table of transform values when it first reaches one of its times and
+holding one table at a time, so ascending calls build each window once.
 """
 
 import math
@@ -141,11 +142,10 @@ def inverter(F, specs):
 
     Every window's nodes are computed here, but its table is built only
     when an evaluation first needs one of its times, one node at a time
-    straight into the stack, and only the last table built is kept.  Each
-    call serves the held window's times first, then the other windows in
-    ascending order.  So times taken in ascending order, or in descending
-    chunks that each span at most two windows, build each window once;
-    any other return to a window builds it again, to the same bits.
+    straight into the stack, and only the last table built is kept.  A
+    call serves its windows in ascending order, so calls whose times
+    ascend build each window once; a return to a window builds it again,
+    to the same bits.
     """
     if not specs:
         raise ValueError("inverter needs at least one contour window")
@@ -187,8 +187,6 @@ def inverter(F, specs):
                 f"t={flat[todo][0]} outside the contour windows "
                 f"[{windows[0][0].t_min}, {windows[-1][0].t_max}]"
             )
-        if held is not None:  # the held window first: its table is not rebuilt
-            parts.sort(key=lambda part: part[0] != held[0])
         if value_shape is None:  # known once a table is built
             table_of(parts[0][0] if parts else 0)
         out = np.empty((flat.size, math.prod(value_shape)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlseries import asym_array, taylor_array
+from .mlseries import _EPS, asym_array, taylor_array
 
 
 def _quad(f, a, b, **kw):
@@ -47,8 +47,6 @@ __all__ = [
     "symbol_cut",
     "symbol_asym_origin",
 ]
-
-_EPS = 2.220446049250313e-16
 
 
 class QuadratureError(RuntimeError):
@@ -100,6 +98,7 @@ def zeta_neg(nu: float) -> float:
 
     zeta(-nu) = 2^{-nu} pi^{-nu-1} sin(-pi nu/2) Gamma(1+nu) zeta(1+nu),
     which only ever needs zeta on (1, 2] where Euler-Maclaurin converges.
+    nu = 1 is the classical limit zeta(-1) = -1/12.
     """
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu={nu} outside (0, 1]")
@@ -114,20 +113,15 @@ def zeta_neg(nu: float) -> float:
 
 @dataclass(frozen=True)
 class FractionalOrder:
-    """Time-fractional order nu in (0, 1] with its derived constants.
-
-    nu = 1 is the classical limit: gamma_1p = 1 and zeta_neg = -1/12.
-    """
+    """Time-fractional order nu in (0, 1] with gamma_1p = Gamma(1 + nu)."""
 
     nu: float
     gamma_1p: float = field(init=False)
-    zeta_neg: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu={self.nu} outside (0, 1]")
         object.__setattr__(self, "gamma_1p", math.gamma(1.0 + self.nu))
-        object.__setattr__(self, "zeta_neg", zeta_neg(self.nu))
 
     @property
     def sin_pi(self) -> float:
@@ -460,4 +454,4 @@ def symbol_asym_origin(order: FractionalOrder, z: complex) -> complex:
     """
     z = complex(z)
     nu = order.nu
-    return z ** -nu + 0.5 * z ** (1.0 - nu) + order.zeta_neg / order.gamma_1p * z
+    return z ** -nu + 0.5 * z ** (1.0 - nu) + zeta_neg(nu) / order.gamma_1p * z

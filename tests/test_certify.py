@@ -341,10 +341,10 @@ def test_moment_near_one_raises():
 
 def test_lemma_scans_within_bounds():
     small, large = lemma_scan_bounds()
-    assert small.overall_max <= 3.0
-    assert large.overall_max <= 3.0
+    assert small[:, 1].max() <= 3.0
+    assert large[:, 1].max() <= 3.0
     # interior maximum of the nu < 1/2 family: 3/e at x = e^{-3}
-    row = small.rows[np.isclose(small.rows[:, 0], 1.0 / 3.0)][0]
+    row = small[np.isclose(small[:, 0], 1.0 / 3.0)][0]
     assert row[1] == pytest.approx(3.0 / math.e, abs=1e-4)
     assert row[2] == pytest.approx(math.exp(-3.0), rel=0.1)
 

@@ -593,14 +593,17 @@ def test_reference_routes_agree(tmp_path, capsys):
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
-def quick_converge_files(out, first="", **env_extra):
-    # converge --quick in a fresh interpreter that runs `first` before
-    # importing fracdg, with no thread count pinned unless env_extra sets one
+QUICK = ["converge", "--quick"]
+
+
+def workflow_files(argv, out, first="", **env_extra):
+    # argv in a fresh interpreter that runs `first` before importing
+    # fracdg, with no thread count pinned unless env_extra sets one
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")}
     run = ("import sys\n{first}from fracdg.cli import main\n"
-           "sys.exit(main(['converge', '--quick', '--out', sys.argv[1]]))")
-    subprocess.run([sys.executable, "-c", run.format(first=first), str(out)],
+           "sys.exit(main(sys.argv[2:] + ['--out', sys.argv[1]]))")
+    subprocess.run([sys.executable, "-c", run.format(first=first), str(out), *argv],
                    env={**env, "PYTHONPATH": SRC, **env_extra}, check=True,
                    capture_output=True, timeout=300)
     return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
@@ -608,23 +611,36 @@ def quick_converge_files(out, first="", **env_extra):
 
 @pytest.fixture(scope="module")
 def plain_files(tmp_path_factory):
-    return quick_converge_files(tmp_path_factory.mktemp("plain"))
+    return workflow_files(QUICK, tmp_path_factory.mktemp("plain"))
 
 
-def test_files_do_not_depend_on_import_order(plain_files, tmp_path):
+@pytest.mark.parametrize("argv, count", [
+    pytest.param(QUICK, 5, id="converge-quick"),
+    pytest.param(["converge", "--nu", "0.3", "--M", "250", "--N", "640,1280,2560,5120"],
+                 5, id="converge-long"),
+    pytest.param(["phi", "--quick"], 1, id="phi-quick"),
+    pytest.param(["lemmas"], 2, id="lemmas"),
+    pytest.param(QUICK + ["--reference", "modal"], 5, id="converge-quick-modal",
+                 marks=pytest.mark.xfail(strict=False, reason=(
+                     "ROADMAP item 19: the modal reference's sine-table product "
+                     "in exact.py is a BLAS gemm, whose reduction order follows "
+                     "the thread count"))),
+])
+def test_files_do_not_depend_on_import_order(argv, count, tmp_path):
     # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
     # Importing numpy first with two BLAS threads must not change a byte.
-    assert len(plain_files) == 5
-    assert quick_converge_files(tmp_path / "numpy_first", "import numpy\n",
-                                OPENBLAS_NUM_THREADS="2") == plain_files
+    plain = workflow_files(argv, tmp_path / "plain")
+    assert len(plain) == count
+    assert workflow_files(argv, tmp_path / "numpy_first", "import numpy\n",
+                          OPENBLAS_NUM_THREADS="2") == plain
 
 
 def test_files_do_not_depend_on_scipy_linalg_loading_first(plain_files, tmp_path):
     # fem1d loads scipy's LAPACK extension itself; with scipy.linalg already
     # imported it gets the loaded one, and the files must not change a byte.
     assert len(plain_files) == 5
-    assert quick_converge_files(tmp_path / "scipy_first",
-                                "import scipy.linalg\n") == plain_files
+    assert workflow_files(QUICK, tmp_path / "scipy_first",
+                          "import scipy.linalg\n") == plain_files
 
 
 FOOTPRINT_STEPS = ("import", "converge", "modal", "phi", "lemmas", "direct", "contour")
@@ -787,6 +803,17 @@ def test_phi_classical_order_prints_a_positive_zero_floor(tmp_path, capsys):
     assert main(["phi", "--nu", "1", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "check kernel sign (negated floor): 0.000e+00 <= 1.000e-12 PASS" in out
+
+
+@pytest.mark.parametrize("nu", ["1e-20", "1e-300"])
+def test_phi_fails_an_order_with_no_phi1(nu, tmp_path, capsys):
+    # n^nu rounds to 1 and the kernel to round-off, so every rho <= 1
+    # point is guarded and phi1 is -inf
+    assert main(["phi", "--nu", nu, "--out", str(tmp_path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(f"nu={nu}: phi1=-inf ") for line in out)
+    assert "check phi suprema: nan <= 1.100e+00 FAIL" in out
+    assert out[-1] == "phi: 1 check(s) failed"
 
 
 def test_phi_accepts_jobs_and_writes_the_same_bytes(tmp_path, capsys):

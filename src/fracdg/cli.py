@@ -23,7 +23,8 @@ summary line if there was any record.
 
 Exit status: 0 when every built-in check passes, 2 when a check fails or
 a quadrature or series does not converge, 1 on usage or configuration
-errors, including an output directory that cannot be created.
+errors, including an output directory that cannot be created and a size
+too large to allocate.
 """
 
 import argparse
@@ -222,13 +223,13 @@ def run_convergence(config: RunConfig):
     """
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
-    mats = assemble(KAPPA, mesh)
+    mass, stiff = assemble(KAPPA, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     pts = gauss_points(mesh)[0]
     reference = _reference(config, order, pts.ravel(), 1.0 / config.n_list[-1])
 
     grids = [TimeGrid(1.0 / n, n // 2) for n in config.n_list[::-1]]
-    stacked = step_galerkin(order, mats.mass, mats.stiff, grids, u0)
+    stacked = step_galerkin(order, mass, stiff, grids, u0)
     runs = np.split(stacked, np.cumsum([g.n_steps + 1 for g in grids[:-1]]))
     half = grids[0].n_steps
     times = grids[0].dt * np.arange(1, half + 1)
@@ -468,7 +469,7 @@ def main(argv=None) -> int:
         if checks:
             print(f"{args.command}: all checks passed")
         return 0
-    except (ValueError, OSError, QuadratureError) as exc:
+    except (ValueError, OSError, MemoryError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, QuadratureError) else 1
 

@@ -33,7 +33,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "Mesh1D",
     "SymTridiagonal",
-    "FemMatrices",
+    "NotPositiveDefinite",
     "graded_mesh",
     "assemble",
     "l2_project",
@@ -107,39 +107,36 @@ class SymTridiagonal:
             )
 
     def matvec(self, v) -> np.ndarray:
-        """A v for one vector, summed in a fixed order without BLAS."""
-        out = self.diag * v
-        out[1:] += self.off * v[:-1]
-        out[:-1] += self.off * v[1:]
+        """B v, B the leading len(v) x len(v) block, summed in a fixed order without BLAS."""
+        off = self.off[:len(v) - 1]
+        out = self.diag[:len(v)] * v
+        out[1:] += off * v[:-1]
+        out[:-1] += off * v[1:]
         return out
 
     def solver(self):
-        """b -> A^{-1} b for one vector; A must be positive definite.
+        """b -> B^{-1} b for one vector, B the leading len(b) x len(b) block.
 
-        Factors A = L D L^T once (dpttrf); each call is one dpttrs sweep.
-        Raises ValueError, naming the first, when a pivot is not positive.
+        A must be positive definite.  Factors A = L D L^T once (dpttrf),
+        and a leading block's factor is the leading part of A's, so each
+        call is one dpttrs sweep.  Raises NotPositiveDefinite, naming the
+        first, when a pivot is not positive.
         """
-        if len(self.diag) == 1:
-            # the LAPACK wrappers reject an empty off-diagonal
-            d = self.diag
-            if not d[0] > 0.0:
-                raise ValueError("matrix is not positive definite (pivot 1)")
-            return lambda b: b / d
-        d, e, info = dpttrf(self.diag, self.off)
-        if info == 0 and not np.all(d > 0.0):
-            # dpttrf stops at a pivot d <= 0, a test that NaN passes
-            info = int(np.argmin(d > 0.0)) + 1
-        if info != 0:
-            raise ValueError(f"matrix is not positive definite (pivot {info})")
-        return lambda b: dpttrs(d, e, b)[0]
+        # the LAPACK wrappers reject an empty off-diagonal: one row is its
+        # own pivot, and a one-row block is solved by a division
+        d, e = dpttrf(self.diag, self.off)[:2] if len(self.off) else (self.diag, self.off)
+        if not np.all(d > 0.0):
+            # dpttrf stops at, and keeps, the first pivot <= 0; NaN passes
+            raise NotPositiveDefinite(int(np.argmin(d > 0.0)) + 1)
+        return lambda b: b / d[:1] if len(b) == 1 else dpttrs(d[:len(b)], e[:len(b) - 1], b)[0]
 
 
-@dataclass(frozen=True)
-class FemMatrices:
-    """Free-node mass and (kappa-weighted) stiffness, both tridiagonal."""
+class NotPositiveDefinite(ValueError):
+    """A pivot that is not positive, at 1-based position ``pivot``."""
 
-    mass: SymTridiagonal
-    stiff: SymTridiagonal
+    def __init__(self, pivot: int):
+        super().__init__(f"matrix is not positive definite (pivot {pivot})")
+        self.pivot = pivot
 
 
 def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
@@ -164,8 +161,8 @@ def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
     return Mesh1D(nodes=x)
 
 
-def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:
-    """Exact P1 mass and stiffness on the free nodes x_0 .. x_{K-1}.
+def assemble(kappa: float, mesh: Mesh1D):
+    """Exact P1 (mass, stiffness) on the free nodes x_0 .. x_{K-1}.
 
     Element contributions: stiffness (kappa/h)[[1,-1],[-1,1]], mass
     (h/6)[[2,1],[1,2]]; node 0 has element 0 only, and the Dirichlet
@@ -180,8 +177,7 @@ def assemble(kappa: float, mesh: Mesh1D) -> FemMatrices:
     off_k = -kappa / h[:-1]
     main_m = (np.concatenate([[0.0], h[:-1]]) + h) / 3.0
     off_m = h[:-1] / 6.0
-    return FemMatrices(mass=SymTridiagonal(main_m, off_m),
-                       stiff=SymTridiagonal(main_k, off_k))
+    return SymTridiagonal(main_m, off_m), SymTridiagonal(main_k, off_k)
 
 
 def gauss_points(mesh: Mesh1D, order: int = 4):
@@ -212,7 +208,7 @@ def l2_project(f, mesh: Mesh1D) -> np.ndarray:
     Gauss rule per element, which keeps the quadrature error below the
     projection error for smooth f.
     """
-    mass = assemble(1.0, mesh).mass  # kappa-independent
+    mass, _ = assemble(1.0, mesh)  # kappa-independent
     points, weights, local = gauss_points(mesh, 3)
     fv = np.asarray(f(points.ravel()), dtype=float).reshape(points.shape)
     # node i is the left end of element i and the right end of element i - 1

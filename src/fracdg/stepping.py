@@ -14,8 +14,8 @@ the Galerkin matrix form
 
 which step_galerkin runs on the tridiagonal M and K with LAPACK's
 kernels, in a form that needs no product by K, for a chain of time
-grids, finest first, as the blocks of one block-diagonal system.  Both
-run in one time loop, which sums the stored trajectory.
+grids, finest first, as the blocks of one factored block-diagonal
+system.  Both run in one time loop, which sums the stored trajectory.
 
 The history sum goes in tiles of _TILE future steps: one pass over the
 stored rows at the start of a tile serves every step of the tile.  The
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem1d import SymTridiagonal
+from .fem1d import NotPositiveDefinite, SymTridiagonal
 from .special import FractionalOrder
 
 __all__ = [
@@ -375,25 +375,14 @@ def step_spectral(orders, eigenvalues, u0_coeffs, grid: TimeGrid) -> np.ndarray:
     return u.reshape(len(orders), n + 1, lam.size)
 
 
-def _leading_blocks(blocks):
-    """The block-diagonal matrices of blocks[:1], blocks[:2], ... blocks[:]."""
-    ndof = len(blocks[0].diag)
-    diag = np.concatenate([b.diag for b in blocks])
-    off = np.zeros(len(diag) - 1)
-    for s, b in enumerate(blocks):
-        off[s * ndof:(s + 1) * ndof - 1] = b.off
-    return [SymTridiagonal(diag[:k], off[:k - 1])
-            for k in range(ndof, len(diag) + 1, ndof)]
-
-
 def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
                   stiff: SymTridiagonal, grids, u0_vec) -> np.ndarray:
     """Trajectories of a chain of runs, shape (sum of (n_steps+1), ndof).
 
     grids holds the runs' TimeGrids, finest first (step counts that never
-    increase), and each run starts from u0_vec.  Each run factors
-    A = M + beta_0 dt^nu K once (LAPACK dpttrf) and raises ValueError
-    unless it is positive definite.  With the history
+    increase), and each run starts from u0_vec.  Each run's system
+    A = M + beta_0 dt^nu K must be positive definite, or ValueError names
+    the first run's dt that is not.  With the history
     H = sum_{j<n} beta_{n-j} U^j and A - M = beta_0 dt^nu K, each step is
 
         U^n = A^{-1} M (U^{n-1} + H / beta_0) - H / beta_0,
@@ -404,11 +393,11 @@ def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
 
     The runs step in the one time loop as the blocks of one
     block-diagonal system, whose off-diagonal is zero between blocks, so
-    the factorization, the solve and the product by M give each block the
-    bits of its own run.  The beta_j do not depend on dt, so one table
-    serves every run; each run keeps its own far-history nodes.  A run
-    leaves the loop after its own steps, and the solve and the product
-    then take the leading blocks only.
+    its one factorization (LAPACK dpttrf), the solve and the product by M
+    give each block the bits of its own run.  The beta_j do not depend on
+    dt, so one table serves every run; each run keeps its own far-history
+    nodes.  A run leaves the loop after its own steps, and the solve and
+    the product then take the leading blocks only.
     """
     grids = tuple(grids)
     if not grids:
@@ -422,22 +411,25 @@ def step_galerkin(order: FractionalOrder, mass: SymTridiagonal,
         raise ValueError("matrix shapes do not match u0_vec")
     beta = dg_weights(order, steps[0])
     b0 = beta[0]
-    blocks = []
-    for g in grids:
-        c = b0 * g.dt ** order.nu
-        block = SymTridiagonal(mass.diag + c * stiff.diag, mass.off + c * stiff.off)
-        try:
-            block.solver()
-        except ValueError as exc:
-            raise ValueError(f"singular stepping system at dt={g.dt}: {exc}") from exc
-        blocks.append(block)
-    # (product by M, solve by A) on the leading blocks, by their count
-    systems = list(zip(_leading_blocks([mass] * len(grids)), _leading_blocks(blocks)))
-    systems = [(m.matvec, a.solver()) for m, a in systems]
+    scale = b0 * np.array([g.dt ** order.nu for g in grids])[:, None]
+
+    def chain(diag, off):
+        # the runs' blocks as one matrix, its off-diagonal zero between runs
+        gaps = np.zeros((len(grids), ndof))
+        gaps[:, :-1] = off
+        return SymTridiagonal(np.broadcast_to(diag, gaps.shape).ravel(), gaps.ravel()[:-1])
+
+    matvec = chain(mass.diag, mass.off).matvec
+    try:
+        solve = chain(mass.diag + scale * stiff.diag, mass.off + scale * stiff.off).solver()
+    except NotPositiveDefinite as exc:
+        # the blocks factor apart, so the first bad pivot is a run's own
+        run, pivot = divmod(exc.pivot - 1, ndof)
+        raise ValueError(f"singular stepping system at dt={grids[run].dt}: "
+                         f"{NotPositiveDefinite(pivot + 1)}") from exc
 
     def advance(prev, hist):
         shift = hist / b0
-        matvec, solve = systems[len(prev) // ndof - 1]
         return solve(matvec(prev + shift)) - shift
 
     return _march(beta[None], np.tile(u0, len(grids)), steps, advance,

@@ -165,6 +165,13 @@ def test_unusable_output_directory_exits_1(argv, tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_unallocatable_size_exits_1(capsys):
+    # 10^17 doubles, 8e17 bytes, lie beyond any 57-bit address space, so
+    # the allocation is refused at once
+    assert main(["delta", "--mu", "1", "--n", str(10 ** 17)]) == 1
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
 def test_quadrature_failure_exits_2(tmp_path, monkeypatch, capsys):
     def stalled(order):
         raise QuadratureError("stalled", 1e-3)
@@ -385,15 +392,14 @@ def one_run_at_a_time(config):
     # [0, 1], _REFERENCE_VALUES values' worth of its levels at a time.
     order = FractionalOrder(config.nu)
     mesh = graded_mesh(config.m_intervals, config.gamma)
-    mats = assemble(KAPPA, mesh)
+    mass, stiff = assemble(KAPPA, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * np.pi), mesh)
     pts = gauss_points(mesh)[0]
     samples, reference = {}, None
     for n_steps in reversed(config.n_list):
         dt = 1.0 / n_steps
         half = n_steps // 2
-        solution = step_galerkin(order, mats.mass, mats.stiff,
-                                 [TimeGrid(dt, half)], u0)
+        solution = step_galerkin(order, mass, stiff, [TimeGrid(dt, half)], u0)
         times = dt * np.arange(1, half + 1)
         if reference is None:
             reference = cli._reference(config, order, pts.ravel(), dt)
@@ -614,25 +620,34 @@ def plain_files(tmp_path_factory):
     return workflow_files(QUICK, tmp_path_factory.mktemp("plain"))
 
 
-@pytest.mark.parametrize("argv, count", [
-    pytest.param(QUICK, 5, id="converge-quick"),
-    pytest.param(["converge", "--nu", "0.3", "--M", "250", "--N", "640,1280,2560,5120"],
-                 5, id="converge-long"),
-    pytest.param(["phi", "--quick"], 1, id="phi-quick"),
-    pytest.param(["lemmas"], 2, id="lemmas"),
-    pytest.param(QUICK + ["--reference", "modal"], 5, id="converge-quick-modal",
-                 marks=pytest.mark.xfail(strict=False, reason=(
-                     "ROADMAP item 19: the modal reference's sine-table product "
-                     "in exact.py is a BLAS gemm, whose reduction order follows "
-                     "the thread count"))),
+IMPORT_ORDER_CASES = [
+    ("converge-quick", QUICK, 5, ()),
+    ("converge-long", ["converge", "--nu", "0.3", "--M", "250", "--N", "640,1280,2560,5120"],
+     5, ()),
+    ("phi-quick", ["phi", "--quick"], 1, ()),
+    ("lemmas", ["lemmas"], 2, ()),
+    ("converge-quick-modal", QUICK + ["--reference", "modal"], 5,
+     pytest.mark.xfail(strict=False, reason=(
+         "ROADMAP item 19: the modal reference's sine-table product "
+         "in exact.py is a BLAS gemm, whose reduction order follows "
+         "the thread count"))),
+]
+
+
+# the two-thread cases keep their bare ids; eight threads on two cores is
+# as far as the probe goes
+@pytest.mark.parametrize("argv, count, threads", [
+    pytest.param(argv, count, threads, marks=marks,
+                 id=name if threads == "2" else f"{name}-{threads}-threads")
+    for threads in ("2", "8") for name, argv, count, marks in IMPORT_ORDER_CASES
 ])
-def test_files_do_not_depend_on_import_order(argv, count, tmp_path):
+def test_files_do_not_depend_on_import_order(argv, count, threads, tmp_path):
     # fracdg pins OMP_NUM_THREADS only if it is imported before numpy.
-    # Importing numpy first with two BLAS threads must not change a byte.
+    # Importing numpy first with several BLAS threads must not change a byte.
     plain = workflow_files(argv, tmp_path / "plain")
     assert len(plain) == count
     assert workflow_files(argv, tmp_path / "numpy_first", "import numpy\n",
-                          OPENBLAS_NUM_THREADS="2") == plain
+                          OPENBLAS_NUM_THREADS=threads) == plain
 
 
 def test_files_do_not_depend_on_scipy_linalg_loading_first(plain_files, tmp_path):

@@ -96,9 +96,9 @@ def test_mesh_type_validation():
 def test_uniform_assembly_closed_forms():
     mesh = graded_mesh(8, 1.0)
     h = 0.25
-    mats = assemble(KAPPA, mesh)
-    stiff = dense(mats.stiff)
-    mass = dense(mats.mass)
+    mass, stiff = assemble(KAPPA, mesh)
+    stiff = dense(stiff)
+    mass = dense(mass)
     assert stiff.shape == mass.shape == (4, 4)
     cells = np.array([1.0, 2.0, 2.0, 2.0])  # elements at each free node
     assert np.allclose(np.diag(stiff), cells * KAPPA / h, atol=1e-14)
@@ -128,8 +128,8 @@ def test_assembly_rejects_bad_diffusivity():
 def test_first_eigenvalue_converges_to_one():
     # the even modes cos(k pi x / 2), k odd, have eigenvalues k^2
     mesh = graded_mesh(128, 1.0)
-    mats = assemble(KAPPA, mesh)
-    w = eigh(dense(mats.stiff), dense(mats.mass), eigvals_only=True)
+    mass, stiff = assemble(KAPPA, mesh)
+    w = eigh(dense(stiff), dense(mass), eigvals_only=True)
     assert abs(w[0] - 1.0) <= 1e-3
     assert abs(w[1] - 9.0) <= 1e-2
 
@@ -249,11 +249,11 @@ def test_half_system_is_the_full_one_with_the_centre_row_halved_bitwise(m):
     # halved; the Gauss rule and the norm of its elements x >= 0, that
     # half counted twice.
     mesh = graded_mesh(m, 3.0)
-    mats = assemble(KAPPA, mesh)
+    mass, stiff = assemble(KAPPA, mesh)
     full = FullDomain(mesh, KAPPA)
     centre = m // 2 - 1
     assert full.nodes[centre + 1] == 0.0
-    for half, whole in ((mats.mass, full.mass), (mats.stiff, full.stiff)):
+    for half, whole in ((mass, full.mass), (stiff, full.stiff)):
         assert len(half.diag) == m // 2
         assert half.diag[0] == 0.5 * whole.diag[centre]
         assert np.array_equal(half.diag[1:], whole.diag[centre + 1:])
@@ -280,13 +280,13 @@ def test_folded_trajectory_is_the_right_half_of_the_full_one(m, gamma, nu, n_ste
     # the whole of (-1, 1), each projected on its own.
     order = FractionalOrder(nu)
     mesh = graded_mesh(m, gamma)
-    mats = assemble(KAPPA, mesh)
+    mass, stiff = assemble(KAPPA, mesh)
     full = FullDomain(mesh, KAPPA)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(dt, n_steps)
     whole = step_galerkin(order, full.mass, full.stiff, [grid],
                           full.project_constant(0.25 * math.pi))
-    half = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
+    half = step_galerkin(order, mass, stiff, [grid], u0)
     assert half.shape == (n_steps + 1, m // 2)
     gap = np.max(np.abs(half - whole[:, m // 2 - 1:]))
     assert gap <= 1e-12 * np.max(np.abs(u0)), gap
@@ -316,11 +316,11 @@ def test_mass_matrix_total_weight(m, gamma):
     # row sums of the mass matrix against the hat-function integrals over
     # [0, 1]; the last row misses the eliminated hat at x = 1
     mesh = graded_mesh(m, gamma)
-    mats = assemble(1.0, mesh)
+    mass, _ = assemble(1.0, mesh)
     h = mesh.spacings
     want = 0.5 * (np.concatenate([[0.0], h[:-1]]) + h)
     want[-1] -= h[-1] / 6.0
-    got = dense(mats.mass).sum(axis=1)
+    got = dense(mass).sum(axis=1)
     assert np.allclose(got, want, rtol=1e-13)
 
 
@@ -332,17 +332,34 @@ def test_tridiagonal_rejects_mismatched_diagonals(diag, off):
         SymTridiagonal(diag, off)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17])
-def test_tridiagonal_product_and_solve_match_dense(n):
-    rng = np.random.default_rng(n)
+def definite_tridiagonal(rng, n):
     off = rng.standard_normal(n - 1)
     diag = 2.0 + np.abs(np.concatenate([[0.0], off])) + np.abs(
         np.concatenate([off, [0.0]]))  # diagonally dominant, so definite
-    mat = SymTridiagonal(diag, off)
+    return SymTridiagonal(diag, off)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+def test_tridiagonal_product_and_solve_match_dense(n):
+    rng = np.random.default_rng(n)
+    mat = definite_tridiagonal(rng, n)
     v = rng.standard_normal(n)
     assert np.allclose(mat.matvec(v), dense(mat) @ v, rtol=1e-15, atol=1e-15)
     assert np.allclose(mat.solver()(v), np.linalg.solve(dense(mat), v),
                        rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+def test_tridiagonal_leading_blocks_match_their_own_matrix_bitwise(n):
+    # one factor serves every leading block, a one-row block included
+    rng = np.random.default_rng(n)
+    mat = definite_tridiagonal(rng, n)
+    solve = mat.solver()
+    for k in range(1, n + 1):
+        block = SymTridiagonal(mat.diag[:k], mat.off[:k - 1])
+        v = rng.standard_normal(k)
+        assert np.array_equal(mat.matvec(v), block.matvec(v))
+        assert np.array_equal(solve(v), block.solver()(v))
 
 
 @pytest.mark.parametrize("diag, off", [
@@ -369,7 +386,7 @@ def test_projection_on_smallest_meshes_matches_dense_solve(m):
     mesh = graded_mesh(m, 2.0)
     h = mesh.spacings
     load = 0.25 * math.pi * 0.5 * (np.concatenate([[0.0], h[:-1]]) + h)
-    want = np.linalg.solve(dense(assemble(1.0, mesh).mass), load)
+    want = np.linalg.solve(dense(assemble(1.0, mesh)[0]), load)
     got = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
 

@@ -6,7 +6,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracdg import stepping
+from fracdg import fem1d, stepping
 from fracdg.fem1d import SymTridiagonal, assemble, graded_mesh, l2_project
 from fracdg.special import FractionalOrder
 from fracdg.stepping import TimeGrid, dg_weights, step_galerkin, step_spectral
@@ -220,11 +220,11 @@ def dense_galerkin(order, mass, stiff, grid, u0):
 def test_galerkin_matches_dense_restatement():
     order = FractionalOrder(0.7)
     mesh = graded_mesh(16, 2.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(0.05, 20)
-    fast = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
-    slow = dense_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    fast = step_galerkin(order, mass, stiff, [grid], u0)
+    slow = dense_galerkin(order, mass, stiff, grid, u0)
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
@@ -233,9 +233,9 @@ def test_galerkin_smallest_systems_match_dense_restatement(ndof):
     # the one-DOF solve is a division, the two-DOF one LAPACK's sweeps
     order = FractionalOrder(0.7)
     mesh = graded_mesh(16, 2.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
-    mass = leading_block(mats.mass, ndof)
-    stiff = leading_block(mats.stiff, ndof)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
+    mass = leading_block(mass, ndof)
+    stiff = leading_block(stiff, ndof)
     u0 = np.linspace(1.0, -0.5, ndof)
     grid = TimeGrid(0.05, 20)
     fast = step_galerkin(order, mass, stiff, [grid], u0)
@@ -289,11 +289,11 @@ def test_galerkin_round_off_against_longdouble():
     assert np.finfo(np.longdouble).eps < 1e-18, "needs 80-bit long double"
     order = FractionalOrder(0.3)
     mesh = graded_mesh(200, 3.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(1.0 / 80, 40)
-    fast = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
-    exact = longdouble_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    fast = step_galerkin(order, mass, stiff, [grid], u0)
+    exact = longdouble_galerkin(order, mass, stiff, grid, u0)
     assert float(np.max(np.abs(fast - exact)) / np.max(np.abs(exact))) <= 1e-14
 
 
@@ -359,11 +359,11 @@ def ordered_galerkin(order, mass, stiff, grid, u0):
 def test_galerkin_history_order_is_pinned(m):
     order = FractionalOrder(0.3)
     mesh = graded_mesh(m, 3.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(1.0 / 320, 160)
-    fast = step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
-    slow = ordered_galerkin(order, mats.mass, mats.stiff, grid, u0)
+    fast = step_galerkin(order, mass, stiff, [grid], u0)
+    slow = ordered_galerkin(order, mass, stiff, grid, u0)
     assert np.array_equal(fast, slow)
 
 
@@ -424,9 +424,9 @@ def test_galerkin_equals_plain_loop_at_tile_edges(n_steps, ndof):
     # definite
     order = FractionalOrder(0.75)
     mesh = graded_mesh(80, 2.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
-    mass = leading_block(mats.mass, ndof)
-    stiff = leading_block(mats.stiff, ndof)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
+    mass = leading_block(mass, ndof)
+    stiff = leading_block(stiff, ndof)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[:ndof]
     grid = TimeGrid(1.0 / 64, n_steps)
     fast = step_galerkin(order, mass, stiff, [grid], u0)
@@ -442,9 +442,9 @@ CHAIN_STEPS = (1030, 515, 257, 9, 1)
 def chain_system(ndof):
     # leading block of the 40-DOF system, and its projected data
     mesh = graded_mesh(80, 2.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)[:ndof]
-    return leading_block(mats.mass, ndof), leading_block(mats.stiff, ndof), u0
+    return leading_block(mass, ndof), leading_block(stiff, ndof), u0
 
 
 @pytest.mark.parametrize("ndof", [1, 39])
@@ -457,6 +457,20 @@ def test_galerkin_chain_equals_one_call_per_grid_bitwise(ndof):
     runs = np.split(chain, np.cumsum([n + 1 for n in CHAIN_STEPS])[:-1])
     for grid, run in zip(grids, runs):
         assert np.array_equal(run, step_galerkin(order, mass, stiff, [grid], u0))
+
+
+def test_galerkin_chain_factors_once(monkeypatch):
+    mass, stiff, u0 = chain_system(39)
+    factor, rows = fem1d.dpttrf, []
+
+    def counted(diag, off):
+        rows.append(len(diag))
+        return factor(diag, off)
+
+    monkeypatch.setattr(fem1d, "dpttrf", counted)
+    step_galerkin(FractionalOrder(0.3), mass, stiff,
+                  [TimeGrid(0.5 / n, n) for n in CHAIN_STEPS], u0)
+    assert rows == [len(CHAIN_STEPS) * 39]
 
 
 def test_galerkin_chain_runs_finest_first():
@@ -617,12 +631,12 @@ def test_galerkin_far_history_matches_direct_sum(n_steps, nu, monkeypatch):
     # 40 DOF; measured worst case 2.4e-15 * max|u0| (nu = 0.1)
     order = FractionalOrder(nu)
     mesh = graded_mesh(80, 2.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(1.0 / n_steps, n_steps)
 
     def run():
-        return step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
+        return step_galerkin(order, mass, stiff, [grid], u0)
 
     far = run()
     direct = direct_sum(monkeypatch, n_steps, run)
@@ -634,13 +648,13 @@ def test_galerkin_far_history_matches_direct_sum_at_default_size(monkeypatch):
     # measured 1.2e-15 * max|u0|
     order = FractionalOrder(0.75)
     mesh = graded_mesh(1000, 3.0)
-    mats = assemble(4.0 / math.pi ** 2, mesh)
+    mass, stiff = assemble(4.0 / math.pi ** 2, mesh)
     u0 = l2_project(lambda x: np.full_like(x, 0.25 * math.pi), mesh)
     grid = TimeGrid(1.0 / 1280, 640)
     assert stepping._far_nodes(order, grid.n_steps) is not None
 
     def run():
-        return step_galerkin(order, mats.mass, mats.stiff, [grid], u0)
+        return step_galerkin(order, mass, stiff, [grid], u0)
 
     far = run()
     direct = direct_sum(monkeypatch, grid.n_steps, run)
@@ -668,10 +682,10 @@ def test_galerkin_rejects_indefinite_system(diag):
 def test_galerkin_shape_mismatch():
     order = FractionalOrder(0.5)
     mesh = graded_mesh(14, 1.0)  # 7 DOF
-    mats = assemble(1.0, mesh)
+    mass, stiff = assemble(1.0, mesh)
     with pytest.raises(ValueError):
-        step_galerkin(order, mats.mass, mats.stiff, [TimeGrid(0.1, 2)],
+        step_galerkin(order, mass, stiff, [TimeGrid(0.1, 2)],
                       np.zeros(3))
     with pytest.raises(ValueError):
-        step_galerkin(order, mats.mass, leading_block(mats.stiff, 5),
+        step_galerkin(order, mass, leading_block(stiff, 5),
                       [TimeGrid(0.1, 2)], np.zeros(7))

@@ -37,7 +37,6 @@ from .stepping import TimeGrid, step_spectral
 
 __all__ = [
     "Check",
-    "PhiSweep",
     "MU_GRID",
     "delta_direct",
     "delta_contour",
@@ -164,55 +163,36 @@ def delta_scan(orders, mu_grid=MU_GRID, n_max: int = 200):
     return scans()
 
 
-@dataclass(frozen=True)
-class PhiSweep:
-    """Weighted suprema of the kernel over the scan grid.
+def phi_sweep(orders, mu_grid=MU_GRID, n_max: int = 200):
+    """One row (phi1, phi2, min_delta, skipped) per order, from one delta_scan.
 
     phi1 = sup over rho <= 1 of n^{1-2 nu} mu^{-2} delta,
     phi2 = sup over rho >= 1 of n^{1+nu} mu delta,
-    both signed (delta itself, not |delta|).  min_delta records the most
-    negative kernel value seen; genuinely negative values (beyond the
-    -1e-12 noise floor) would contradict the kernel's expected sign.
-    skipped counts rho <= 1 points excluded by the accuracy guard
-    |delta| > 10 * ml_err.
-    """
-
-    phi1: float
-    phi2: float
-    min_delta: float
-    skipped: int
-
-
-def _first_max(w, keep):
-    # Largest w where keep holds, first occurrence on ties (NaN never
-    # wins); -inf when nothing qualifies.
-    w = np.where(keep & ~np.isnan(w), w, -math.inf)
-    return w.flat[int(np.argmax(w))]
-
-
-def phi_sweep(orders, mu_grid=MU_GRID, n_max: int = 200):
-    """(Phi_1, Phi_2) of each order, as a list of PhiSweep, from one delta_scan.
-
-    Each order's PhiSweep equals that order's own sweep.
+    both signed (delta itself, not |delta|), -inf when no point counts.
+    min_delta records the most negative kernel value seen; genuinely
+    negative values (beyond the -1e-12 noise floor) would contradict the
+    kernel's expected sign.  skipped, an int, counts rho <= 1 points
+    excluded by the accuracy guard |delta| > 10 * ml_err.  Each order's
+    row equals that order's own sweep.
     """
     orders = tuple(orders)
     mu = np.asarray(mu_grid, dtype=float)
-    return [_sweep(o.nu, mu, n_max, *scan)
-            for o, scan in zip(orders, delta_scan(orders, mu, n_max))]
-
-
-def _sweep(nu, mu, n_max, rho, delta, ml_err):
+    ns = np.arange(1, n_max + 1, dtype=float)
     # Powers are taken once per grid value with scalar pow and broadcast:
     # numpy's vectorised pow can differ from scalar pow in the last bit.
-    ns = np.arange(1, n_max + 1, dtype=float)
     mu_sq = np.array([m ** 2 for m in mu])[:, None]
-    n_pow1 = np.array([n ** (1.0 - 2.0 * nu) for n in ns])
-    n_pow2 = np.array([n ** (1.0 + nu) for n in ns])
-    guarded = (rho <= 1.0) & (np.abs(delta) <= 10.0 * ml_err)
-    phi1 = _first_max(n_pow1 * delta / mu_sq, (rho <= 1.0) & ~guarded)
-    phi2 = _first_max(n_pow2 * mu[:, None] * delta, (rho >= 1.0) & ~guarded)
-    return PhiSweep(phi1=phi1, phi2=phi2, min_delta=float(np.min(delta)),
-                    skipped=int(np.count_nonzero(guarded)))
+    rows = []
+    for o, (rho, delta, ml_err) in zip(orders, delta_scan(orders, mu, n_max)):
+        n_pow1 = np.array([n ** (1.0 - 2.0 * o.nu) for n in ns])
+        n_pow2 = np.array([n ** (1.0 + o.nu) for n in ns])
+        guarded = (rho <= 1.0) & (np.abs(delta) <= 10.0 * ml_err)
+        # The weighted grids are freed here, before delta_scan makes the next
+        # order's grids, so phi's peak memory stays that of one order.
+        phi1, phi2 = (np.max(w, initial=-math.inf, where=keep & ~guarded & ~np.isnan(w))
+                      for w, keep in ((n_pow1 * delta / mu_sq, rho <= 1.0),
+                                      (n_pow2 * mu[:, None] * delta, rho >= 1.0)))
+        rows.append((phi1, phi2, float(np.min(delta)), int(np.count_nonzero(guarded))))
+    return rows
 
 
 def _moment_integrands(nu: float) -> np.ndarray:

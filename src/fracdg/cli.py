@@ -323,14 +323,13 @@ def cmd_phi(args, config: RunConfig) -> list:
         grid = (config.nu,)
     else:
         grid = tuple(round(0.1 * k, 1) for k in range(1, 10))
-    sweeps = phi_sweep([FractionalOrder(nu) for nu in grid])
-    rows = [(nu, s.phi1, s.phi2, s.min_delta, s.skipped) for nu, s in zip(grid, sweeps)]
+    rows = [(nu, *row) for nu, row in zip(grid, phi_sweep(map(FractionalOrder, grid)))]
 
     path = os.path.join(config.out_dir, "phi_sweep.csv")
     _write_csv(path, config, ["nu", "phi1", "phi2", "min_delta", "skipped"], rows,
                grid=grid)
     for nu, phi1, phi2, min_delta, skipped in rows:
-        print(f"nu={nu:g}: phi1={phi1:.6f} phi2={phi2:.6f} "
+        print(f"nu={repr(nu).removesuffix('.0')}: phi1={phi1:.6f} phi2={phi2:.6f} "
               f"min_delta={min_delta:.2e} skipped={skipped}")
     print(f"wrote {path}")
     phis = np.array([r[1:3] for r in rows])  # no Phi_1 or Phi_2: fails as NaN

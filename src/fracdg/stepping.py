@@ -86,7 +86,9 @@ def _beta_series(nu: float, j: np.ndarray) -> np.ndarray:
     # The terms go in a table, a row per k and zero beyond K(j), summed row
     # after row in ascending k by add.accumulate (add.reduce would sum a
     # lone column pairwise).  K is five from j = 49 on: those j get their
-    # own five-row table.
+    # own five-row table.  One 28-row table gives the same bits but not the
+    # same cost: at nu = 0.3, dg_weights(n = 10^6) peaks at 292 MB and
+    # takes about three times as long, against 96 MB with the split.
     x2 = (1.0 / j) ** 2
     terms = np.maximum(5, np.ceil(28.0 * math.log(2.0) / np.log(j)))
     k = np.arange(1.0, np.max(terms, initial=5) + 1)[:, None]

@@ -223,11 +223,11 @@ def test_bound_check_moderate_grid():
 
 
 def test_phi_sweep_moderate():
-    [sweep] = phi_sweep([FractionalOrder(0.6)], mu_grid=2.0 ** np.arange(-8, 9),
-                        n_max=60)
-    assert 0.0 < sweep.phi1 <= 1.1
-    assert 0.0 < sweep.phi2 <= 1.1
-    assert sweep.min_delta >= -1e-12
+    [(phi1, phi2, min_delta, _)] = phi_sweep([FractionalOrder(0.6)],
+                                             mu_grid=2.0 ** np.arange(-8, 9), n_max=60)
+    assert 0.0 < phi1 <= 1.1
+    assert 0.0 < phi2 <= 1.1
+    assert min_delta >= -1e-12
 
 
 def looped_phi(mu_grid, scan, nu):
@@ -258,9 +258,9 @@ def looped_phi(mu_grid, scan, nu):
 def test_phi_sweep_equals_point_loop(nu, mu_grid, n_max):
     order = FractionalOrder(nu)
     mus = MU_GRID if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    [sweep] = phi_sweep([order], mu_grid=mus, n_max=n_max)
-    phi1, phi2, skipped = looped_phi(mus, next(delta_scan([order], mus, n_max)), nu)
-    assert (sweep.phi1, sweep.phi2, sweep.skipped) == (phi1, phi2, skipped)
+    [(phi1, phi2, _, skipped)] = phi_sweep([order], mu_grid=mus, n_max=n_max)
+    looped = looped_phi(mus, next(delta_scan([order], mus, n_max)), nu)
+    assert (phi1, phi2, skipped) == looped
 
 
 def test_phi_sweep_over_the_order_grid_equals_single_orders():

@@ -802,11 +802,17 @@ def test_phi_quick(tmp_path, capsys):
     assert header == ["nu", "phi1", "phi2", "min_delta", "skipped"]
     assert len(rows) == 1
     assert 0.0 < float(rows[0][1]) <= 1.1
+    # skipped is written as a plain integer, the other cells as %.12e
+    assert rows[0][4].isdigit()
+    assert all(re.fullmatch(r"-?\d\.\d{12}e[+-]\d{2,3}", cell) for cell in rows[0][:4])
 
 
-@pytest.mark.parametrize("nu, label", [("0.001", "nu=0.001:"), ("0.125", "nu=0.125:")])
+@pytest.mark.parametrize("nu, label", [
+    ("0.001", "nu=0.001:"), ("0.125", "nu=0.125:"), ("0.9999999", "nu=0.9999999:"),
+    ("0.1234567", "nu=0.1234567:"), ("1", "nu=1:")])
 def test_phi_labels_the_order_with_every_digit_it_has(tmp_path, capsys, nu, label):
-    # two decimals printed these as nu=0.00 and nu=0.12
+    # two decimals printed the first two as nu=0.00 and nu=0.12; six
+    # significant digits printed 0.9999999 as nu=1, the classical order
     assert main(["phi", "--nu", nu, "--out", str(tmp_path)]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("nu=")]

@@ -115,8 +115,7 @@ class RunConfig:
             m_intervals = operator.index(self.m_intervals)
         except TypeError:
             raise ValueError("step counts and subinterval count must be integers") from None
-        if not 0.0 < nu <= 1.0:
-            raise ValueError(f"nu={nu} outside (0, 1]")
+        FractionalOrder(nu)  # raises on an order outside its domain
         if not n_list:
             raise ValueError("N list is empty")
         for n in n_list:
@@ -262,15 +261,14 @@ def run_convergence(config: RunConfig):
 
 def _write_csv(path: str, config: RunConfig, header, rows, **derived):
     # Integers print as %d and everything else as %.12e (nan as "nan"); one
-    # format string serves every row, built from the first row's types,
-    # which every caller keeps the same down each column.
+    # format string serves every row, built from the first row's types: every
+    # caller passes at least one row and keeps the types down each column.
     with open(path, "w", newline="") as fh:
         fh.write(f"# fracdg v{__version__} config={config.digest(**derived)}\n")
         fh.write(",".join(header) + "\n")
-        if rows:
-            fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.12e"
-                           for v in rows[0]) + "\n"
-            fh.writelines(fmt % tuple(row) for row in rows)
+        fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.12e"
+                       for v in rows[0]) + "\n"
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

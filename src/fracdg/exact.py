@@ -97,7 +97,5 @@ def constant_data_transform(order: FractionalOrder, x, z) -> np.ndarray:
     if z.imag == 0.0 and z.real <= 0.0:
         raise ValueError(f"z={z} lies on the branch cut")
     w = 0.5 * math.pi * z ** (0.5 * order.nu)
-    if w.real <= 0.0:
-        raise ValueError(f"z={z} lies on or across the branch cut")
     ratio = np.exp(w * (x - 1.0)) * (1.0 + np.exp(-2.0 * w * x)) / (1.0 + np.exp(-2.0 * w))
     return (0.25 * math.pi / z) * (1.0 - ratio)

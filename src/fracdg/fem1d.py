@@ -143,7 +143,8 @@ def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
     """The x >= 0 half of the symmetric mesh of (-1, 1) with M intervals.
 
     Its M/2 intervals are graded toward x = 1, with nodes
-    x_k = 1 - (1 - k/(M/2))^gamma for k = 0..M/2; gamma = 1 is uniform.
+    x_k = 1 - (1 - k/(M/2))^gamma for k = 0..M/2 (0 and 1 exactly at the
+    ends, as 1^gamma = 1 and 0^gamma = 0 in IEEE pow); gamma = 1 is uniform.
     """
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
@@ -156,8 +157,6 @@ def graded_mesh(m: int, gamma: float = 3.0) -> Mesh1D:
         raise ValueError(
             f"mesh grading gamma={gamma} is too strong for M={m}: the last interior "
             f"node 1 - (2/M)^gamma rounds to x = 1 in double precision")
-    x[0] = 0.0
-    x[-1] = 1.0
     return Mesh1D(nodes=x)
 
 

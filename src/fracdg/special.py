@@ -18,6 +18,7 @@ each can certify the others; the quadpack integral form is a test oracle.
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -60,6 +61,25 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
+@dataclass(frozen=True)
+class FractionalOrder:
+    """Time-fractional order: normal nu in (0, 1], gamma_1p = Gamma(1 + nu)."""
+
+    nu: float
+    gamma_1p: float = field(init=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.nu <= 1.0:
+            raise ValueError(f"nu={self.nu} outside (0, 1]")
+        if self.nu < sys.float_info.min:
+            raise ValueError(f"nu={self.nu} is subnormal (below {sys.float_info.min})")
+        object.__setattr__(self, "gamma_1p", math.gamma(1.0 + self.nu))
+
+    @property
+    def sin_pi(self) -> float:
+        return math.sin(math.pi * self.nu)
+
+
 # Bernoulli numbers B_2, B_4, ..., B_14 for the Euler-Maclaurin tails of
 # zeta(1 + nu) and of the lattice sum.
 _B2K = (
@@ -93,39 +113,21 @@ def _zeta_1p(nu: float) -> float:
     return acc
 
 
-def zeta_neg(nu: float) -> float:
-    """zeta(-nu) for 0 < nu <= 1 via the functional equation.
+def zeta_neg(order: FractionalOrder) -> float:
+    """zeta(-nu) for the order's nu via the functional equation.
 
     zeta(-nu) = 2^{-nu} pi^{-nu-1} sin(-pi nu/2) Gamma(1+nu) zeta(1+nu),
     which only ever needs zeta on (1, 2] where Euler-Maclaurin converges.
     nu = 1 is the classical limit zeta(-1) = -1/12.
     """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu={nu} outside (0, 1]")
+    nu = order.nu
     return (
         2.0 ** -nu
         * math.pi ** (-nu - 1.0)
         * math.sin(-0.5 * math.pi * nu)
-        * math.gamma(1.0 + nu)
+        * order.gamma_1p
         * _zeta_1p(nu)
     )
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Time-fractional order nu in (0, 1] with gamma_1p = Gamma(1 + nu)."""
-
-    nu: float
-    gamma_1p: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu={self.nu} outside (0, 1]")
-        object.__setattr__(self, "gamma_1p", math.gamma(1.0 + self.nu))
-
-    @property
-    def sin_pi(self) -> float:
-        return math.sin(math.pi * self.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -454,4 +456,4 @@ def symbol_asym_origin(order: FractionalOrder, z: complex) -> complex:
     """
     z = complex(z)
     nu = order.nu
-    return z ** -nu + 0.5 * z ** (1.0 - nu) + zeta_neg(nu) / order.gamma_1p * z
+    return z ** -nu + 0.5 * z ** (1.0 - nu) + zeta_neg(order) / order.gamma_1p * z

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -129,6 +130,25 @@ def test_version_flag():
 def test_config_errors_exit_1(capsys):
     assert main(["converge", "--nu", "2.0", "--dry-run"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi"],
+    ["converge", "--quick", "--reference", "modal"],
+    ["converge", "--dry-run"],
+    ["delta", "--mu", "1", "--n", "5"],
+])
+def test_subnormal_order_exits_1(argv, tmp_path, capsys):
+    # below the smallest normal double Gamma(nu k) overflows: the order is
+    # refused before any workflow runs
+    if argv[0] != "delta":
+        argv = argv + ["--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--nu", "5e-324"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nu=5e-324 is subnormal (below 2.2250738585072014e-308)\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -826,7 +846,7 @@ def test_phi_classical_order_prints_a_positive_zero_floor(tmp_path, capsys):
     assert "check kernel sign (negated floor): 0.000e+00 <= 1.000e-12 PASS" in out
 
 
-@pytest.mark.parametrize("nu", ["1e-20", "1e-300"])
+@pytest.mark.parametrize("nu", ["1e-20", "1e-300", "2.2250738585072014e-308"])
 def test_phi_fails_an_order_with_no_phi1(nu, tmp_path, capsys):
     # n^nu rounds to 1 and the kernel to round-off, so every rho <= 1
     # point is guarded and phi1 is -inf
